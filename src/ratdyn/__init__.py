@@ -20,6 +20,10 @@ from .decompose import (
 from .parser import parse_curve, parse_map
 from .search import SearchConfig, SearchReport, commuting_route, find_invariant_curves
 
+# importing the submodule `ratdyn.mobius` (above, through `classify`) binds
+# the package attribute to the module; the public name is the constructor
+from .ratmaps import mobius  # noqa: F811
+
 __all__ = [
     "UniPoly",
     "qq",

@@ -441,18 +441,21 @@ def main(argv=None) -> int:
     structured = args.format == "structured"
     try:
         if args.command in ("analyze", "classify") and getattr(args, "file", None):
-            code = 0
-            with open(args.file) as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line or line.startswith("#"):
-                        continue
-                    out = _Output(structured)
-                    sub_args = argparse.Namespace(**vars(args))
-                    sub_args.map = line
-                    _DISPATCH[args.command](sub_args, out)
-                    out.emit()
-            return code
+            try:
+                with open(args.file) as handle:
+                    lines = handle.read().splitlines()
+            except (OSError, UnicodeDecodeError) as exc:
+                raise ParseError(f"cannot read the batch file: {exc}") from exc
+            for line in lines:
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                out = _Output(structured)
+                sub_args = argparse.Namespace(**vars(args))
+                sub_args.map = line
+                _DISPATCH[args.command](sub_args, out)
+                out.emit()
+            return 0
         if args.command in ("analyze", "classify") and not args.map:
             raise ParseError("a map expression is required")
         out = _Output(structured)

@@ -17,130 +17,31 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from math import gcd as _igcd, isqrt
+from math import isqrt
 
 from .bipolys import BiPoly, gcd_x
 from .errors import Inconclusive, PreconditionError
+from .intpoly import (
+    _centered,
+    _m_add,
+    _m_deriv,
+    _m_divmod,
+    _m_gcd,
+    _m_monic,
+    _m_mod,
+    _m_mul,
+    _m_pow_mod,
+    _m_sub,
+    _m_xgcd,
+    _next_prime,
+    _z_exact_div,
+    _z_mul,
+    _z_primitive,
+    ser_mul,
+)
 from .polynomials import UniPoly
 
 SUBSET_CAP = 1 << 16
-
-# ----------------------------------------------------------------------
-# polynomials over Z/m as int lists, lowest degree first
-
-
-def _trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _m_mul(a, b, m):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % m
-    return _trim(out)
-
-
-def _m_add(a, b, m):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, v in enumerate(b):
-        out[i] = (out[i] + v) % m
-    return _trim(out)
-
-
-def _m_sub(a, b, m):
-    out = list(a) + [0] * max(0, len(b) - len(a))
-    for i, v in enumerate(b):
-        out[i] = (out[i] - v) % m
-    return _trim(out)
-
-
-def _m_divmod(a, b, m):
-    if not b:
-        raise ZeroDivisionError
-    inv = pow(b[-1], -1, m)
-    a = [v % m for v in a]
-    dq = len(a) - len(b)
-    if dq < 0:
-        return [], _trim(a)
-    q = [0] * (dq + 1)
-    for k in range(dq, -1, -1):
-        top = a[k + len(b) - 1]
-        if top:
-            c = top * inv % m
-            q[k] = c
-            for j, bj in enumerate(b):
-                a[k + j] = (a[k + j] - c * bj) % m
-    return _trim(q), _trim(a[: len(b) - 1])
-
-
-def _m_monic(a, m):
-    if not a:
-        return []
-    inv = pow(a[-1], -1, m)
-    return _trim([v * inv % m for v in a])
-
-
-def _m_gcd(a, b, p):
-    while b:
-        a, b = b, _m_divmod(a, b, p)[1]
-    return _m_monic(a, p)
-
-
-def _m_xgcd(a, b, p):
-    """For gcd(a, b) = 1 over GF(p): (s, t) with s*a + t*b = 1,
-    deg s < deg b, deg t < deg a."""
-    r0, r1 = list(a), list(b)
-    s0, s1 = [1], []
-    while r1:
-        q, r = _m_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _m_sub(s0, _m_mul(q, s1, p), p)
-    if len(r0) != 1:
-        raise PreconditionError("modular inputs are not coprime")
-    inv = pow(r0[0], -1, p)
-    s = _trim([v * inv % p for v in s0])
-    s = _m_divmod(s, b, p)[1]
-    num = _m_sub([1], _m_mul(s, a, p), p)
-    t, rem = _m_divmod(num, b, p)
-    if rem:
-        raise PreconditionError("inconsistent modular Bezout data")
-    return s, t
-
-
-def _m_mod(a, m):
-    return _trim([v % m for v in a])
-
-
-def _centered(a, m):
-    out = []
-    for v in a:
-        v %= m
-        out.append(v - m if v > m // 2 else v)
-    return _trim(out)
-
-
-def _m_pow_mod(a, n, f, p):
-    result = [1]
-    base = _m_divmod(a, f, p)[1]
-    while n:
-        if n & 1:
-            result = _m_divmod(_m_mul(result, base, p), f, p)[1]
-        base = _m_divmod(_m_mul(base, base, p), f, p)[1]
-        n >>= 1
-    return result
-
-
-def _m_deriv(a, p):
-    return _trim([i * v % p for i, v in enumerate(a)][1:])
-
 
 # ----------------------------------------------------------------------
 # factorization over GF(p), p odd
@@ -184,27 +85,9 @@ def _gf_edf(f, d, p, rng):
             return _gf_edf(g, d, p, rng) + _gf_edf(_m_divmod(f, g, p)[0], d, p, rng)
 
 
-def _next_prime(n):
-    while True:
-        n += 1
-        if n >= 2 and all(n % q for q in range(2, isqrt(n) + 1)):
-            return n
-
-
 # ----------------------------------------------------------------------
 # Hensel lifting; the exponent is a power of two so every quadratic step
 # stays inside exactly known precision
-
-
-def _z_mul(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _trim(out)
 
 
 def _hensel_step(m, f, g, h, s, t):
@@ -253,15 +136,6 @@ def _hensel_lift(p, f_mod, factors, l):
 
 # ----------------------------------------------------------------------
 # Zassenhaus over the integers
-
-
-def _z_primitive(a):
-    g = 0
-    for v in a:
-        g = _igcd(g, abs(v))
-    if g <= 1:
-        return list(a)
-    return [v // g for v in a]
 
 
 def _degree_subset_sums(degrees, n):
@@ -356,11 +230,12 @@ def _zassenhaus(f, max_degree=None):
                 for i in combo:
                     g = _m_mul(g, lifted[i], target)
                 g = _z_primitive(_centered(g, target))
-                cand = UniPoly(g)
-                q, r = divmod(UniPoly(current), cand)
-                if r.is_zero:
+                # g and current are primitive, so by Gauss's lemma g divides
+                # current over Q exactly when it does over Z
+                q = _z_exact_div(current, g)
+                if q is not None:
                     result.append(g)
-                    current = [int(v) for v in q.content_and_primitive()[1].c]
+                    current = q if q[-1] > 0 else [-v for v in q]
                     for i in combo:
                         pool.remove(i)
                     found = True
@@ -454,24 +329,6 @@ def rational_roots(p: UniPoly):
 # truncated power series (lists of Fractions of fixed length K)
 
 
-def _ser(vals, k):
-    out = [Fraction(0)] * k
-    for i, v in enumerate(vals[:k]):
-        out[i] = Fraction(v)
-    return out
-
-
-def _ser_mul(a, b, k):
-    out = [Fraction(0)] * k
-    for i, ai in enumerate(a):
-        if ai and i < k:
-            top = min(k - i, len(b))
-            for j in range(top):
-                if b[j]:
-                    out[i + j] += ai * b[j]
-    return out
-
-
 def _ser_inv(a, k):
     if not a or a[0] == 0:
         raise ZeroDivisionError("series not invertible")
@@ -489,7 +346,7 @@ def _xser_mul(A, B, k):
     out = [[Fraction(0)] * k for _ in range(len(A) + len(B) - 1)]
     for i, ai in enumerate(A):
         for j, bj in enumerate(B):
-            prod = _ser_mul(ai, bj, k)
+            prod = ser_mul(ai, bj, k)
             tgt = out[i + j]
             for t in range(k):
                 tgt[t] += prod[t]
@@ -594,9 +451,8 @@ def _factor_squarefree_bi(G: BiPoly):
         return [G.canonical()]
     Gs = G.shift_y(y0)
     K = G.deg_y + max(lcx.degree, 0) + 1
-    lc_series = _ser(list(Gs.coeffs_in_x()[-1].c), K)
-    inv_lc = _ser_inv(lc_series, K)
-    ghat = [_ser_mul(_ser(list(cy.c), K), inv_lc, K) for cy in Gs.coeffs_in_x()]
+    inv_lc = _ser_inv(Gs.coeffs_in_x()[-1].c, K)
+    ghat = [ser_mul(cy.c, inv_lc, K) for cy in Gs.coeffs_in_x()]
     lifted = _bi_hensel(ghat, base, K)
 
     pool = list(range(len(lifted)))
@@ -615,8 +471,8 @@ def _factor_squarefree_bi(G: BiPoly):
                 prod = [[Fraction(1)] + [Fraction(0)] * (K - 1)]
                 for i in combo:
                     prod = _xser_mul(prod, lifted[i], K)
-                lc_now = _ser(list(current.shift_y(y0).coeffs_in_x()[-1].c), K)
-                scaled = [_ser_mul(c, lc_now, K) for c in prod]
+                lc_now = current.shift_y(y0).coeffs_in_x()[-1].c
+                scaled = [ser_mul(c, lc_now, K) for c in prod]
                 cand = _xser_to_bipoly(scaled, y0).primitive_part_x().canonical()
                 if cand.deg_x < 1:
                     continue
@@ -659,7 +515,7 @@ def _bi_hensel(ghat, base, K):
         if g.degree != 0:
             raise PreconditionError("specialization factors are not coprime")
         partials.append(v)
-    F = [[_ser([c], K) for c in b.c] for b in base]
+    F = [[[c] + [Fraction(0)] * (K - 1) for c in b.c] for b in base]
     for k in range(1, K):
         prod = [[Fraction(1)] + [Fraction(0)] * (K - 1)]
         for fi in F:

@@ -3,12 +3,26 @@
 Coefficients are stored lowest degree first as `fractions.Fraction`
 values; the leading coefficient is nonzero unless the polynomial is
 zero.  All arithmetic is exact.  The zero polynomial has degree -1.
+Coefficients stay `Fraction`s, while multiplication, division, gcd and the
+monic and primitive normal forms run on integer numerators in `intpoly`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as _igcd
+
+from .intpoly import (
+    _trim,
+    _z_divmod,
+    _z_gcd,
+    _z_mul,
+    _z_primitive,
+    _z_resultant,
+    from_ints,
+    monic_from_ints,
+    to_ints,
+)
 
 
 def qq(x) -> Fraction:
@@ -28,6 +42,13 @@ class UniPoly:
         while c and c[-1] == 0:
             c.pop()
         self.c = tuple(c)
+
+    @classmethod
+    def _of_fractions(cls, c: tuple) -> "UniPoly":
+        """Polynomial from a tuple of Fractions already in normal form."""
+        p = object.__new__(cls)
+        p.c = c
+        return p
 
     # ------------------------------------------------------------------
     # constructors
@@ -120,12 +141,12 @@ class UniPoly:
         out = list(a)
         for i, v in enumerate(b):
             out[i] += v
-        return UniPoly(out)
+        return UniPoly._of_fractions(tuple(_trim(out)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return UniPoly([-v for v in self.c])
+        return UniPoly._of_fractions(tuple([-v for v in self.c]))
 
     def __sub__(self, other):
         o = self._co(other)
@@ -143,16 +164,11 @@ class UniPoly:
         o = self._co(other)
         if o is None:
             return NotImplemented
-        a, b = self.c, o.c
-        if not a or not b:
+        if not self.c or not o.c:
             return UniPoly()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        out[i + j] += ai * bj
-        return UniPoly(out)
+        na, da = to_ints(self.c)
+        nb, db = to_ints(o.c)
+        return UniPoly._of_fractions(from_ints(_z_mul(na, nb), da * db))
 
     __rmul__ = __mul__
 
@@ -174,21 +190,14 @@ class UniPoly:
             return NotImplemented
         if o.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.c)
-        dq = len(rem) - len(o.c)
-        if dq < 0:
+        if len(self.c) < len(o.c):
             return UniPoly(), self
-        quo = [Fraction(0)] * (dq + 1)
-        olc = o.lc
-        oc = o.c
-        for k in range(dq, -1, -1):
-            top = rem[k + len(oc) - 1]
-            if top:
-                q = top / olc
-                quo[k] = q
-                for j, vj in enumerate(oc):
-                    rem[k + j] -= q * vj
-        return UniPoly(quo), UniPoly(rem)
+        na, da = to_ints(self.c)
+        nb, db = to_ints(o.c)
+        q, r, s = _z_divmod(na, nb)
+        if db != 1:
+            q = [v * db for v in q]
+        return UniPoly._of_fractions(from_ints(q, s * da)), UniPoly._of_fractions(from_ints(r, s * da))
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -207,15 +216,19 @@ class UniPoly:
     def monic(self) -> "UniPoly":
         if self.is_zero or self.lc == 1:
             return self
-        inv = 1 / self.lc
-        return UniPoly([v * inv for v in self.c])
+        return UniPoly._of_fractions(monic_from_ints(to_ints(self.c)[0]))
 
     def gcd(self, other: "UniPoly") -> "UniPoly":
-        """Monic greatest common divisor."""
-        a, b = self, other
-        while not b.is_zero:
-            a, b = b, a % b
-        return a.monic()
+        """Monic greatest common divisor, by the certified modular gcd of the
+        primitive integer parts (`intpoly._z_gcd`)."""
+        if other.is_zero:
+            return self.monic()
+        if self.is_zero:
+            return other.monic()
+        if self.degree == 0 or other.degree == 0:
+            return UniPoly._of_fractions((Fraction(1),))
+        g = _z_gcd(_z_primitive(to_ints(self.c)[0]), _z_primitive(to_ints(other.c)[0]))
+        return UniPoly._of_fractions(monic_from_ints(g))
 
     def xgcd(self, other: "UniPoly"):
         """Extended gcd: returns (g, u, v) with u*self + v*other = g, g monic."""
@@ -278,16 +291,11 @@ class UniPoly:
         coprime coefficients and positive leading coefficient."""
         if self.is_zero:
             return Fraction(0), self
-        den = 1
-        for v in self.c:
-            den = den * v.denominator // _igcd(den, v.denominator)
-        ints = [int(v * den) for v in self.c]
-        g = 0
-        for v in ints:
-            g = _igcd(g, abs(v))
+        ints, den = to_ints(self.c)
+        g = _igcd(*ints)
         if ints[-1] < 0:
             g = -g
-        return Fraction(g, den), UniPoly([v // g for v in ints])
+        return Fraction(g, den), UniPoly._of_fractions(from_ints([v // g for v in ints]))
 
     def squarefree_part(self) -> "UniPoly":
         if self.degree < 1:
@@ -321,28 +329,11 @@ class UniPoly:
 
     def resultant(self, other: "UniPoly") -> Fraction:
         """Classical resultant, with the Sylvester-determinant sign."""
-        f, g = self, other
-        if f.is_zero or g.is_zero:
+        if self.is_zero or other.is_zero:
             return Fraction(0)
-        sign = 1
-        acc = Fraction(1)
-        while True:
-            m, n = f.degree, g.degree
-            if m < n:
-                if (m * n) % 2:
-                    sign = -sign
-                f, g = g, f
-                continue
-            if n == 0:
-                return sign * acc * g.lc ** m
-            r = f % g
-            if r.is_zero:
-                return Fraction(0)
-            k = r.degree
-            acc *= g.lc ** (m - k)
-            if (m * n) % 2:
-                sign = -sign
-            f, g = g, r
+        f, df = to_ints(self.c)
+        g, dg = to_ints(other.c)
+        return Fraction(_z_resultant(f, g), df ** other.degree * dg ** self.degree)
 
     @staticmethod
     def interpolate(points) -> "UniPoly":

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from .errors import Inconclusive, PreconditionError
 from .factoring import rational_roots
+from .intpoly import ser_mul
 from .polynomials import UniPoly, qq
 from .ratmaps import RatMap
 
@@ -24,16 +25,6 @@ def ser_trunc(a, k):
     out = [Fraction(0)] * k
     for i, v in enumerate(a[:k]):
         out[i] = Fraction(v)
-    return out
-
-
-def ser_mul(a, b, k):
-    out = [Fraction(0)] * k
-    for i, ai in enumerate(a[:k]):
-        if ai:
-            for j in range(min(k - i, len(b))):
-                if b[j]:
-                    out[i + j] += ai * b[j]
     return out
 
 

@@ -1,10 +1,12 @@
 """Independent oracles used by the tests.
 
 Everything here recomputes expected values by a route different from the
-library code under test: resultants by Sylvester determinants with plain
-Gaussian elimination, genus counts by the raw pairing formula, commuting
-maps by coordinate series at a superattracting fixed point, and invariant
-graphs by the same series plus exact verification.
+library code under test: products, division and gcds by schoolbook
+`Fraction` arithmetic and Euclid's algorithm over Q, resultants by
+Sylvester determinants with plain Gaussian elimination, genus counts by the
+raw pairing formula, commuting maps by coordinate series at a
+superattracting fixed point, and invariant graphs by the same series plus
+exact verification.
 """
 
 from __future__ import annotations
@@ -14,6 +16,41 @@ from fractions import Fraction
 from ratdyn.polynomials import UniPoly
 from ratdyn.ratmaps import INF, RatMap
 from ratdyn.series import pade_reconstruct, ser_mul
+
+
+def schoolbook_mul(f: UniPoly, g: UniPoly) -> UniPoly:
+    """Product by one `Fraction` multiplication per coefficient pair."""
+    if f.is_zero or g.is_zero:
+        return UniPoly.zero()
+    out = [Fraction(0)] * (len(f.c) + len(g.c) - 1)
+    for i, a in enumerate(f.c):
+        for j, b in enumerate(g.c):
+            out[i + j] += a * b
+    return UniPoly(out)
+
+
+def fraction_divmod(f: UniPoly, g: UniPoly):
+    """Long division over Q with `Fraction` coefficients."""
+    rem = list(f.c)
+    dq = len(rem) - len(g.c)
+    if dq < 0:
+        return UniPoly.zero(), f
+    quo = [Fraction(0)] * (dq + 1)
+    for k in range(dq, -1, -1):
+        q = rem[k + len(g.c) - 1] / g.lc
+        quo[k] = q
+        for j, v in enumerate(g.c):
+            rem[k + j] -= q * v
+    return UniPoly(quo), UniPoly(rem)
+
+
+def euclid_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
+    """Monic gcd by Euclid's remainder sequence over Q."""
+    while not g.is_zero:
+        f, g = g, fraction_divmod(f, g)[1]
+    if f.is_zero:
+        return f
+    return UniPoly([v / f.lc for v in f.c])
 
 
 def sylvester_resultant(f: UniPoly, g: UniPoly) -> Fraction:

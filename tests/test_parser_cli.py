@@ -200,3 +200,18 @@ def test_cli_batch_file(tmp_path):
     assert proc.returncode == 0
     assert "non_special_non_gl" in proc.stdout
     assert "power" in proc.stdout
+
+
+def test_cli_batch_file_missing(tmp_path):
+    proc = run_cli("analyze", "--file", str(tmp_path / "absent.txt"))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_batch_file_unreadable(tmp_path):
+    # a directory cannot be read as a batch file
+    proc = run_cli("classify", "--file", str(tmp_path))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr

@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ratdyn.intpoly import PRIMES, _is_prime, _z_exact_div, _z_gcd, from_ints
 from ratdyn.polynomials import UniPoly
 
-from oracles import sylvester_resultant
+from oracles import euclid_gcd, fraction_divmod, schoolbook_mul, sylvester_resultant
 
 
 def rand_poly(rng, max_deg=4, span=6):
@@ -64,16 +65,6 @@ def test_yun_decomposition():
     assert parts[1] == UniPoly.of(0, 1)
 
 
-def test_resultant_matches_sylvester_oracle():
-    rng = random.Random(11)
-    for _ in range(60):
-        f = rand_poly(rng)
-        g = rand_poly(rng)
-        if f.is_zero or g.is_zero:
-            continue
-        assert f.resultant(g) == sylvester_resultant(f, g)
-
-
 def test_resultant_known_values():
     f = UniPoly.of(-1, 1)
     g = UniPoly.of(1, 1)
@@ -121,14 +112,112 @@ def test_ring_axioms(a, b, c):
     assert p + q == q + p
 
 
-@settings(max_examples=40, deadline=None)
-@given(small_coeffs, small_coeffs)
-def test_divmod_identity(a, b):
-    p, q = UniPoly(a), UniPoly(b)
+
+
+# ----------------------------------------------------------------------
+# the integer kernel against the Fraction oracles
+
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+rat_polys = st.lists(rationals, min_size=0, max_size=7).map(UniPoly)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rat_polys, rat_polys)
+def test_mul_matches_schoolbook(p, q):
+    assert p * q == schoolbook_mul(p, q)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rat_polys, rat_polys)
+def test_divmod_identity(p, q):
     if q.is_zero:
         with pytest.raises(ZeroDivisionError):
             divmod(p, q)
         return
     quo, rem = divmod(p, q)
     assert quo * q + rem == p
-    assert rem.degree < q.degree or rem.is_zero
+    assert rem.degree < q.degree
+    assert (quo, rem) == fraction_divmod(p, q)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rat_polys, rat_polys)
+def test_gcd_matches_euclid(p, q):
+    assert p.gcd(q) == euclid_gcd(p, q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rat_polys, rat_polys, st.lists(rationals, min_size=2, max_size=4).map(UniPoly))
+def test_gcd_with_planted_factor(p, q, common):
+    if common.degree < 1 or p.is_zero or q.is_zero:
+        return
+    a, b = p * common, q * common
+    g = a.gcd(b)
+    assert g == euclid_gcd(a, b)
+    assert common.monic().divides(g)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rat_polys, rat_polys)
+def test_resultant_matches_sylvester_oracle(p, q):
+    if p.is_zero or q.is_zero:
+        return
+    assert p.resultant(q) == sylvester_resultant(p, q)
+
+
+def test_gcd_multi_prime_agreeing_images():
+    # z and z - p agree modulo the first table prime, so that image has
+    # the wrong degree and only a second prime proves them coprime
+    p = PRIMES[0]
+    z = UniPoly.x()
+    assert z.gcd(z - p) == UniPoly.one()
+    common = UniPoly.of(3, 2)
+    assert (z * common).gcd((z - p) * common) == common.monic()
+    assert _z_gcd([0, 1], [-p, 1]) == [1]
+
+
+def test_gcd_skips_prime_dividing_leading_coefficient():
+    # modulo the first table prime the common factor p*z + 1 becomes a unit,
+    # so that image would wrongly prove a and b coprime
+    p = PRIMES[0]
+    common = UniPoly.of(1, p)
+    a = common * UniPoly.of(3, 1)
+    b = common * UniPoly.of(5, 1)
+    assert a.lc % p == 0 and b.lc % p == 0
+    assert a.gcd(b) == common.monic()
+    assert a.gcd(b) == euclid_gcd(a, b)
+    c = UniPoly.of(-5, 7, 1)
+    assert (a * c).gcd(UniPoly.of(2, 0, 3) * c) == c
+
+
+def test_gcd_lifts_across_several_primes():
+    # a gcd whose coefficients exceed one 31-bit prime needs CRT lifting
+    big = 3**90
+    common = UniPoly.of(big + 1, big, 1)
+    a = common * UniPoly.of(1, 1)
+    b = common * UniPoly.of(-1, 0, 1, 1)
+    assert a.gcd(b) == common
+    assert a.gcd(b) == euclid_gcd(a, b)
+
+
+def test_exact_division_stops_at_non_integral_quotient():
+    assert _z_exact_div([-1, 0, 1], [1, 1]) == [-1, 1]
+    assert _z_exact_div([-1, 0, 1], [1, 2]) is None
+    assert _z_exact_div([1, 0, 1], [1, 1]) is None
+    assert _z_exact_div([], [1, 1]) == []
+
+
+def test_prime_table_and_primality_test():
+    assert all(_is_prime(p) and p.bit_length() == 31 for p in PRIMES)
+    small = [n for n in range(200) if n > 1 and all(n % d for d in range(2, n))]
+    assert [n for n in range(200) if _is_prime(n)] == small
+    assert not _is_prime(3215031751)  # a strong pseudoprime to bases 2, 3, 5, 7
+
+
+def test_kernel_fractions_are_ordinary_fractions():
+    out = from_ints([6, -4, 0, 9], 4)
+    assert out == (Fraction(3, 2), Fraction(-1), Fraction(0), Fraction(9, 4))
+    assert [hash(v) for v in out] == [hash(Fraction(3, 2)), hash(-1), hash(0), hash(Fraction(9, 4))]
+    assert repr(out[0]) == "Fraction(3, 2)"
+    assert out[0] + 1 == Fraction(5, 2)
+    assert from_ints([3, -6], -9) == (Fraction(-1, 3), Fraction(2, 3))

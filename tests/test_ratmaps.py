@@ -122,3 +122,12 @@ def test_conjugate_by_inversion():
         image = f(1 / v)
         assert g(v) == (1 / image if image not in (INF,) and image != 0 else g(v))
     assert g(0) == 0
+
+
+def test_package_mobius_is_the_constructor():
+    import ratdyn
+    from ratdyn import mobius as exported
+
+    assert ratdyn.mobius is ratdyn.ratmaps.mobius
+    assert exported(1, 2, 0, 1) == RatMap(UniPoly.of(2, 1))
+    assert exported(2, 1, 1, 3).degree == 1
