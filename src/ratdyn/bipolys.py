@@ -1,23 +1,28 @@
 """Bivariate polynomials over the rationals.
 
-Stored as a finitely supported map (x-exponent, y-exponent) -> Fraction.
-The workhorse views are the coefficient lists "in x" (a list of UniPoly
-in y, index = x-power) and symmetrically "in y"; resultants are computed
-by evaluation and exact interpolation, gcds by a primitive remainder
-sequence over Q[y].
+Stored as integer numerators over one common denominator: `nums`, a dict
+(x-exponent, y-exponent) -> nonzero int, and `denom`, a positive int, in
+normal form gcd(denom, *nums.values()) == 1 and denom == 1 for zero, so
+equality and hashing compare the pair directly.  Ring arithmetic,
+evaluation and the views below run on the ints; the reduced `Fraction`
+coefficients are the read-only view `terms`.  The workhorse views are the
+coefficient lists "in x" (a list of UniPoly in y, index = x-power) and
+symmetrically "in y"; resultants are computed by evaluation and exact
+interpolation, gcds by a primitive remainder sequence over Q[y].
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _igcd
+from math import gcd as _igcd, lcm as _lcm
 
 from .errors import PreconditionError
+from .intpoly import _q, to_ints
 from .polynomials import UniPoly, qq
 
 
 class BiPoly:
-    __slots__ = ("terms",)
+    __slots__ = ("nums", "denom")
 
     def __init__(self, terms=None):
         clean = {}
@@ -26,46 +31,74 @@ class BiPoly:
                 v = qq(v)
                 if v:
                     clean[(int(i), int(j))] = v
-        self.terms = clean
+        # over the least common denominator the pair is already in normal form
+        nums, self.denom = to_ints(list(clean.values()))
+        self.nums = dict(zip(clean, nums))
+
+    @classmethod
+    def _of(cls, nums: dict, d: int = 1) -> "BiPoly":
+        """The polynomial sum(nums[i, j] x^i y^j) / d, for a dict of ints
+        (zero entries allowed) and an int d != 0, brought to normal form."""
+        nums = {k: v for k, v in nums.items() if v}
+        if not nums:
+            d = 1
+        elif d != 1:
+            if d < 0:
+                d = -d
+                nums = {k: -v for k, v in nums.items()}
+            g = _igcd(d, *nums.values())
+            if g != 1:
+                d //= g
+                nums = {k: v // g for k, v in nums.items()}
+        p = object.__new__(cls)
+        p.nums = nums
+        p.denom = d
+        return p
 
     # ------------------------------------------------------------------
 
     @classmethod
     def zero(cls):
-        return cls()
+        return cls._of({})
 
     @classmethod
     def constant(cls, v):
         v = qq(v)
-        return cls({(0, 0): v}) if v else cls()
+        return cls._of({(0, 0): v.numerator}, v.denominator)
 
     @classmethod
     def var_x(cls):
-        return cls({(1, 0): 1})
+        return cls._of({(1, 0): 1})
 
     @classmethod
     def var_y(cls):
-        return cls({(0, 1): 1})
+        return cls._of({(0, 1): 1})
 
     @classmethod
     def from_unipoly(cls, p: UniPoly, var: str) -> "BiPoly":
         if var == "x":
-            return cls({(i, 0): v for i, v in enumerate(p.c)})
+            return cls._of({(i, 0): v for i, v in enumerate(p.nums)}, p.denom)
         if var == "y":
-            return cls({(0, i): v for i, v in enumerate(p.c)})
+            return cls._of({(0, i): v for i, v in enumerate(p.nums)}, p.denom)
         raise ValueError("var must be 'x' or 'y'")
 
     @property
+    def terms(self) -> dict:
+        """The coefficients as reduced Fractions, keyed by (i, j)."""
+        d = self.denom
+        return {k: _q(v, d) for k, v in self.nums.items()}
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     @property
     def deg_x(self) -> int:
-        return max((i for i, _ in self.terms), default=-1)
+        return max((i for i, _ in self.nums), default=-1)
 
     @property
     def deg_y(self) -> int:
-        return max((j for _, j in self.terms), default=-1)
+        return max((j for _, j in self.nums), default=-1)
 
     def bidegree(self):
         return (self.deg_x, self.deg_y)
@@ -73,16 +106,16 @@ class BiPoly:
     def __eq__(self, other):
         if not isinstance(other, BiPoly):
             return NotImplemented
-        return self.terms == other.terms
+        return self.denom == other.denom and self.nums == other.nums
 
     def __hash__(self):
-        return hash(("BiPoly", tuple(sorted(self.terms.items()))))
+        return hash(("BiPoly", tuple(sorted(self.nums.items())), self.denom))
 
     def __repr__(self):
         return f"BiPoly({self.to_str()})"
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.nums)
 
     # ------------------------------------------------------------------
     # ring arithmetic
@@ -95,44 +128,48 @@ class BiPoly:
             return BiPoly.constant(other)
         return None
 
+    def _add(self, o: "BiPoly", sign: int) -> "BiPoly":
+        """self + sign * o."""
+        da, db = self.denom, o.denom
+        ma = mb = 1
+        if da != db:
+            g = _igcd(da, db)
+            ma, mb = db // g, da // g
+        mb *= sign
+        out = {k: v * ma for k, v in self.nums.items()} if ma != 1 else dict(self.nums)
+        for k, v in o.nums.items():
+            out[k] = out.get(k, 0) + v * mb
+        return BiPoly._of(out, da * ma)
+
     def __add__(self, other):
         o = self._co(other)
         if o is None:
             return NotImplemented
-        out = dict(self.terms)
-        for k, v in o.terms.items():
-            w = out.get(k, Fraction(0)) + v
-            if w:
-                out[k] = w
-            else:
-                out.pop(k, None)
-        return BiPoly(out)
+        return self._add(o, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return BiPoly({k: -v for k, v in self.terms.items()})
+        return BiPoly._of({k: -v for k, v in self.nums.items()}, self.denom)
 
     def __sub__(self, other):
         o = self._co(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return self._add(o, -1)
 
     def __mul__(self, other):
         o = self._co(other)
         if o is None:
             return NotImplemented
         out = {}
-        for (i1, j1), v1 in self.terms.items():
-            for (i2, j2), v2 in o.terms.items():
+        get = out.get
+        b = list(o.nums.items())
+        for (i1, j1), v1 in self.nums.items():
+            for (i2, j2), v2 in b:
                 k = (i1 + i2, j1 + j2)
-                w = out.get(k, Fraction(0)) + v1 * v2
-                if w:
-                    out[k] = w
-                else:
-                    out.pop(k, None)
-        return BiPoly(out)
+                out[k] = get(k, 0) + v1 * v2
+        return BiPoly._of(out, self.denom * o.denom)
 
     __rmul__ = __mul__
 
@@ -151,52 +188,72 @@ class BiPoly:
 
     def coeffs_in_x(self):
         """List of UniPoly in y; index = power of x."""
-        dx = self.deg_x
-        buckets = [dict() for _ in range(dx + 1)]
-        for (i, j), v in self.terms.items():
-            buckets[i][j] = v
-        out = []
-        for b in buckets:
-            m = max(b, default=-1)
-            out.append(UniPoly([b.get(k, 0) for k in range(m + 1)]))
-        return out
+        rows = [[] for _ in range(self.deg_x + 1)]
+        for (i, j), v in self.nums.items():
+            row = rows[i]
+            if len(row) <= j:
+                row.extend([0] * (j + 1 - len(row)))
+            row[j] = v
+        d = self.denom
+        return [UniPoly._of(row, d) for row in rows]
 
     def coeffs_in_y(self):
         return self.swap().coeffs_in_x()
 
     @classmethod
     def from_coeffs_in_x(cls, coeffs) -> "BiPoly":
-        terms = {}
+        den = _lcm(*(p.denom for p in coeffs))
+        nums = {}
         for i, p in enumerate(coeffs):
-            for j, v in enumerate(p.c):
+            m = den // p.denom
+            for j, v in enumerate(p.nums):
                 if v:
-                    terms[(i, j)] = v
-        return cls(terms)
+                    nums[(i, j)] = v * m
+        return cls._of(nums, den)
 
     def swap(self) -> "BiPoly":
-        return BiPoly({(j, i): v for (i, j), v in self.terms.items()})
+        return BiPoly._of({(j, i): v for (i, j), v in self.nums.items()}, self.denom)
+
+    def _eval(self, a, axis: int) -> UniPoly:
+        """Substitute a = p/q for the variable in slot axis (0 = x, 1 = y):
+        the numerators become v p^e q^(n-e) over q^n denom, n the degree in
+        that variable."""
+        a = qq(a)
+        p, q = a.numerator, a.denominator
+        n = max((k[axis] for k in self.nums), default=0)
+        pw = [1] * (n + 1)
+        for e in range(1, n + 1):
+            pw[e] = pw[e - 1] * p
+        if q != 1:
+            qw = q
+            for e in range(n - 1, -1, -1):
+                pw[e] *= qw
+                qw *= q
+        other = 1 - axis
+        row = []
+        for k, v in self.nums.items():
+            j = k[other]
+            if len(row) <= j:
+                row.extend([0] * (j + 1 - len(row)))
+            row[j] += v * pw[k[axis]]
+        return UniPoly._of(row, self.denom * q**n)
 
     def eval_x(self, a) -> UniPoly:
         """Substitute x = a; result is a UniPoly in y."""
-        a = qq(a)
-        out = {}
-        for (i, j), v in self.terms.items():
-            out[j] = out.get(j, Fraction(0)) + v * a**i
-        m = max(out, default=-1)
-        return UniPoly([out.get(k, 0) for k in range(m + 1)])
+        return self._eval(a, 0)
 
     def eval_y(self, a) -> UniPoly:
         """Substitute y = a; result is a UniPoly in x."""
-        return self.swap().eval_x(a)
+        return self._eval(a, 1)
 
     def eval_point(self, a, b) -> Fraction:
         return self.eval_x(a)(b)
 
     def derivative_x(self) -> "BiPoly":
-        return BiPoly({(i - 1, j): v * i for (i, j), v in self.terms.items() if i})
+        return BiPoly._of({(i - 1, j): v * i for (i, j), v in self.nums.items() if i}, self.denom)
 
     def derivative_y(self) -> "BiPoly":
-        return BiPoly({(i, j - 1): v * j for (i, j), v in self.terms.items() if j})
+        return BiPoly._of({(i, j - 1): v * j for (i, j), v in self.nums.items() if j}, self.denom)
 
     def shift_y(self, a) -> "BiPoly":
         """Substitute y -> y + a."""
@@ -222,23 +279,19 @@ class BiPoly:
         return BiPoly.from_coeffs_in_x([p // c for p in self.coeffs_in_x()])
 
     def leading_term_key(self):
-        return max(self.terms) if self.terms else None
+        return max(self.nums) if self.nums else None
 
     def canonical(self) -> "BiPoly":
         """Integer coprime coefficients with positive lexicographically
         largest term."""
         if self.is_zero:
             return self
-        den = 1
-        for v in self.terms.values():
-            den = den * v.denominator // _igcd(den, v.denominator)
-        ints = {k: v * den for k, v in self.terms.items()}
-        g = 0
-        for v in ints.values():
-            g = _igcd(g, abs(int(v)))
-        lead = max(ints)
-        sign = 1 if ints[lead] > 0 else -1
-        return BiPoly({k: Fraction(int(v) * sign, g) for k, v in ints.items()})
+        g = _igcd(*self.nums.values())
+        if self.nums[max(self.nums)] < 0:
+            g = -g
+        if g == 1 and self.denom == 1:
+            return self
+        return BiPoly._of({k: v // g for k, v in self.nums.items()})
 
     # ------------------------------------------------------------------
     # division in x over Q(y)
@@ -339,8 +392,9 @@ class BiPoly:
         if self.is_zero:
             return "0"
         parts = []
-        for (i, j) in sorted(self.terms, reverse=True):
-            v = self.terms[(i, j)]
+        terms = self.terms
+        for (i, j) in sorted(terms, reverse=True):
+            v = terms[(i, j)]
             factors = []
             mag = abs(v)
             if mag != 1 or (i == 0 and j == 0):
@@ -442,14 +496,8 @@ def resultant_x_mixed(f: BiPoly, g: BiPoly) -> BiPoly:
         a = -a if a > 0 else -a + 1
     # interpolate each t-coefficient in s
     max_t = max((r.degree for _, r in slices), default=-1)
-    terms = {}
-    for j in range(max_t + 1):
-        pts = [(sa, r.coeff(j)) for sa, r in slices]
-        pj = UniPoly.interpolate(pts)
-        for i, v in enumerate(pj.c):
-            if v:
-                terms[(i, j)] = v
-    return BiPoly(terms)
+    in_t = [UniPoly.interpolate([(sa, r.coeff(j)) for sa, r in slices]) for j in range(max_t + 1)]
+    return BiPoly.from_coeffs_in_x(in_t).swap()
 
 
 def squarefree_part_x(f: BiPoly) -> BiPoly:

@@ -28,6 +28,7 @@ from .curves import (
 )
 from .decompose import (
     all_left_factors,
+    bound_C_bit_length,
     bound_kappa,
     bound_phi,
     bound_psi,
@@ -54,6 +55,27 @@ from .parser import parse_curve, parse_map
 from .places import PLACE_INF, Place, critical_values, fiber_partition
 from .ratmaps import RatMap
 from .search import SearchConfig, find_invariant_curves
+
+
+# bounds whose closed form C(m) exceeds this many bits are refused before
+# they are built; m = 20 needs 16 002 bits, m = 1000 two billion
+BOUND_BITS_MAX = 1 << 16
+
+# decimal digits per chunk when printing a large int: below the least
+# int-to-str limit (640 digits) that the interpreter accepts
+_DIGIT_CHUNK = 512
+
+
+def _decimal(n: int) -> str:
+    """Exact decimal of an int n >= 0 of any size, converted in chunks that
+    each stay under the interpreter's int-to-str digit limit."""
+    base = 10**_DIGIT_CHUNK
+    parts = []
+    while n >= base:
+        n, r = divmod(n, base)
+        parts.append(str(r).zfill(_DIGIT_CHUNK))
+    parts.append(str(n))
+    return "".join(reversed(parts))
 
 
 def _q_str(v: Fraction) -> str:
@@ -129,14 +151,26 @@ class _Output:
         self.structured = structured
         self.payload = {}
         self.lines = []
+        self.numbers = {}  # placeholder string -> exact decimal digits
 
     def add(self, key, value, text=None):
         self.payload[key] = value
         self.lines.append(f"{key}: {value if text is None else text}")
 
+    def add_int(self, key, value: int):
+        """An int of any size, printed as its exact decimal: a JSON number
+        in structured output."""
+        digits = _decimal(value)
+        token = f"\x00int:{key}"
+        self.numbers[token] = digits
+        self.add(key, token, digits)
+
     def emit(self):
         if self.structured:
-            print(json.dumps(self.payload, indent=2, default=str))
+            text = json.dumps(self.payload, indent=2, default=str)
+            for token, digits in self.numbers.items():
+                text = text.replace(json.dumps(token), digits)
+            print(text)
         else:
             for line in self.lines:
                 print(line)
@@ -315,10 +349,17 @@ def _cmd_search(args, out: _Output):
 
 
 def _cmd_bounds(args, out: _Output):
+    if args.action in ("phi", "psi") and args.m >= 2:
+        bits = bound_C_bit_length(args.m)
+        if bits > BOUND_BITS_MAX:
+            raise PreconditionError(
+                f"the bound C({args.m}) = 10*2^(2m^3-2) has {bits} bits, "
+                f"over the budget of {BOUND_BITS_MAX} bits"
+            )
     if args.action == "phi":
-        out.add("phi", bound_phi(args.m, args.n))
+        out.add_int("phi", bound_phi(args.m, args.n))
     elif args.action == "psi":
-        out.add("psi", bound_psi(args.m, args.n))
+        out.add_int("psi", bound_psi(args.m, args.n))
     elif args.action == "kappa":
         out.add("kappa", bound_kappa(args.m))
     else:  # genus-gate

@@ -549,6 +549,14 @@ def bound_C(m: int) -> int:
     return 10 * 2 ** (2 * m**3 - 2)
 
 
+def bound_C_bit_length(m: int) -> int:
+    """Bit length of bound_C(m), read off the closed form without building
+    it: 10 has four bits, so 10 * 2^(2 m^3 - 2) has 2 m^3 + 2."""
+    if m < 2:
+        raise PreconditionError("the base degree must be at least two")
+    return 2 * m**3 + 2
+
+
 def bound_psi(m: int, n: int) -> int:
     """Chain length past which a good chain must repeat a column class."""
     if m < 2 or n < 1:

@@ -37,6 +37,7 @@ from .intpoly import (
     _z_exact_div,
     _z_mul,
     _z_primitive,
+    ser_inv,
     ser_mul,
 )
 from .polynomials import UniPoly
@@ -262,29 +263,29 @@ def factor_univariate(p: UniPoly):
     with p = content * prod g**m, factors sorted canonically."""
     if p.is_zero:
         raise PreconditionError("cannot factor the zero polynomial")
-    hit = _uni_cache.get(p.c)
+    hit = _uni_cache.get(p)
     if hit is not None:
         return hit
     content = p.lc
     if p.degree < 1:
-        out = (p.c[0], [])
-        _uni_cache[p.c] = out
+        out = (content, [])
+        _uni_cache[p] = out
         return out
     work = p.monic()
     factors = []
     k = 0
-    while work.coeff(k) == 0:
+    while not work.nums[k]:
         k += 1
     if k:
         factors.append((UniPoly.x(), k))
-        work = UniPoly(work.c[k:])
+        work = UniPoly._of(list(work.nums[k:]), work.denom)
     for sqf, mult in work.yun_decomposition():
         _, zz = sqf.content_and_primitive()
-        for fac in _zassenhaus([int(v) for v in zz.c]):
-            factors.append((UniPoly(fac).monic(), mult))
+        for fac in _zassenhaus(list(zz.nums)):
+            factors.append((UniPoly._of(list(fac), fac[-1]), mult))
     factors.sort(key=lambda fm: (fm[0].degree, fm[0].c))
     out = (content, factors)
-    _uni_cache[p.c] = out
+    _uni_cache[p] = out
     return out
 
 
@@ -298,17 +299,17 @@ def low_degree_factors(p: UniPoly, max_degree: int):
     out = []
     work = p.monic()
     k = 0
-    while work.coeff(k) == 0:
+    while not work.nums[k]:
         k += 1
     if k:
         if max_degree >= 1:
             out.append((UniPoly.x(), k))
-        work = UniPoly(work.c[k:])
+        work = UniPoly._of(list(work.nums[k:]), work.denom)
     for sqf, mult in work.yun_decomposition():
         _, zz = sqf.content_and_primitive()
-        for fac in _zassenhaus([int(v) for v in zz.c], max_degree=max_degree):
+        for fac in _zassenhaus(list(zz.nums), max_degree=max_degree):
             if len(fac) - 1 <= max_degree:
-                out.append((UniPoly(fac).monic(), mult))
+                out.append((UniPoly._of(list(fac), fac[-1]), mult))
     out.sort(key=lambda fm: (fm[0].degree, fm[0].c))
     return out
 
@@ -327,19 +328,6 @@ def rational_roots(p: UniPoly):
 
 # ----------------------------------------------------------------------
 # truncated power series (lists of Fractions of fixed length K)
-
-
-def _ser_inv(a, k):
-    if not a or a[0] == 0:
-        raise ZeroDivisionError("series not invertible")
-    out = [Fraction(0)] * k
-    out[0] = 1 / a[0]
-    for i in range(1, k):
-        acc = Fraction(0)
-        for j in range(1, min(i, len(a) - 1) + 1):
-            acc += a[j] * out[i - j]
-        out[i] = -acc / a[0]
-    return out
 
 
 def _xser_mul(A, B, k):
@@ -451,7 +439,7 @@ def _factor_squarefree_bi(G: BiPoly):
         return [G.canonical()]
     Gs = G.shift_y(y0)
     K = G.deg_y + max(lcx.degree, 0) + 1
-    inv_lc = _ser_inv(Gs.coeffs_in_x()[-1].c, K)
+    inv_lc = ser_inv(Gs.coeffs_in_x()[-1].c, K)
     ghat = [ser_mul(cy.c, inv_lc, K) for cy in Gs.coeffs_in_x()]
     lifted = _bi_hensel(ghat, base, K)
 

@@ -1,13 +1,16 @@
 """Dense polynomials over Z and Z/p as int lists, lowest degree first.
 
-This is the integer kernel under `UniPoly` and `factoring`.  A rational
-polynomial enters as integer numerators over one common denominator and
-leaves as one reduced `Fraction` per coefficient; in between every
-operation is plain `int` arithmetic:
+This is the integer kernel under `UniPoly`, `BiPoly`, `series` and
+`factoring`.  `UniPoly` and `BiPoly` store integer numerators over one
+common denominator and call the kernel on them directly; `to_ints` and
+`from_ints` convert `Fraction` coefficients at the edges (constructors,
+the `.c` view, truncated power series).  Every operation is plain `int`
+arithmetic:
 
 * Z/m arithmetic (`_m_*`) for factoring and for modular images;
-* integer convolution, full and truncated, and exact integer division
-  that stops at the first non-integral quotient;
+* integer convolution, full and truncated, the truncated series inverse,
+  and exact integer division that stops at the first non-integral
+  quotient;
 * division over Q of integer polynomials, scaling by the divisor's
   leading coefficient only when a quotient is not integral;
 * a modular gcd (Brown 1971; von zur Gathen and Gerhard, *Modern Computer
@@ -69,14 +72,6 @@ def from_ints(nums, den: int = 1) -> tuple:
     return tuple([_q(v, den) for v in nums])
 
 
-def monic_from_ints(nums) -> tuple:
-    """The Fractions nums[i] / nums[-1]: the monic multiple of nums."""
-    lc = nums[-1]
-    if lc == 1:
-        return from_ints(nums)
-    return tuple([_q(v, lc) for v in nums])
-
-
 # ----------------------------------------------------------------------
 # integer polynomials
 
@@ -121,6 +116,34 @@ def ser_mul(a, b, k):
     na, da = to_ints(a[:k])
     nb, db = to_ints(b[:k])
     return list(from_ints(_z_mul_trunc(na, nb, k), da * db))
+
+
+def ser_inv(a, k):
+    """Truncated inverse of a power series with rational (or int)
+    coefficients and nonzero constant term: the first k coefficients, as
+    Fractions.  With a = n / d over integers and c = n[0], the inverse is
+    d w_i / c^(i+1), where w_0 = 1 and w_i = -sum_j n[j] c^(j-1) w_(i-j)."""
+    if not a or a[0] == 0:
+        raise ZeroDivisionError("series with zero constant term")
+    n, d = to_ints(a[:k])
+    c = n[0]
+    b = [0] * len(n)
+    cj = 1
+    for j in range(1, len(n)):
+        b[j] = n[j] * cj
+        cj *= c
+    w = [1] + [0] * (k - 1)
+    for i in range(1, k):
+        acc = 0
+        for j in range(1, min(i, len(n) - 1) + 1):
+            acc += b[j] * w[i - j]
+        w[i] = -acc
+    out = []
+    ci = c
+    for v in w:
+        out.append(_q(d * v, ci))
+        ci *= c
+    return out
 
 
 def _z_exact_div(a, b):

@@ -68,7 +68,7 @@ class Place:
         return self.minpoly == other.minpoly
 
     def __hash__(self):
-        return hash(("Place", None if self.is_infinity else self.minpoly.c))
+        return hash(("Place", None if self.is_infinity else self.minpoly))
 
     def sort_key(self):
         if self.is_infinity:

@@ -1,10 +1,13 @@
 """Dense univariate polynomials with exact rational coefficients.
 
-Coefficients are stored lowest degree first as `fractions.Fraction`
-values; the leading coefficient is nonzero unless the polynomial is
-zero.  All arithmetic is exact.  The zero polynomial has degree -1.
-Coefficients stay `Fraction`s, while multiplication, division, gcd and the
-monic and primitive normal forms run on integer numerators in `intpoly`.
+A polynomial is stored as integer numerators over one common denominator:
+`nums`, a tuple of ints lowest degree first whose last entry is nonzero
+unless the polynomial is zero, and `denom`, a positive int.  The pair is
+kept in normal form, gcd(denom, *nums) == 1 and denom == 1 for the zero
+polynomial, so equality and hashing compare the pair directly.  All ring
+arithmetic runs on the ints, over the kernel in `intpoly`; the coefficients
+as reduced `Fraction`s are the read-only view `c`.  The zero polynomial has
+degree -1.
 """
 
 from __future__ import annotations
@@ -13,14 +16,14 @@ from fractions import Fraction
 from math import gcd as _igcd
 
 from .intpoly import (
-    _trim,
+    _q,
     _z_divmod,
+    _z_exact_div,
     _z_gcd,
     _z_mul,
     _z_primitive,
     _z_resultant,
     from_ints,
-    monic_from_ints,
     to_ints,
 )
 
@@ -35,19 +38,35 @@ def qq(x) -> Fraction:
 
 
 class UniPoly:
-    __slots__ = ("c",)
+    __slots__ = ("nums", "denom")
 
     def __init__(self, coeffs=()):
         c = [qq(v) for v in coeffs]
         while c and c[-1] == 0:
             c.pop()
-        self.c = tuple(c)
+        # over the least common denominator the pair is already in normal form
+        nums, self.denom = to_ints(c)
+        self.nums = tuple(nums)
 
     @classmethod
-    def _of_fractions(cls, c: tuple) -> "UniPoly":
-        """Polynomial from a tuple of Fractions already in normal form."""
+    def _of(cls, nums, d: int = 1) -> "UniPoly":
+        """The polynomial sum(nums[i] z^i) / d, for a fresh list of ints nums
+        (trimmed in place) and an int d != 0, brought to normal form."""
+        while nums and nums[-1] == 0:
+            nums.pop()
+        if not nums:
+            d = 1
+        elif d != 1:
+            if d < 0:
+                d = -d
+                nums = [-v for v in nums]
+            g = _igcd(d, *nums)
+            if g != 1:
+                d //= g
+                nums = [v // g for v in nums]
         p = object.__new__(cls)
-        p.c = c
+        p.nums = tuple(nums)
+        p.denom = d
         return p
 
     # ------------------------------------------------------------------
@@ -60,62 +79,69 @@ class UniPoly:
 
     @classmethod
     def zero(cls) -> "UniPoly":
-        return cls(())
+        return cls._of([])
 
     @classmethod
     def one(cls) -> "UniPoly":
-        return cls((1,))
+        return cls._of([1])
 
     @classmethod
     def x(cls) -> "UniPoly":
-        return cls((0, 1))
+        return cls._of([0, 1])
 
     @classmethod
     def constant(cls, v) -> "UniPoly":
-        return cls((qq(v),))
+        v = qq(v)
+        return cls._of([v.numerator], v.denominator)
 
     @classmethod
     def monomial(cls, k: int, coeff=1) -> "UniPoly":
-        return cls((0,) * k + (qq(coeff),))
+        v = qq(coeff)
+        return cls._of([0] * k + [v.numerator], v.denominator)
 
     # ------------------------------------------------------------------
     # structure
 
     @property
+    def c(self) -> tuple:
+        """The coefficients as reduced Fractions, lowest degree first."""
+        return from_ints(self.nums, self.denom)
+
+    @property
     def degree(self) -> int:
-        return len(self.c) - 1
+        return len(self.nums) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.c
+        return not self.nums
 
     @property
     def is_constant(self) -> bool:
-        return len(self.c) <= 1
+        return len(self.nums) <= 1
 
     @property
     def lc(self) -> Fraction:
-        if not self.c:
+        if not self.nums:
             return Fraction(0)
-        return self.c[-1]
+        return _q(self.nums[-1], self.denom)
 
     def coeff(self, k: int) -> Fraction:
-        if 0 <= k < len(self.c):
-            return self.c[k]
+        if 0 <= k < len(self.nums):
+            return _q(self.nums[k], self.denom)
         return Fraction(0)
 
     def __bool__(self):
-        return bool(self.c)
+        return bool(self.nums)
 
     def __eq__(self, other):
         if isinstance(other, UniPoly):
-            return self.c == other.c
+            return self.nums == other.nums and self.denom == other.denom
         if isinstance(other, (int, Fraction)):
             return self == UniPoly.constant(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(("UniPoly", self.c))
+        return hash(("UniPoly", self.nums, self.denom))
 
     def __repr__(self):
         return f"UniPoly({self.to_str()})"
@@ -131,44 +157,55 @@ class UniPoly:
             return UniPoly.constant(other)
         return None
 
-    def __add__(self, other):
-        o = self._co(other)
-        if o is None:
-            return NotImplemented
-        a, b = self.c, o.c
+    def _add(self, o: "UniPoly", sign: int) -> "UniPoly":
+        """self + sign * o."""
+        a, b = self.nums, o.nums
+        da, db = self.denom, o.denom
+        if da != db:
+            g = _igcd(da, db)
+            ma, mb = db // g, da // g
+            a = [v * ma for v in a]
+            b = [v * mb for v in b]
+            da *= ma
+        if sign < 0:
+            b = [-v for v in b]
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, v in enumerate(b):
             out[i] += v
-        return UniPoly._of_fractions(tuple(_trim(out)))
+        return UniPoly._of(out, da)
+
+    def __add__(self, other):
+        o = self._co(other)
+        if o is None:
+            return NotImplemented
+        return self._add(o, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return UniPoly._of_fractions(tuple([-v for v in self.c]))
+        return UniPoly._of([-v for v in self.nums], self.denom)
 
     def __sub__(self, other):
         o = self._co(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return self._add(o, -1)
 
     def __rsub__(self, other):
         o = self._co(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return o._add(self, -1)
 
     def __mul__(self, other):
         o = self._co(other)
         if o is None:
             return NotImplemented
-        if not self.c or not o.c:
-            return UniPoly()
-        na, da = to_ints(self.c)
-        nb, db = to_ints(o.c)
-        return UniPoly._of_fractions(from_ints(_z_mul(na, nb), da * db))
+        if not self.nums or not o.nums:
+            return UniPoly.zero()
+        return UniPoly._of(_z_mul(self.nums, o.nums), self.denom * o.denom)
 
     __rmul__ = __mul__
 
@@ -190,14 +227,14 @@ class UniPoly:
             return NotImplemented
         if o.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        if len(self.c) < len(o.c):
-            return UniPoly(), self
-        na, da = to_ints(self.c)
-        nb, db = to_ints(o.c)
-        q, r, s = _z_divmod(na, nb)
-        if db != 1:
-            q = [v * db for v in q]
-        return UniPoly._of_fractions(from_ints(q, s * da)), UniPoly._of_fractions(from_ints(r, s * da))
+        if len(self.nums) < len(o.nums):
+            return UniPoly.zero(), self
+        # s * nums = q * o.nums + r, so self = (q o.denom / (s denom)) o + r / (s denom)
+        q, r, s = _z_divmod(self.nums, o.nums)
+        d = s * self.denom
+        if o.denom != 1:
+            q = [v * o.denom for v in q]
+        return UniPoly._of(q, d), UniPoly._of(r, d)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -214,9 +251,9 @@ class UniPoly:
     # gcd layer
 
     def monic(self) -> "UniPoly":
-        if self.is_zero or self.lc == 1:
+        if not self.nums or (self.nums[-1] == 1 and self.denom == 1):
             return self
-        return UniPoly._of_fractions(monic_from_ints(to_ints(self.c)[0]))
+        return UniPoly._of(list(self.nums), self.nums[-1])
 
     def gcd(self, other: "UniPoly") -> "UniPoly":
         """Monic greatest common divisor, by the certified modular gcd of the
@@ -226,9 +263,9 @@ class UniPoly:
         if self.is_zero:
             return other.monic()
         if self.degree == 0 or other.degree == 0:
-            return UniPoly._of_fractions((Fraction(1),))
-        g = _z_gcd(_z_primitive(to_ints(self.c)[0]), _z_primitive(to_ints(other.c)[0]))
-        return UniPoly._of_fractions(monic_from_ints(g))
+            return UniPoly.one()
+        g = _z_gcd(_z_primitive(self.nums), _z_primitive(other.nums))
+        return UniPoly._of(g, g[-1])
 
     def xgcd(self, other: "UniPoly"):
         """Extended gcd: returns (g, u, v) with u*self + v*other = g, g monic."""
@@ -249,39 +286,61 @@ class UniPoly:
     # calculus and evaluation
 
     def derivative(self) -> "UniPoly":
-        return UniPoly([i * v for i, v in enumerate(self.c)][1:])
+        return UniPoly._of([i * v for i, v in enumerate(self.nums)][1:], self.denom)
 
     def __call__(self, x):
+        """The value at x, by Horner's rule on the numerators homogenised in
+        x = p/q: sum nums[i] p^i q^(n-i) over q^n denom."""
         x = qq(x)
-        acc = Fraction(0)
-        for v in reversed(self.c):
-            acc = acc * x + v
-        return acc
+        nums = self.nums
+        if not nums:
+            return Fraction(0)
+        p, q = x.numerator, x.denominator
+        acc = nums[-1]
+        if q == 1:
+            for v in reversed(nums[:-1]):
+                acc = acc * p + v
+            return _q(acc, self.denom)
+        qk = 1
+        for v in reversed(nums[:-1]):
+            qk *= q
+            acc = acc * p + v * qk
+        return _q(acc, qk * self.denom)
 
     def compose(self, other: "UniPoly") -> "UniPoly":
-        acc = UniPoly.zero()
-        for v in reversed(self.c):
-            acc = acc * other + v
-        return acc
+        """self(other), by Horner's rule on integer numerators: with other =
+        B / e, the sum of nums[i] B^i e^(n-i) over e^n denom."""
+        nums = self.nums
+        if len(nums) <= 1:
+            return self
+        B, e = other.nums, other.denom
+        acc = [nums[-1]]
+        ek = 1
+        for v in reversed(nums[:-1]):
+            ek *= e
+            acc = _z_mul(acc, B) or [0]
+            acc[0] += v * ek
+        return UniPoly._of(acc, ek * self.denom)
 
     def taylor_shift(self, a) -> "UniPoly":
         """p(z + a), exactly."""
-        return self.compose(UniPoly((qq(a), 1)))
+        a = qq(a)
+        return self.compose(UniPoly._of([a.numerator, a.denominator], a.denominator))
 
     def shift_up(self, k: int) -> "UniPoly":
         """Multiply by z**k."""
         if self.is_zero:
             return self
-        return UniPoly((0,) * k + self.c)
+        return UniPoly._of([0] * k + list(self.nums), self.denom)
 
     def reversed_to(self, n: int) -> "UniPoly":
         """z**n * p(1/z); n must be at least the degree."""
         if n < self.degree:
             raise ValueError("reversal length below degree")
-        out = [Fraction(0)] * (n + 1)
-        for i, v in enumerate(self.c):
+        out = [0] * (n + 1)
+        for i, v in enumerate(self.nums):
             out[n - i] = v
-        return UniPoly(out)
+        return UniPoly._of(out, self.denom)
 
     # ------------------------------------------------------------------
     # integer normalization
@@ -291,11 +350,10 @@ class UniPoly:
         coprime coefficients and positive leading coefficient."""
         if self.is_zero:
             return Fraction(0), self
-        ints, den = to_ints(self.c)
-        g = _igcd(*ints)
-        if ints[-1] < 0:
+        g = _igcd(*self.nums)
+        if self.nums[-1] < 0:
             g = -g
-        return Fraction(g, den), UniPoly._of_fractions(from_ints([v // g for v in ints]))
+        return Fraction(g, self.denom), UniPoly._of([v // g for v in self.nums])
 
     def squarefree_part(self) -> "UniPoly":
         if self.degree < 1:
@@ -331,26 +389,46 @@ class UniPoly:
         """Classical resultant, with the Sylvester-determinant sign."""
         if self.is_zero or other.is_zero:
             return Fraction(0)
-        f, df = to_ints(self.c)
-        g, dg = to_ints(other.c)
-        return Fraction(_z_resultant(f, g), df ** other.degree * dg ** self.degree)
+        return _q(
+            _z_resultant(self.nums, other.nums),
+            self.denom ** other.degree * other.denom ** self.degree,
+        )
 
     @staticmethod
     def interpolate(points) -> "UniPoly":
-        """Lagrange interpolation through exact (x, y) pairs with distinct x."""
+        """Lagrange interpolation through exact (x, y) pairs with distinct x.
+
+        With x_j = p_j / q_j and W the integer polynomial prod (q_j z - p_j),
+        the basis polynomial of point i is L_i(z) / L_i(x_i) for the exact
+        integer quotient L_i = W / (q_i z - p_i), and q_i^(n-1) L_i(x_i) is
+        the integer D_i = prod_{j != i} (q_j p_i - p_j q_i).  The terms
+        y_i q_i^(n-1) L_i / D_i are summed over one running denominator."""
         pts = [(qq(x), qq(y)) for x, y in points]
-        result = UniPoly.zero()
-        for i, (xi, yi) in enumerate(pts):
-            if yi == 0:
+        xs = [(x.numerator, x.denominator) for x, _ in pts]
+        W = [1]
+        for p, q in xs:
+            W = _z_mul(W, (-p, q))
+        m = len(pts) - 1
+        acc, den = [], 1
+        for i, (_, y) in enumerate(pts):
+            if y == 0:
                 continue
-            num = UniPoly.constant(yi)
-            den = Fraction(1)
-            for j, (xj, _) in enumerate(pts):
-                if i != j:
-                    num = num * UniPoly((-xj, 1))
-                    den *= xi - xj
-            result = result + num * (1 / den)
-        return result
+            p, q = xs[i]
+            D = 1
+            for j, (pj, qj) in enumerate(xs):
+                if j != i:
+                    D *= qj * p - pj * q
+            if D == 0:
+                raise ZeroDivisionError("interpolation points share an x value")
+            L = _z_exact_div(W, [-p, q])
+            t, s = y.numerator * q**m, y.denominator * D
+            g = _igcd(den, s)
+            scale, t = s // g, t * (den // g)
+            acc = [v * scale for v in acc] + [0] * (len(L) - len(acc))
+            for k, v in enumerate(L):
+                acc[k] += t * v
+            den *= scale
+        return UniPoly._of(acc, den)
 
     # ------------------------------------------------------------------
     # printing
@@ -359,8 +437,9 @@ class UniPoly:
         if self.is_zero:
             return "0"
         parts = []
+        c = self.c
         for i in range(self.degree, -1, -1):
-            v = self.c[i]
+            v = c[i]
             if v == 0:
                 continue
             if i == 0:

@@ -98,7 +98,7 @@ class RatMap:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash(("RatMap", self.num.c, self.den.c))
+        return hash(("RatMap", self.num, self.den))
 
     def __repr__(self):
         return f"RatMap({self.to_str()})"

@@ -122,11 +122,20 @@ def find_invariant_curves(A1: RatMap, A2: RatMap, cfg: SearchConfig) -> SearchRe
     X1s = all_left_factors(F1, d2)
     X2s = all_left_factors(F2, d1)
     found: dict = {}
+    # return maps of each pair (A, X), computed once per call at first use;
+    # with A1 = A2 a left factor on one side may recur on the other
+    candidates: dict = {}
+
+    def pair_candidates(A, X):
+        key = (A, X)
+        if key not in candidates:
+            candidates[key] = _pair_candidates(A, X)
+        return candidates[key]
+
     for X2 in X2s:
-        S2 = _pair_candidates(A2, X2)
+        S2 = pair_candidates(A2, X2)
         for X1 in X1s:
-            S1 = _pair_candidates(A1, X1)
-            for b1 in S1:
+            for b1 in pair_candidates(A1, X1):
                 for b2 in S2:
                     for mu in _return_map_transporters(b2, b1):
                         X1m = X1.compose(mu)

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import Inconclusive, PreconditionError
 from .factoring import rational_roots
-from .intpoly import ser_mul
+from .intpoly import ser_inv, ser_mul
 from .polynomials import UniPoly, qq
 from .ratmaps import RatMap
 
@@ -40,19 +40,6 @@ def ser_sub(a, b, k):
         (a[i] if i < len(a) else Fraction(0)) - (b[i] if i < len(b) else Fraction(0))
         for i in range(k)
     ]
-
-
-def ser_inv(a, k):
-    if not a or a[0] == 0:
-        raise ZeroDivisionError("series with zero constant term")
-    out = [Fraction(0)] * k
-    out[0] = 1 / a[0]
-    for i in range(1, k):
-        acc = Fraction(0)
-        for j in range(1, min(i, len(a) - 1) + 1):
-            acc += a[j] * out[i - j]
-        out[i] = -acc * out[0]
-    return out
 
 
 def expand_ratmap(f: RatMap, t0, k):

@@ -1,12 +1,13 @@
 """Independent oracles used by the tests.
 
 Everything here recomputes expected values by a route different from the
-library code under test: products, division and gcds by schoolbook
-`Fraction` arithmetic and Euclid's algorithm over Q, resultants by
-Sylvester determinants with plain Gaussian elimination, genus counts by the
-raw pairing formula, commuting maps by coordinate series at a
-superattracting fixed point, and invariant graphs by the same series plus
-exact verification.
+library code under test: uni- and bivariate ring arithmetic, evaluation,
+composition, interpolation, division and gcds by schoolbook `Fraction`
+arithmetic on coefficient lists and dicts and Euclid's algorithm over Q,
+resultants by Sylvester determinants with plain Gaussian elimination,
+genus counts by the raw pairing formula, commuting maps by coordinate
+series at a superattracting fixed point, and invariant graphs by the same
+series plus exact verification.
 """
 
 from __future__ import annotations
@@ -51,6 +52,107 @@ def euclid_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
     if f.is_zero:
         return f
     return UniPoly([v / f.lc for v in f.c])
+
+
+# ----------------------------------------------------------------------
+# coefficient-list oracles: tuples of Fractions, lowest degree first,
+# trimmed of leading zeros
+
+
+def _trimmed(c) -> tuple:
+    c = list(c)
+    while c and c[-1] == 0:
+        c.pop()
+    return tuple(c)
+
+
+def frac_add(a, b, sign=1) -> tuple:
+    """a + sign * b, coefficient by coefficient."""
+    n = max(len(a), len(b))
+    return _trimmed(
+        (a[i] if i < len(a) else Fraction(0)) + sign * (b[i] if i < len(b) else Fraction(0))
+        for i in range(n)
+    )
+
+
+def frac_mul(a, b) -> tuple:
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return _trimmed(out)
+
+
+def frac_eval(a, x) -> Fraction:
+    acc = Fraction(0)
+    for v in reversed(a):
+        acc = acc * x + v
+    return acc
+
+
+def frac_compose(a, b) -> tuple:
+    acc = ()
+    for v in reversed(a):
+        acc = frac_add(frac_mul(acc, b), (v,))
+    return acc
+
+
+def frac_interpolate(points) -> tuple:
+    """Lagrange's formula, one basis polynomial at a time."""
+    out = ()
+    for i, (xi, yi) in enumerate(points):
+        basis, den = (Fraction(1),), Fraction(1)
+        for j, (xj, _) in enumerate(points):
+            if i != j:
+                basis = frac_mul(basis, (-xj, Fraction(1)))
+                den *= xi - xj
+        out = frac_add(out, frac_mul(basis, (yi / den,)))
+    return out
+
+
+# bivariate oracle: dicts (i, j) -> nonzero Fraction
+
+
+def _bi_clean(terms) -> dict:
+    return {k: v for k, v in terms.items() if v}
+
+
+def bi_add(f, g, sign=1) -> dict:
+    out = dict(f)
+    for k, v in g.items():
+        out[k] = out.get(k, Fraction(0)) + sign * v
+    return _bi_clean(out)
+
+
+def bi_mul(f, g) -> dict:
+    out = {}
+    for (i1, j1), u in f.items():
+        for (i2, j2), v in g.items():
+            k = (i1 + i2, j1 + j2)
+            out[k] = out.get(k, Fraction(0)) + u * v
+    return _bi_clean(out)
+
+
+def bi_eval_x(f, a) -> tuple:
+    """f(a, y) as a coefficient tuple in y."""
+    out = [Fraction(0)] * (max((j for _, j in f), default=-1) + 1)
+    for (i, j), v in f.items():
+        out[j] += v * Fraction(a) ** i
+    return _trimmed(out)
+
+
+def bi_eval_y(f, a) -> tuple:
+    """f(x, a) as a coefficient tuple in x."""
+    return bi_eval_x({(j, i): v for (i, j), v in f.items()}, a)
+
+
+def bi_coeffs_in_x(f) -> list:
+    """The coefficient tuples in y of each power of x."""
+    rows = [[Fraction(0)] * (max((j for _, j in f), default=-1) + 1)
+            for _ in range(max((i for i, _ in f), default=-1) + 1)]
+    for (i, j), v in f.items():
+        rows[i][j] = v
+    return [_trimmed(r) for r in rows]
 
 
 def sylvester_resultant(f: UniPoly, g: UniPoly) -> Fraction:

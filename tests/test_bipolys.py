@@ -1,10 +1,13 @@
+import math
 import random
 from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
 
 from ratdyn.bipolys import BiPoly, gcd_x, resultant_x, resultant_x_mixed, resultant_y
 from ratdyn.polynomials import UniPoly
 
-from oracles import sylvester_resultant
+from oracles import bi_add, bi_coeffs_in_x, bi_eval_x, bi_eval_y, bi_mul, sylvester_resultant
 
 X = BiPoly.var_x()
 Y = BiPoly.var_y()
@@ -109,3 +112,60 @@ def _rand_bi(rng):
             rng.randrange(-4, 5)
         )
     return BiPoly(terms)
+
+
+# ----------------------------------------------------------------------
+# the stored form: integer numerators over one denominator
+
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+bi_terms = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), rationals, max_size=6)
+
+
+def assert_normal_form(f):
+    assert type(f.denom) is int and f.denom > 0
+    assert all(type(v) is int and v for v in f.nums.values())
+    if f.nums:
+        assert math.gcd(f.denom, *f.nums.values()) == 1
+    else:
+        assert f.denom == 1
+    assert f.terms == {k: Fraction(v, f.denom) for k, v in f.nums.items()}
+
+
+@settings(max_examples=80, deadline=None)
+@given(bi_terms, bi_terms)
+def test_bipoly_ring_matches_fraction_oracle(a, b):
+    f, g = BiPoly(a), BiPoly(b)
+    a, b = f.terms, g.terms
+    for r, want in (
+        (f + g, bi_add(a, b)),
+        (f - g, bi_add(a, b, -1)),
+        (f * g, bi_mul(a, b)),
+        (f.swap(), {(j, i): v for (i, j), v in a.items()}),
+    ):
+        assert_normal_form(r)
+        assert r.terms == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(bi_terms, rationals)
+def test_bipoly_views_match_fraction_oracle(a, t):
+    f = BiPoly(a)
+    a = f.terms
+    assert f.eval_x(t).c == bi_eval_x(a, t)
+    assert f.eval_y(t).c == bi_eval_y(a, t)
+    assert [p.c for p in f.coeffs_in_x()] == bi_coeffs_in_x(a)
+    assert BiPoly.from_coeffs_in_x(f.coeffs_in_x()) == f
+    for r in (f.derivative_x(), f.derivative_y(), f.canonical(), f.shift_y(t)):
+        assert_normal_form(r)
+    if f:
+        assert f.canonical().denom == 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(bi_terms, bi_terms)
+def test_bipoly_equality_and_hash_follow_the_terms(a, b):
+    f, g = BiPoly(a), BiPoly(b)
+    assert (f == g) == (f.terms == g.terms)
+    for u, v in ((f, BiPoly(f.terms)), ((f + g) - g, f), (f * g, g * f), (f.swap().swap(), f)):
+        assert_normal_form(u)
+        assert u == v and hash(u) == hash(v)

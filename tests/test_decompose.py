@@ -9,6 +9,7 @@ from ratdyn.decompose import (
     Diagram,
     all_left_factors,
     bound_C,
+    bound_C_bit_length,
     bound_kappa,
     bound_phi,
     bound_psi,
@@ -497,6 +498,14 @@ def test_bounds():
     assert bound_kappa(5) == 5  # index-5 subgroups of the icosahedral group
     assert bound_C(2) == 10 * 2**14
     assert bound_phi(2, 3) == bound_psi(2, 3) * 2 + 1
+
+
+def test_bound_bit_length_from_the_closed_form():
+    for m in range(2, 9):
+        assert bound_C_bit_length(m) == bound_C(m).bit_length()
+    assert bound_C_bit_length(1000) == 2 * 10**9 + 2
+    with pytest.raises(PreconditionError):
+        bound_C_bit_length(1)
 
 
 def test_genus_degree_gate():

@@ -215,3 +215,47 @@ def test_cli_batch_file_unreadable(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+def _int_from_decimal(digits):
+    """The int of a decimal string, read in chunks below the int-to-str limit."""
+    value = 0
+    for i in range(0, len(digits), 500):
+        chunk = digits[i : i + 500]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+def test_cli_bounds_beyond_the_digit_limit():
+    # closed forms: C(20) = 10 * 2^(2*20^3 - 2), kappa(20) = 10, the log
+    # term for n = 3 is 2, psi = 2 + 10 C + 1 and phi = 2 psi + 1
+    psi = 2 + 10 * (10 * 2 ** (2 * 20**3 - 2)) + 1
+    want = {"psi": psi, "phi": 2 * psi + 1}
+    for which in ("phi", "psi"):
+        proc = run_cli("bounds", which, "20", "3")
+        assert proc.returncode == 0
+        assert "Traceback" not in proc.stderr
+        key, digits = proc.stdout.strip().split(": ")
+        assert key == which and digits.isdigit() and len(digits) > 4300
+        assert _int_from_decimal(digits) == want[which]
+        proc = run_cli("--format", "structured", "bounds", which, "20", "3")
+        assert proc.returncode == 0
+        body = proc.stdout.strip()
+        assert body.startswith("{") and body.endswith("}")
+        assert body[1:-1].strip() == f'"{which}": {digits}'
+
+
+def test_cli_bounds_over_the_bit_budget():
+    proc = run_cli("bounds", "psi", "1000", "3")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "2000000002 bits" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert run_cli("--format", "structured", "bounds", "phi", "1000", "3").returncode == 2
+
+
+def test_cli_bounds_small_values_unchanged():
+    proc = run_cli("--format", "structured", "bounds", "phi", "2", "3")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout) == {"phi": 983057}
+    assert run_cli("bounds", "psi", "2", "3").stdout == "psi: 491528\n"

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -7,7 +8,17 @@ from hypothesis import given, settings, strategies as st
 from ratdyn.intpoly import PRIMES, _is_prime, _z_exact_div, _z_gcd, from_ints
 from ratdyn.polynomials import UniPoly
 
-from oracles import euclid_gcd, fraction_divmod, schoolbook_mul, sylvester_resultant
+from oracles import (
+    euclid_gcd,
+    frac_add,
+    frac_compose,
+    frac_eval,
+    frac_interpolate,
+    frac_mul,
+    fraction_divmod,
+    schoolbook_mul,
+    sylvester_resultant,
+)
 
 
 def rand_poly(rng, max_deg=4, span=6):
@@ -221,3 +232,70 @@ def test_kernel_fractions_are_ordinary_fractions():
     assert repr(out[0]) == "Fraction(3, 2)"
     assert out[0] + 1 == Fraction(5, 2)
     assert from_ints([3, -6], -9) == (Fraction(-1, 3), Fraction(2, 3))
+
+
+# ----------------------------------------------------------------------
+# the stored form: integer numerators over one denominator
+
+
+def assert_normal_form(p):
+    assert type(p.nums) is tuple and all(type(v) is int for v in p.nums)
+    assert type(p.denom) is int and p.denom > 0
+    if p.nums:
+        assert p.nums[-1] != 0
+        assert math.gcd(p.denom, *p.nums) == 1
+    else:
+        assert p.denom == 1
+    assert p.c == tuple(Fraction(v, p.denom) for v in p.nums)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rat_polys, rat_polys)
+def test_ring_results_match_fraction_oracle(p, q):
+    for r, want in (
+        (p + q, frac_add(p.c, q.c)),
+        (p - q, frac_add(p.c, q.c, -1)),
+        (p * q, frac_mul(p.c, q.c)),
+        (-p, frac_add((), p.c, -1)),
+        (p.compose(q), frac_compose(p.c, q.c)),
+    ):
+        assert_normal_form(r)
+        assert r.c == want
+    if not q.is_zero:
+        quo, rem = divmod(p, q)
+        want_q, want_r = fraction_divmod(p, q)
+        for r, want in ((quo, want_q), (rem, want_r)):
+            assert_normal_form(r)
+            assert r.c == want.c
+
+
+@settings(max_examples=80, deadline=None)
+@given(rat_polys, rationals)
+def test_evaluation_matches_fraction_horner(p, x):
+    assert p(x) == frac_eval(p.c, x)
+    assert_normal_form(p.taylor_shift(x))
+    assert p.taylor_shift(x).c == frac_compose(p.c, (x, Fraction(1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(rationals, rationals), min_size=0, max_size=6, unique_by=lambda t: t[0]))
+def test_interpolate_matches_lagrange(points):
+    r = UniPoly.interpolate(points)
+    assert_normal_form(r)
+    assert r.c == frac_interpolate(points)
+    assert all(r(x) == y for x, y in points)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rat_polys, rat_polys)
+def test_equality_and_hash_follow_the_coefficients(p, q):
+    assert (p == q) == (p.c == q.c)
+    # the same value reached by different routes
+    for a, b in ((p, UniPoly(p.c)), ((p + q) - q, p), (p * q, q * p), (p.monic() * p.lc, p)):
+        assert_normal_form(a)
+        assert a == b and hash(a) == hash(b)
+    for r in (p.derivative(), p.monic(), p.reversed_to(max(p.degree, 0) + 2), p.shift_up(2)):
+        assert_normal_form(r)
+    c, prim = p.content_and_primitive()
+    assert_normal_form(prim)
+    assert prim.denom == 1 and prim * c == p

@@ -239,3 +239,27 @@ def test_covering_reduction_three_point_orbifold():
 def test_covering_reduction_rejects_plain_maps():
     with pytest.raises(NotDefined):
         reduce_through_coverings(A_SHIFT, A_SHIFT)
+
+
+def test_pair_candidates_computed_once_per_pair(monkeypatch):
+    import ratdyn.search as search
+
+    calls = []
+    inner = search._pair_candidates
+
+    def recording(A, X):
+        calls.append((A, X))
+        return inner(A, X)
+
+    monkeypatch.setattr(search, "_pair_candidates", recording)
+    # a diagonal pair, whose left factors recur on both sides, and a
+    # conjugate pair; the reports are those of the tests above
+    A2 = RatMap(UniPoly.of(1, 0, 1))
+    for A, B, bideg, want in (
+        (A_SHIFT, A_SHIFT, (1, 1), ["x - y"]),
+        (A_SHIFT, A2, (1, 1), ["x - y + 1"]),
+    ):
+        calls.clear()
+        rep = find_invariant_curves(A, B, SearchConfig(bidegree=bideg, iterate_cap=2))
+        assert curve_strs(rep) == want
+        assert calls and len(calls) == len(set(calls))

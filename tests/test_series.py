@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ratdyn.errors import PreconditionError
 from ratdyn.polynomials import UniPoly
@@ -12,6 +13,8 @@ from ratdyn.series import (
     ser_inv,
     ser_mul,
 )
+
+from oracles import _ser_inverse
 
 
 def test_series_inverse():
@@ -78,3 +81,16 @@ def test_no_roots_is_not_an_error():
 def test_constant_inputs_rejected():
     with pytest.raises(PreconditionError):
         ratmap_roots_over_function_field(RatMap.constant(1), power_map(2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=12), min_size=1, max_size=6),
+    st.integers(1, 10),
+)
+def test_series_inverse_matches_fraction_recurrence(a, k):
+    if a[0] == 0:
+        with pytest.raises(ZeroDivisionError):
+            ser_inv(a, k)
+        return
+    assert ser_inv(a, k) == _ser_inverse(a, k)
