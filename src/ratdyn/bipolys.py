@@ -8,7 +8,8 @@ evaluation and the views below run on the ints; the reduced `Fraction`
 coefficients are the read-only view `terms`.  The workhorse views are the
 coefficient lists "in x" (a list of UniPoly in y, index = x-power) and
 symmetrically "in y"; resultants are computed by evaluation and exact
-interpolation, gcds by a primitive remainder sequence over Q[y].
+interpolation, gcds by a coprimality certificate at a few integer points
+and otherwise a primitive remainder sequence over Q[y].
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 from math import gcd as _igcd, lcm as _lcm
 
 from .errors import PreconditionError
-from .intpoly import _q, to_ints
+from .intpoly import PRIMES, _m_gcd, _q, to_ints
 from .polynomials import UniPoly, qq
 
 
@@ -338,15 +339,7 @@ class BiPoly:
             return True
         if self.deg_x > other.deg_x or self.deg_y > other.deg_y:
             return False
-        if self.deg_x == 0:
-            # univariate in y
-            c = self.coeffs_in_x()[0]
-            return all(c.divides(p) for p in other.coeffs_in_x())
-        _, r, _ = other.pseudo_divmod_x(self)
-        if not r.is_zero:
-            return False
-        q = other.exact_div(self)
-        return q is not None
+        return other.exact_div(self) is not None
 
     def exact_div(self, other: "BiPoly"):
         """Exact quotient over Q[x, y], or None when not divisible."""
@@ -412,16 +405,37 @@ class BiPoly:
 
 
 # ----------------------------------------------------------------------
-# gcd in x over Q(y): primitive remainder sequence
+# gcd in x over Q(y)
+
+# specialization points for the coprimality certificate in gcd_x; several,
+# because small integers are often critical: 0, 1, -1 and -2 all are for
+# the graph numerator of (z^3 - 3z + 1)^2
+_COPRIME_POINTS = (0, 1, -1, 2, -2, 3, -3, 4)
 
 
 def gcd_x(f: BiPoly, g: BiPoly) -> BiPoly:
     """Gcd of f and g viewed in Q(y)[x], returned primitive in Q[y][x]
-    with monic content-free leading structure (up to a rational unit)."""
+    with monic content-free leading structure (up to a rational unit).
+
+    Coprimality is certified first by specialization (Brown 1971).  A
+    common factor h, primitive in x of x-degree e >= 1, has a leading
+    x-coefficient dividing those of f and g (Gauss's lemma).  So at an
+    integer y0 where neither of those vanishes, and modulo a prime p that
+    divides neither leading coefficient of f(x, y0) and g(x, y0), h keeps
+    x-degree e and divides both images.  A gcd of degree 0 mod p at one
+    such point proves the gcd is 1.  Otherwise the primitive
+    pseudo-remainder sequence decides."""
     if f.is_zero:
         return g.primitive_part_x().canonical()
     if g.is_zero:
         return f.primitive_part_x().canonical()
+    p = PRIMES[0]
+    nf, ng = f.deg_x + 1, g.deg_x + 1
+    for y0 in _COPRIME_POINTS:
+        a, b = f.eval_y(y0).nums, g.eval_y(y0).nums
+        if len(a) == nf and len(b) == ng and a[-1] % p and b[-1] % p:
+            if len(_m_gcd([v % p for v in a], [v % p for v in b], p)) == 1:
+                return BiPoly.constant(1)
     a = f.primitive_part_x()
     b = g.primitive_part_x()
     if a.deg_x < b.deg_x:

@@ -4,11 +4,12 @@ Common right factors come from the gcd over Q(t) of the two graph
 numerators f(x) - f(t); the gcd is the graph numerator of the wanted
 factor up to a unit, and a nonconstant ratio of its x-coefficients
 recovers that factor directly.  Left division is power-series lifting
-with exact verification; right division inverts the inner map as a
-series and reconstructs the quotient.  On top of these sit elementary
-transformations, the descent that completes a semiconjugacy to a pair of
-iterate identities, commuting-square chains with their periodicity
-detection, and the explicit (deliberately loose) bound functions.
+with exact verification; right division Newton-lifts the inverse of the
+inner map as a series, composes the outer map with it and reconstructs
+the quotient.  On top of these sit elementary transformations, the
+descent that completes a semiconjugacy to a pair of iterate identities,
+commuting-square chains with their periodicity detection, and the
+explicit (deliberately loose) bound functions.
 """
 
 from __future__ import annotations
@@ -23,12 +24,7 @@ from .factoring import SUBSET_CAP, bi_is_irreducible, factor_bivariate
 from .mobius import are_conjugate, mu_right_transports
 from .polynomials import UniPoly
 from .ratmaps import INF, RatMap, mobius
-from .series import (
-    expand_ratmap,
-    pade_reconstruct,
-    ratmap_roots_over_function_field,
-    ser_mul,
-)
+from .series import newton_series_root, pade_reconstruct, ratmap_roots_over_function_field
 
 
 def graph_numerator(f: RatMap) -> BiPoly:
@@ -81,29 +77,10 @@ def left_divide(F: RatMap, X: RatMap):
     return ratmap_roots_over_function_field(X, F)
 
 
-def _series_inverse(s, k):
-    """Compositional inverse of s = c1 tau + ... with c1 nonzero: the sigma
-    with s(sigma(u)) = u mod u^k."""
-    if len(s) < 2 or s[0] != 0 or s[1] == 0:
-        raise PreconditionError("series not invertible under composition")
-    sigma = [Fraction(0)] * k
-    sigma[1] = 1 / s[1]
-    for m in range(2, k):
-        # [sigma^j]_m only involves sigma below index m, so the current
-        # sigma (with slot m still zero) gives the full correction term
-        power = ser_mul(sigma, sigma, k)
-        acc = s[2] * power[m] if len(s) > 2 else Fraction(0)
-        for j in range(3, m + 1):
-            power = ser_mul(power, sigma, k)
-            if j < len(s) and s[j]:
-                acc += s[j] * power[m]
-        sigma[m] = -acc / s[1]
-    return sigma
-
-
 def right_divide(F: RatMap, W: RatMap):
-    """X with X o W = F, or None; found by series inversion of W around a
-    generic center followed by rational reconstruction and exact checking."""
+    """X with X o W = F, or None; found by inverting W as a series around a
+    generic center, composing F with that inverse, rational reconstruction
+    and exact checking."""
     if F.degree < 1 or W.degree < 1:
         raise PreconditionError("right division needs nonconstant maps")
     if F.degree % W.degree != 0:
@@ -111,7 +88,7 @@ def right_divide(F: RatMap, W: RatMap):
     if W.degree == 1:
         return F.compose(W.mobius_inverse())
     n = F.degree // W.degree
-    k = 2 * n + 2
+    k = 2 * n + 1
     t = Fraction(0)
     for _ in range(100):
         t0 = t
@@ -124,16 +101,10 @@ def right_divide(F: RatMap, W: RatMap):
         x0 = W(t0)
         if x0 is INF:
             continue
-        w_ser = expand_ratmap(W, t0, k)
-        s = [w_ser[0] - x0] + list(w_ser[1:])
-        sigma = _series_inverse(s, k)
-        f_ser = expand_ratmap(F, t0, k)
-        # X(x0 + u) = F(t0 + sigma(u)): Horner composition of f with sigma
-        comp = [Fraction(0)] * k
-        for c in reversed(f_ser):
-            comp = ser_mul(comp, sigma, k)
-            comp[0] += c
-        rec = pade_reconstruct(comp, n, n)
+        # w(u) = t0 + sigma(u) with W(w(u)) = x0 + u, so X(x0 + u) = F(w(u))
+        w = newton_series_root(W, UniPoly.of(x0, 1), t0, k)
+        comp = F.num.compose_trunc(w, k).mul_trunc(F.den.compose_trunc(w, k).inv_trunc(k), k)
+        rec = pade_reconstruct(comp, k, n, n)
         if rec is None:
             return None
         a, b = rec

@@ -8,8 +8,11 @@ Mignotte bound, recombine by subset search).
 Bivariate: content/primitive split in x, squarefree reduction over Q(y),
 then specialization at the smallest good integer y0, lifting the
 univariate factors y-adically, and subset recombination with an exact
-divisibility certificate.  Subset searches are capped; hitting the cap
-raises Inconclusive rather than silently truncating.
+divisibility certificate.  The lifting works in tau = y - y0 mod tau^K on
+`UniPoly` series (`UniPoly.mul_trunc`, `inv_trunc`), one order of tau at a
+time against partial products kept order by order.  Subset searches are
+capped; hitting the cap raises Inconclusive rather than silently
+truncating.
 """
 
 from __future__ import annotations
@@ -37,8 +40,6 @@ from .intpoly import (
     _z_exact_div,
     _z_mul,
     _z_primitive,
-    ser_inv,
-    ser_mul,
 )
 from .polynomials import UniPoly
 
@@ -327,17 +328,15 @@ def rational_roots(p: UniPoly):
 
 
 # ----------------------------------------------------------------------
-# truncated power series (lists of Fractions of fixed length K)
+# x-polynomials with truncated series coefficients: lists of UniPoly
+# series in tau, index = power of x, each read mod tau^k
 
 
 def _xser_mul(A, B, k):
-    out = [[Fraction(0)] * k for _ in range(len(A) + len(B) - 1)]
+    out = [UniPoly.zero()] * (len(A) + len(B) - 1)
     for i, ai in enumerate(A):
         for j, bj in enumerate(B):
-            prod = ser_mul(ai, bj, k)
-            tgt = out[i + j]
-            for t in range(k):
-                tgt[t] += prod[t]
+            out[i + j] = out[i + j] + ai.mul_trunc(bj, k)
     return out
 
 
@@ -437,15 +436,16 @@ def _factor_squarefree_bi(G: BiPoly):
     base = [f for f, _ in ufacs]
     if len(base) == 1:
         return [G.canonical()]
-    Gs = G.shift_y(y0)
+    rows = G.shift_y(y0).coeffs_in_x()
     K = G.deg_y + max(lcx.degree, 0) + 1
-    inv_lc = ser_inv(Gs.coeffs_in_x()[-1].c, K)
-    ghat = [ser_mul(cy.c, inv_lc, K) for cy in Gs.coeffs_in_x()]
+    inv_lc = rows[-1].inv_trunc(K)
+    ghat = [c.mul_trunc(inv_lc, K) for c in rows]
     lifted = _bi_hensel(ghat, base, K)
 
     pool = list(range(len(lifted)))
     out = []
     current = G
+    lc_now = rows[-1]
     s = 1
     visited = 0
     while pool and 2 * s <= len(pool):
@@ -456,11 +456,10 @@ def _factor_squarefree_bi(G: BiPoly):
                 visited += 1
                 if visited > SUBSET_CAP:
                     raise Inconclusive("bivariate recombination exceeded the subset cap")
-                prod = [[Fraction(1)] + [Fraction(0)] * (K - 1)]
+                prod = [UniPoly.one()]
                 for i in combo:
                     prod = _xser_mul(prod, lifted[i], K)
-                lc_now = current.shift_y(y0).coeffs_in_x()[-1].c
-                scaled = [ser_mul(c, lc_now, K) for c in prod]
+                scaled = [c.mul_trunc(lc_now, K) for c in prod]
                 cand = _xser_to_bipoly(scaled, y0).primitive_part_x().canonical()
                 if cand.deg_x < 1:
                     continue
@@ -468,6 +467,7 @@ def _factor_squarefree_bi(G: BiPoly):
                 if q is not None:
                     out.append(cand)
                     current = q.primitive_part_x().canonical()
+                    lc_now = current.coeffs_in_x()[-1].taylor_shift(y0)
                     for i in combo:
                         pool.remove(i)
                     found = True
@@ -479,19 +479,21 @@ def _factor_squarefree_bi(G: BiPoly):
 
 
 def _xser_to_bipoly(A, y0):
-    terms = {}
-    for i, ser in enumerate(A):
-        poly = UniPoly(ser).taylor_shift(-y0)
-        for j, v in enumerate(poly.c):
-            if v:
-                terms[(i, j)] = v
-    return BiPoly(terms)
+    """The BiPoly in (x, y) whose x-coefficients are the series A[i] in
+    tau = y - y0, read as polynomials."""
+    return BiPoly.from_coeffs_in_x([ser.taylor_shift(-y0) for ser in A])
 
 
 def _bi_hensel(ghat, base, K):
     """Lift pairwise coprime monic univariate factors (product = ghat at
-    tau = 0) to monic x-polynomials with series coefficients mod tau**K."""
-    n = len(ghat) - 1
+    tau = 0) to monic x-polynomials with series coefficients mod tau**K.
+
+    Linear lifting, one order of tau at a time (von zur Gathen and Gerhard,
+    *Modern Computer Algebra*, section 15.4), on the coefficients of tau^t,
+    which are polynomials in x.  The partial products L_j = F_1 ... F_j are
+    kept order by order, so the error at order k comes from the order-k
+    parts alone: O(r k) products of polynomials in x per order, with no
+    product of the factors to full precision."""
     r = len(base)
     partials = []
     for i in range(r):
@@ -503,22 +505,31 @@ def _bi_hensel(ghat, base, K):
         if g.degree != 0:
             raise PreconditionError("specialization factors are not coprime")
         partials.append(v)
-    F = [[[c] + [Fraction(0)] * (K - 1) for c in b.c] for b in base]
+    zero = UniPoly.zero()
+    want = BiPoly.from_coeffs_in_x(ghat).coeffs_in_y()
+    # F[j][t] and L[j][t]: coefficients of tau^t in F_(j+1) and in L_j
+    F = [[b] for b in base]
+    L = [[UniPoly.one()] + [zero] * (K - 1)]
+    for b in base:
+        L.append([L[-1][0] * b])
     for k in range(1, K):
-        prod = [[Fraction(1)] + [Fraction(0)] * (K - 1)]
-        for fi in F:
-            prod = _xser_mul(prod, fi, K)
-        err = []
-        for i in range(n + 1):
-            have = prod[i][k] if i < len(prod) else Fraction(0)
-            want = ghat[i][k] if i < len(ghat) else Fraction(0)
-            err.append(want - have)
-        e_poly = UniPoly(err)
-        if e_poly.is_zero:
-            continue
-        for i in range(r):
-            delta = (e_poly * partials[i]) % base[i]
-            for j, v in enumerate(delta.c):
-                if v:
-                    F[i][j][k] += v
-    return F
+        # S[j]: the order-k part of L_(j+1) that involves neither
+        # L[j][k] nor F[j][k]
+        S = []
+        have = zero
+        for j in range(r):
+            acc = zero
+            for t in range(1, k):
+                a, f = L[j][t], F[j][k - t]
+                if a and f:
+                    acc = acc + a * f
+            S.append(acc)
+            have = acc + have * base[j]
+        err = (want[k] if k < len(want) else zero) - have
+        have = zero
+        for j in range(r):
+            delta = (err * partials[j]) % base[j] if err else zero
+            F[j].append(delta)
+            have = S[j] + have * base[j] + L[j][0] * delta
+            L[j + 1].append(have)
+    return [BiPoly.from_coeffs_in_x(Fj).swap().coeffs_in_x() for Fj in F]

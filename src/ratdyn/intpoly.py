@@ -1,16 +1,16 @@
 """Dense polynomials over Z and Z/p as int lists, lowest degree first.
 
-This is the integer kernel under `UniPoly`, `BiPoly`, `series` and
-`factoring`.  `UniPoly` and `BiPoly` store integer numerators over one
-common denominator and call the kernel on them directly; `to_ints` and
-`from_ints` convert `Fraction` coefficients at the edges (constructors,
-the `.c` view, truncated power series).  Every operation is plain `int`
-arithmetic:
+This is the integer kernel under `UniPoly` and `BiPoly` and, through
+them, under `series` and `factoring`.  `UniPoly` and `BiPoly` store
+integer numerators over one common denominator and call the kernel on
+them directly; `to_ints` and `from_ints` convert `Fraction` coefficients
+at the edges (constructors and the `.c` view).  Every operation is plain
+`int` arithmetic:
 
 * Z/m arithmetic (`_m_*`) for factoring and for modular images;
-* integer convolution, full and truncated, the truncated series inverse,
-  and exact integer division that stops at the first non-integral
-  quotient;
+* integer convolution, full and truncated at t^k, the truncated series
+  inverse over one denominator (`_z_inv_trunc`), and exact integer
+  division that stops at the first non-integral quotient;
 * division over Q of integer polynomials, scaling by the divisor's
   leading coefficient only when a quotient is not integral;
 * a modular gcd (Brown 1971; von zur Gathen and Gerhard, *Modern Computer
@@ -110,40 +110,29 @@ def _z_mul_trunc(a, b, k):
     return out
 
 
-def ser_mul(a, b, k):
-    """Truncated product of power series with rational (or int)
-    coefficients: the first k coefficients of a*b, as Fractions."""
-    na, da = to_ints(a[:k])
-    nb, db = to_ints(b[:k])
-    return list(from_ints(_z_mul_trunc(na, nb, k), da * db))
-
-
-def ser_inv(a, k):
-    """Truncated inverse of a power series with rational (or int)
-    coefficients and nonzero constant term: the first k coefficients, as
-    Fractions.  With a = n / d over integers and c = n[0], the inverse is
-    d w_i / c^(i+1), where w_0 = 1 and w_i = -sum_j n[j] c^(j-1) w_(i-j)."""
-    if not a or a[0] == 0:
-        raise ZeroDivisionError("series with zero constant term")
-    n, d = to_ints(a[:k])
-    c = n[0]
-    b = [0] * len(n)
+def _z_inv_trunc(a, k):
+    """(ints, den) with 1 / sum(a[i] t^i) = sum(ints[i] t^i) / den mod t^k,
+    for an integer series a with a[0] != 0 and k >= 1.  With c = a[0] the
+    inverse is sum w_i t^i / c^(i+1), where w_0 = 1 and
+    w_i = -sum_j a[j] c^(j-1) w_(i-j); over den = c^k, ints[i] = w_i c^(k-1-i)."""
+    c = a[0]
+    n = min(len(a), k)
+    b = [0] * n
     cj = 1
-    for j in range(1, len(n)):
-        b[j] = n[j] * cj
+    for j in range(1, n):
+        b[j] = a[j] * cj
         cj *= c
     w = [1] + [0] * (k - 1)
     for i in range(1, k):
         acc = 0
-        for j in range(1, min(i, len(n) - 1) + 1):
+        for j in range(1, min(i, n - 1) + 1):
             acc += b[j] * w[i - j]
         w[i] = -acc
-    out = []
-    ci = c
-    for v in w:
-        out.append(_q(d * v, ci))
-        ci *= c
-    return out
+    ck = 1
+    for i in range(k - 1, -1, -1):
+        w[i] *= ck
+        ck *= c
+    return w, ck
 
 
 def _z_exact_div(a, b):

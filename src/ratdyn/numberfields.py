@@ -73,24 +73,6 @@ def kp_degree(a) -> int:
     return len(a) - 1
 
 
-def kp_mul(field, a, b):
-    if not a or not b:
-        return []
-    out = [field.el(0) for _ in range(len(a) + len(b) - 1)]
-    for i, ai in enumerate(a):
-        if not ai.is_zero:
-            for j, bj in enumerate(b):
-                out[i + j] = field.add(out[i + j], field.mul(ai, bj))
-    return kp_trim(field, out)
-
-
-def kp_sub(field, a, b):
-    out = list(a) + [field.el(0)] * max(0, len(b) - len(a))
-    for i, v in enumerate(b):
-        out[i] = field.sub(out[i], v)
-    return kp_trim(field, out)
-
-
 def kp_divmod(field, a, b):
     if not b:
         raise ZeroDivisionError
@@ -148,16 +130,3 @@ def kp_multiplicity_profile(field, a):
     out.sort()
     return out
 
-
-def kp_root_multiplicity(field, a, alpha) -> int:
-    """Multiplicity of the field element alpha as a root of a."""
-    lin = [field.sub(field.el(0), alpha), field.el(1)]
-    count = 0
-    cur = list(a)
-    while cur:
-        q, r = kp_divmod(field, cur, lin)
-        if r:
-            break
-        count += 1
-        cur = q
-    return count

@@ -90,14 +90,6 @@ class Place:
 PLACE_INF = Place.infinity()
 
 
-def places_of_poly(p: UniPoly):
-    """Places supporting the roots of p, with multiplicities, sorted."""
-    if p.is_zero:
-        raise PreconditionError("the zero polynomial has no root places")
-    _, facs = factor_univariate(p)
-    return sorted(((Place(f), m) for f, m in facs), key=lambda t: t[0].sort_key())
-
-
 # ----------------------------------------------------------------------
 # local degrees
 

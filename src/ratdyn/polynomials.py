@@ -8,6 +8,10 @@ polynomial, so equality and hashing compare the pair directly.  All ring
 arithmetic runs on the ints, over the kernel in `intpoly`; the coefficients
 as reduced `Fraction`s are the read-only view `c`.  The zero polynomial has
 degree -1.
+
+A truncated power series is a `UniPoly` read mod z^k: `trunc`,
+`mul_trunc`, `inv_trunc` and `compose_trunc` keep only the terms below z^k,
+so series arithmetic runs on the same integer kernel.
 """
 
 from __future__ import annotations
@@ -20,7 +24,9 @@ from .intpoly import (
     _z_divmod,
     _z_exact_div,
     _z_gcd,
+    _z_inv_trunc,
     _z_mul,
+    _z_mul_trunc,
     _z_primitive,
     _z_resultant,
     from_ints,
@@ -327,6 +333,43 @@ class UniPoly:
         a = qq(a)
         return self.compose(UniPoly._of([a.numerator, a.denominator], a.denominator))
 
+    # ------------------------------------------------------------------
+    # truncated power series: the polynomial read mod z^k
+
+    def trunc(self, k: int) -> "UniPoly":
+        """self mod z^k."""
+        if len(self.nums) <= k:
+            return self
+        return UniPoly._of(list(self.nums[:k]), self.denom)
+
+    def mul_trunc(self, other: "UniPoly", k: int) -> "UniPoly":
+        """self * other mod z^k."""
+        return UniPoly._of(_z_mul_trunc(self.nums, other.nums, k), self.denom * other.denom)
+
+    def inv_trunc(self, k: int) -> "UniPoly":
+        """1 / self mod z^k, for a nonzero constant term and k >= 1."""
+        if not self.nums or not self.nums[0]:
+            raise ZeroDivisionError("series with zero constant term")
+        ints, den = _z_inv_trunc(self.nums, k)
+        if self.denom != 1:
+            ints = [v * self.denom for v in ints]
+        return UniPoly._of(ints, den)
+
+    def compose_trunc(self, other: "UniPoly", k: int) -> "UniPoly":
+        """self(other) mod z^k, by the Horner rule of `compose` with every
+        product truncated at z^k."""
+        nums = self.nums
+        if len(nums) <= 1 or k <= 0:
+            return self.trunc(k)
+        B, e = other.nums, other.denom
+        acc = [nums[-1]]
+        ek = 1
+        for v in reversed(nums[:-1]):
+            ek *= e
+            acc = _z_mul_trunc(acc, B, k)
+            acc[0] += v * ek
+        return UniPoly._of(acc, ek * self.denom)
+
     def shift_up(self, k: int) -> "UniPoly":
         """Multiply by z**k."""
         if self.is_zero:
@@ -460,8 +503,3 @@ def _fmt_q(v: Fraction) -> str:
         return str(v.numerator)
     return f"{v.numerator}/{v.denominator}"
 
-
-def lcm_int(a: int, b: int) -> int:
-    if a == 0 or b == 0:
-        return 0
-    return a * b // _igcd(a, b)

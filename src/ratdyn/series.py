@@ -3,9 +3,11 @@
 Solving X(R(z)) = F(z) for R: expand F around a generic rational center,
 Newton-lift a simple rational root of X(w) = F(t0) to a series solution,
 reconstruct a rational function from the series by the extended Euclidean
-algorithm, and verify the candidate exactly.  The series precision is
-2 deg F + 4 terms; on reconstruction failure the precision is doubled
-once before reporting no root.
+algorithm, and verify the candidate exactly.  A truncated series in tau is
+a `UniPoly` read mod tau^k, so the lifting runs on the integer kernel
+through `UniPoly.mul_trunc`, `inv_trunc` and `compose_trunc`.  A root R of
+degree n is reconstructed from the first 2n + 1 terms, which determine
+its [n/n] Pade approximant; each candidate is certified by X o R == F.
 """
 
 from __future__ import annotations
@@ -14,94 +16,62 @@ from fractions import Fraction
 
 from .errors import Inconclusive, PreconditionError
 from .factoring import rational_roots
-from .intpoly import ser_inv, ser_mul
 from .polynomials import UniPoly, qq
 from .ratmaps import RatMap
 
-# truncated series: list of Fractions, index = power of tau
-
-
-def ser_trunc(a, k):
-    out = [Fraction(0)] * k
-    for i, v in enumerate(a[:k]):
-        out[i] = Fraction(v)
-    return out
-
-
-def ser_add(a, b, k):
-    return [
-        (a[i] if i < len(a) else Fraction(0)) + (b[i] if i < len(b) else Fraction(0))
-        for i in range(k)
-    ]
-
-
-def ser_sub(a, b, k):
-    return [
-        (a[i] if i < len(a) else Fraction(0)) - (b[i] if i < len(b) else Fraction(0))
-        for i in range(k)
-    ]
-
 
 def expand_ratmap(f: RatMap, t0, k):
-    """Series of f(t0 + tau) to k terms; t0 must avoid the poles of f."""
+    """Series of f(t0 + tau) mod tau^k; t0 must avoid the poles of f."""
     t0 = qq(t0)
     num = f.num.taylor_shift(t0)
     den = f.den.taylor_shift(t0)
-    if den(0) == 0:
+    if den.coeff(0) == 0:
         raise ZeroDivisionError("center is a pole")
-    return ser_mul(ser_trunc(list(num.c), k), ser_inv(ser_trunc(list(den.c), k), k), k)
+    return num.mul_trunc(den.inv_trunc(k), k)
 
 
-def eval_poly_on_series(p: UniPoly, w, k):
-    acc = [Fraction(0)] * k
-    for c in reversed(p.c):
-        acc = ser_mul(acc, w, k)
-        acc[0] += c
-    return acc
-
-
-def newton_series_root(X: RatMap, target, w0, k):
+def newton_series_root(X: RatMap, target: UniPoly, w0, k):
     """Series w with X(w(tau)) = target(tau) mod tau^k, w(0) = w0 a simple
     root of num(X) - target(0) * den(X)."""
     w0 = qq(w0)
-    g0 = X.num(w0) - qq(target[0]) * X.den(w0)
-    if g0 != 0:
+    num, den = X.num, X.den
+    if num(w0) - target.coeff(0) * den(w0) != 0:
         raise PreconditionError("center value is not a root")
-    w = [w0] + [Fraction(0)] * (k - 1)
+    dnum, dden = num.derivative(), den.derivative()
+    w = UniPoly.constant(w0)
     prec = 1
     while prec < k:
-        prec = min(2 * prec, k)
-        num_w = eval_poly_on_series(X.num, w, prec)
-        den_w = eval_poly_on_series(X.den, w, prec)
-        g = ser_sub(num_w, ser_mul(ser_trunc(target, prec), den_w, prec), prec)
-        nprime = eval_poly_on_series(X.num.derivative(), w, prec)
-        dprime = eval_poly_on_series(X.den.derivative(), w, prec)
-        gprime = ser_sub(nprime, ser_mul(ser_trunc(target, prec), dprime, prec), prec)
-        if gprime[0] == 0:
+        # g(w) = num(w) - target den(w) vanishes mod tau^prec, so the Newton
+        # correction g / g' mod tau^new needs g' only mod tau^(new - prec)
+        new = min(2 * prec, k)
+        g = num.compose_trunc(w, new) - target.mul_trunc(den.compose_trunc(w, new), new)
+        low = new - prec
+        gprime = dnum.compose_trunc(w, low) - target.mul_trunc(dden.compose_trunc(w, low), low)
+        if gprime.coeff(0) == 0:
             raise PreconditionError("root is not simple at the center")
-        w = ser_sub(w, ser_mul(g, ser_inv(gprime, prec), prec), prec)
-    return ser_trunc(w, k)
+        w = w - g.mul_trunc(gprime.inv_trunc(low), new)
+        prec = new
+    return w
 
 
-def pade_reconstruct(series, dn, dd):
+def pade_reconstruct(series: UniPoly, prec: int, dn: int, dd: int):
     """Rational function a/b with deg a <= dn, deg b <= dd, b(0) != 0 and
-    a - b * series = O(tau^(dn + dd + 1)); None when no such pair exists."""
+    a - b * series = O(tau^(dn + dd + 1)), for a series known mod tau^prec;
+    None when no such pair exists or prec < dn + dd + 1."""
     k = dn + dd + 1
-    if len(series) < k:
+    if prec < k:
         return None
     r0 = UniPoly.monomial(k)
-    r1 = UniPoly(series[:k])
+    r1 = series.trunc(k)
     u0, u1 = UniPoly.zero(), UniPoly.one()
     while not r1.is_zero and r1.degree > dn:
         q, r = divmod(r0, r1)
         r0, r1 = r1, r
         u0, u1 = u1, u0 - q * u1
-    if u1.is_zero or u1.degree > dd or u1(0) == 0:
+    if u1.is_zero or u1.degree > dd or u1.coeff(0) == 0:
         return None
     # exactness check against the requested order
-    prod = ser_mul(ser_trunc(list(u1.c), k), ser_trunc(series, k), k)
-    diff = ser_sub(ser_trunc(list(r1.c), k), prod, k)
-    if any(diff):
+    if u1.mul_trunc(series, k) != r1:
         return None
     return r1, u1
 
@@ -115,7 +85,6 @@ def ratmap_roots_over_function_field(X: RatMap, F: RatMap):
     if F.degree % X.degree != 0:
         return []
     n = F.degree // X.degree
-    base_prec = 2 * F.degree + 4
     center = None
     t = Fraction(0)
     attempts = 0
@@ -134,24 +103,16 @@ def ratmap_roots_over_function_field(X: RatMap, F: RatMap):
         center = t0
     pencil = X.num - X.den * F(center)
     candidates = rational_roots(pencil)
+    prec = 2 * n + 1
+    target = expand_ratmap(F, center, prec)
     roots = []
-    for prec in (base_prec, 2 * base_prec):
-        roots = []
-        retry = False
-        target = expand_ratmap(F, center, prec)
-        for w0 in candidates:
-            w = newton_series_root(X, target, w0, prec)
-            rec = pade_reconstruct(w, n, n)
-            if rec is None:
-                # a genuine root reconstructs at base precision; retry once,
-                # then treat the candidate as spurious
-                if prec == base_prec:
-                    retry = True
-                continue
-            a, b = rec
-            cand = RatMap(a.taylor_shift(-center), b.taylor_shift(-center))
-            if X.compose(cand) == F:
-                roots.append(cand)
-        if not retry:
-            break
+    for w0 in candidates:
+        w = newton_series_root(X, target, w0, prec)
+        rec = pade_reconstruct(w, prec, n, n)
+        if rec is None:
+            continue
+        a, b = rec
+        cand = RatMap(a.taylor_shift(-center), b.taylor_shift(-center))
+        if X.compose(cand) == F:
+            roots.append(cand)
     return sorted(set(roots), key=lambda r: r.sort_key())

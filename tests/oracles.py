@@ -14,9 +14,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from ratdyn.bipolys import BiPoly
 from ratdyn.polynomials import UniPoly
 from ratdyn.ratmaps import INF, RatMap
-from ratdyn.series import pade_reconstruct, ser_mul
+from ratdyn.series import pade_reconstruct
 
 
 def schoolbook_mul(f: UniPoly, g: UniPoly) -> UniPoly:
@@ -97,6 +98,15 @@ def frac_compose(a, b) -> tuple:
     return acc
 
 
+def ser_mul(a, b, k) -> list:
+    """The first k coefficients of a * b, one `Fraction` product per pair."""
+    out = [Fraction(0)] * k
+    for i, u in enumerate(a[:k]):
+        for j, v in enumerate(b[: k - i]):
+            out[i + j] += u * v
+    return out
+
+
 def frac_interpolate(points) -> tuple:
     """Lagrange's formula, one basis polynomial at a time."""
     out = ()
@@ -153,6 +163,25 @@ def bi_coeffs_in_x(f) -> list:
     for (i, j), v in f.items():
         rows[i][j] = v
     return [_trimmed(r) for r in rows]
+
+
+def prs_gcd_x(f: BiPoly, g: BiPoly) -> BiPoly:
+    """gcd in x over Q(y) by the primitive pseudo-remainder sequence."""
+    if f.is_zero:
+        return g.primitive_part_x().canonical()
+    if g.is_zero:
+        return f.primitive_part_x().canonical()
+    a = f.primitive_part_x()
+    b = g.primitive_part_x()
+    if a.deg_x < b.deg_x:
+        a, b = b, a
+    while True:
+        if b.is_zero:
+            return a.primitive_part_x().canonical()
+        if b.deg_x == 0:
+            return BiPoly.constant(1)
+        _, r, _ = a.pseudo_divmod_x(b)
+        a, b = b, r.primitive_part_x()
 
 
 def sylvester_resultant(f: UniPoly, g: UniPoly) -> Fraction:
@@ -296,7 +325,7 @@ def commuting_maps_by_series(A: RatMap, degree: int):
         # candidate series in the 1/z chart: sigma with psi(sigma) = psi^j
         target = _power_series(psi, j, k + 4)
         sigma = _invert_through(psi, target, k + 4)
-        rec = pade_reconstruct(sigma, degree, degree)
+        rec = pade_reconstruct(UniPoly(sigma), k + 4, degree, degree)
         if rec is None:
             continue
         a, b = rec

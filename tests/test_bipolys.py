@@ -5,9 +5,19 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from ratdyn.bipolys import BiPoly, gcd_x, resultant_x, resultant_x_mixed, resultant_y
+from ratdyn.decompose import graph_numerator
 from ratdyn.polynomials import UniPoly
+from ratdyn.ratmaps import RatMap
 
-from oracles import bi_add, bi_coeffs_in_x, bi_eval_x, bi_eval_y, bi_mul, sylvester_resultant
+from oracles import (
+    bi_add,
+    bi_coeffs_in_x,
+    bi_eval_x,
+    bi_eval_y,
+    bi_mul,
+    prs_gcd_x,
+    sylvester_resultant,
+)
 
 X = BiPoly.var_x()
 Y = BiPoly.var_y()
@@ -169,3 +179,46 @@ def test_bipoly_equality_and_hash_follow_the_terms(a, b):
     for u, v in ((f, BiPoly(f.terms)), ((f + g) - g, f), (f * g, g * f), (f.swap().swap(), f)):
         assert_normal_form(u)
         assert u == v and hash(u) == hash(v)
+
+
+# ----------------------------------------------------------------------
+# gcd in x: the coprimality certificate against the remainder sequence
+
+small_terms = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    st.integers(-3, 3).filter(bool),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_terms, small_terms, small_terms)
+def test_gcd_x_matches_remainder_sequence_with_planted_factor(a, b, h):
+    f, g, common = BiPoly(a), BiPoly(b), BiPoly(h)
+    assert gcd_x(f, g) == prs_gcd_x(f, g)
+    assert gcd_x(f * common, g * common) == prs_gcd_x(f * common, g * common)
+
+
+def test_gcd_x_certificate_skips_critical_points(monkeypatch):
+    # for A = z^3 - 3z + 1, the graph numerator of A o A is not squarefree
+    # in x at y = 0, 1, -1 and -2, which are critical points of A o A
+    A = RatMap(UniPoly.of(1, -3, 0, 1))
+    N = graph_numerator(A.compose(A))
+    for y0 in (0, 1, -1, -2):
+        assert not N.eval_y(y0).is_squarefree()
+
+    def no_sequence(*args):
+        raise AssertionError("the remainder sequence ran")
+
+    monkeypatch.setattr(BiPoly, "pseudo_divmod_x", no_sequence)
+    assert gcd_x(N, N.derivative_x()) == BiPoly.constant(1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_terms, small_terms)
+def test_divides_agrees_with_exact_division(a, b):
+    f, g = BiPoly(a), BiPoly(b)
+    assert f.divides(f * g)
+    assert f.divides(g) == (g.exact_div(f) is not None)
+    assert f.divides(g + X * f) == (g.exact_div(f) is not None)

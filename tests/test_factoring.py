@@ -2,10 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ratdyn.bipolys import BiPoly
 from ratdyn.errors import PreconditionError
 from ratdyn.factoring import (
+    _bi_hensel,
     bi_is_irreducible,
     factor_bivariate,
     factor_univariate,
@@ -14,6 +16,8 @@ from ratdyn.factoring import (
     rational_roots,
 )
 from ratdyn.polynomials import UniPoly
+
+from oracles import ser_mul
 
 X = BiPoly.var_x()
 Y = BiPoly.var_y()
@@ -145,3 +149,63 @@ def test_zero_rejected():
         factor_univariate(UniPoly.zero())
     with pytest.raises(PreconditionError):
         factor_bivariate(BiPoly.zero())
+
+
+# ----------------------------------------------------------------------
+# y-adic lifting and planted bivariate factors
+
+small = st.integers(-3, 3)
+y_polys = st.lists(small, min_size=1, max_size=3).map(UniPoly)
+
+
+def x_minus(p: UniPoly) -> BiPoly:
+    """x - p(y)."""
+    return X - BiPoly.from_unipoly(p, "y")
+
+
+def padded(p: UniPoly, k):
+    return [p.coeff(i) for i in range(k)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(y_polys, min_size=2, max_size=4, unique=True))
+def test_factor_bivariate_returns_planted_linear_factors(ps):
+    F = BiPoly.constant(1)
+    for p in ps:
+        F = F * x_minus(p)
+    unit, facs = factor_bivariate(F)
+    assert unit == 1
+    assert sorted((f.to_str(), m) for f, m in facs) == sorted((x_minus(p).to_str(), 1) for p in ps)
+
+
+# a monic x-polynomial with coefficients in Q[tau]: its lower x-coefficients
+monic_parts = st.lists(st.lists(small, min_size=1, max_size=3), min_size=1, max_size=2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(monic_parts, min_size=2, max_size=3), st.integers(1, 6))
+def test_bi_hensel_lifts_to_the_planted_factors(parts, K):
+    hs = [BiPoly.from_coeffs_in_x([UniPoly(c) for c in low] + [UniPoly.one()]) for low in parts]
+    base = [h.eval_y(0) for h in hs]
+    for i, b in enumerate(base):
+        for c in base[i + 1 :]:
+            assume(b.gcd(c).degree == 0)
+    G = BiPoly.constant(1)
+    for h in hs:
+        G = G * h
+    ghat = [c.trunc(K) for c in G.coeffs_in_x()]
+    lifted = _bi_hensel(ghat, base, K)
+    # monic lifts of coprime residues are unique, so they are the planted factors
+    for F_i, h, b in zip(lifted, hs, base):
+        assert [c.trunc(K) for c in F_i] == [c.trunc(K) for c in h.coeffs_in_x()]
+        assert [c.coeff(0) for c in F_i] == list(b.c)
+    # and their product is ghat mod tau^K, multiplied out in Fractions
+    prod = [[Fraction(1)] + [Fraction(0)] * (K - 1)]
+    for F_i in lifted:
+        out = [[Fraction(0)] * K for _ in range(len(prod) + len(F_i) - 1)]
+        for i, a in enumerate(prod):
+            for j, c in enumerate(F_i):
+                for t, v in enumerate(ser_mul(a, padded(c, K), K)):
+                    out[i + j][t] += v
+        prod = out
+    assert prod == [padded(c, K) for c in ghat]

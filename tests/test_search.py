@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from ratdyn.bipolys import BiPoly
@@ -44,6 +46,18 @@ def test_invariant_search_graph():
 def test_invariant_search_no_22_curves():
     rep = find_invariant_curves(A_SHIFT, A_SHIFT, SearchConfig(bidegree=(2, 2), iterate_cap=2))
     assert rep.curves == []
+
+
+def test_invariant_search_no_22_curves_at_cap_4():
+    # the commutant of (z+1)^2 is {id, A}, so no (2,2) curve up to cap 4;
+    # the squarefree tests on graph numerators of A^4 take the coprimality
+    # certificate, not the remainder sequence
+    start = time.perf_counter()
+    rep = find_invariant_curves(A_SHIFT, A_SHIFT, SearchConfig(bidegree=(2, 2), iterate_cap=4))
+    elapsed = time.perf_counter() - start
+    assert rep.curves == []
+    assert rep.completeness == "complete_up_to_cap"
+    assert elapsed < 3.0
 
 
 def test_invariant_search_special_stress():

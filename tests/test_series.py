@@ -1,42 +1,40 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ratdyn.errors import PreconditionError
 from ratdyn.polynomials import UniPoly
 from ratdyn.ratmaps import RatMap, chebyshev, power_map
 from ratdyn.series import (
     expand_ratmap,
+    newton_series_root,
     pade_reconstruct,
     ratmap_roots_over_function_field,
-    ser_inv,
-    ser_mul,
 )
 
-from oracles import _ser_inverse
+from oracles import _compose_series, _ser_inverse, ser_mul
 
 
 def test_series_inverse():
-    a = [Fraction(1), Fraction(2), Fraction(3)]
-    inv = ser_inv(a, 6)
-    prod = ser_mul(a, inv, 6)
-    assert prod[0] == 1 and all(v == 0 for v in prod[1:])
+    a = UniPoly.of(1, 2, 3)
+    inv = a.inv_trunc(6)
+    assert a.mul_trunc(inv, 6) == UniPoly.one()
 
 
 def test_expand_ratmap_matches_values():
     f = RatMap(UniPoly.of(1, 0, 1), UniPoly.of(2, 1))
     s = expand_ratmap(f, Fraction(1), 8)
-    assert s[0] == f(1)
+    assert s.coeff(0) == f(1)
     # first derivative of (z^2+1)/(z+2) at 1
     d = f.derivative()(1)
-    assert s[1] == d
+    assert s.coeff(1) == d
 
 
 def test_pade_reconstructs_rational_series():
     f = RatMap(UniPoly.of(1, 2), UniPoly.of(1, 0, 1))  # (2z+1)/(z^2+1)
     s = expand_ratmap(f, Fraction(0), 10)
-    rec = pade_reconstruct(s, 2, 2)
+    rec = pade_reconstruct(s, 10, 2, 2)
     assert rec is not None
     a, b = rec
     assert RatMap(a, b) == f
@@ -89,8 +87,79 @@ def test_constant_inputs_rejected():
     st.integers(1, 10),
 )
 def test_series_inverse_matches_fraction_recurrence(a, k):
+    p = UniPoly(a)
     if a[0] == 0:
         with pytest.raises(ZeroDivisionError):
-            ser_inv(a, k)
+            p.inv_trunc(k)
         return
-    assert ser_inv(a, k) == _ser_inverse(a, k)
+    inv = p.inv_trunc(k)
+    assert inv.degree < k
+    assert inv == UniPoly(_ser_inverse(a, k))
+    assert p.mul_trunc(inv, k) == UniPoly.one()
+
+
+# ----------------------------------------------------------------------
+# truncated series as UniPolys read mod tau^k, against Fraction lists
+
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+coeff_lists = st.lists(rationals, min_size=0, max_size=7)
+
+
+def padded(p: UniPoly, k):
+    """The first k coefficients of p as Fractions."""
+    return [p.coeff(i) for i in range(k)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(coeff_lists, coeff_lists, st.integers(0, 9))
+def test_mul_trunc_and_trunc_match_fraction_product(a, b, k):
+    p, q = UniPoly(a), UniPoly(b)
+    prod = p.mul_trunc(q, k)
+    assert prod.degree < k
+    assert padded(prod, k) == ser_mul(list(p.c), list(q.c), k)
+    assert padded(p.trunc(k), k) == padded(p, k)
+    assert p.trunc(k).degree < k
+
+
+@settings(max_examples=80, deadline=None)
+@given(coeff_lists, coeff_lists, st.integers(0, 9))
+def test_compose_trunc_matches_fraction_horner(a, b, k):
+    p, q = UniPoly(a), UniPoly(b)
+    got = p.compose_trunc(q, k)
+    assert got.degree < k
+    assert padded(got, k) == _compose_series(list(p.c), padded(q, k), k)
+    assert got == p.compose(q).trunc(k)
+
+
+small_ints = st.integers(-4, 4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(small_ints, min_size=2, max_size=4),
+    st.lists(small_ints, min_size=1, max_size=3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=3),
+    st.lists(rationals, min_size=0, max_size=6),
+    st.integers(1, 9),
+)
+def test_newton_series_root_solves_the_equation(num, den, w0, tail, k):
+    assume(any(den))
+    X = RatMap(UniPoly(num), UniPoly(den))
+    assume(X.degree >= 1 and X.den(w0) != 0)
+    # X(w) = target has the simple root w0 at tau = 0 when X'(w0) != 0
+    assume(X.derivative().num(w0) != 0)
+    target = [X(w0)] + tail
+    w = newton_series_root(X, UniPoly(target), w0, k)
+    assert w.degree < k and w.coeff(0) == w0
+    ws = padded(w, k)
+    nw = _compose_series(list(X.num.c), ws, k)
+    dw = _compose_series(list(X.den.c), ws, k)
+    assert nw == ser_mul(target, dw, k)
+
+
+def test_pade_needs_the_full_precision():
+    f = RatMap(UniPoly.of(1, 2), UniPoly.of(1, 0, 1))
+    s = expand_ratmap(f, Fraction(0), 5)
+    assert pade_reconstruct(s, 4, 2, 2) is None
+    a, b = pade_reconstruct(s, 5, 2, 2)
+    assert RatMap(a, b) == f
