@@ -27,6 +27,7 @@ from .errors import (
     PreconditionError,
     TheoremViolation,
 )
+from .memo import memo
 from .orbifolds import Orbifold, chi, is_covering, o2_of, positive_chi_family, pullback
 from .places import (
     Place,
@@ -109,7 +110,9 @@ def detect_power_conjugacy(A: RatMap):
     if any(image_place(A, p) not in support for p in support):
         return None
     if len(support) == 1 and support[0].degree == 2:
-        # singular pair is an irrational Galois orbit
+        # singular pair is an irrational Galois orbit; it is invariant and
+        # totally ramified, so it is a two-point exceptional set, and a map
+        # with one is conjugate to z^(+-n) over the field of the pair
         return SpecialClass("power", n=n, extension_needed=True)
     v1 = support[0].rational_value() if not support[0].is_infinity else INF
     v2 = support[1].rational_value() if not support[1].is_infinity else INF
@@ -130,6 +133,8 @@ def detect_power_conjugacy(A: RatMap):
             c = A0.num.coeff(0)
             lam = _fraction_root(1 / c, n + 1)
         if lam is None:
+            # the shape c * z^(+-n) is verified over Q above; only the
+            # scaling root lambda lies outside Q
             return SpecialClass("power", n=n, sign=sign, extension_needed=True)
         model = power_map(sign * n)
         for scale in (lam, -lam):
@@ -162,7 +167,7 @@ def detect_chebyshev_conjugacy(A: RatMap):
             if total != 2:
                 continue
             if len(others) == 1 and others[0][0].degree == 2:
-                return SpecialClass("chebyshev", n=n, extension_needed=True)
+                return _chebyshev_over_pair(A, anchor, others[0][0])
             pts = [p.rational_value() if not p.is_infinity else INF for p, _ in others]
             assignments = [(pts[0], pts[1]), (pts[1], pts[0])]
         else:
@@ -192,6 +197,34 @@ def detect_chebyshev_conjugacy(A: RatMap):
             for mu, conj in conjugations:
                 if conj == target:
                     return SpecialClass("chebyshev", n=n, sign=sign, witness=mu)
+    return None
+
+
+def _chebyshev_over_pair(A: RatMap, anchor: Place, pair: Place):
+    """SpecialClass('chebyshev', ...) when A is conjugate to +-T_n by a map
+    sending the anchor to INF and the Galois-conjugate pair to {-1, 1}.
+
+    +-T_n with n odd fixes {-1, 1} as a set; with n even it sends both ends
+    to one point, which a conjugate pair cannot share, so the pair must map
+    to itself.  Then, with the anchor moved to INF and the pair written
+    c +- h, h^2 = D, the conjugacy is A0(c + h u) = c + s h T_n(u), which
+    over Q reads A0(c + v) - c = s sum over odd k of t_k D^((1-k)/2) v^k."""
+    if image_place(A, pair) != pair:
+        return None
+    n = A.degree
+    mu0 = RatMap.identity() if anchor.is_infinity else mobius(0, 1, 1, -anchor.rational_value())
+    A0 = A.conjugate(mu0)
+    m = image_place(mu0, pair).minpoly
+    c = -m.coeff(1) / 2
+    D = c * c - m.coeff(0)
+    tn = chebyshev(n)
+    odd = [Fraction(0)] * (n + 1)
+    for k in range(1, n + 1, 2):
+        odd[k] = tn.num.coeff(k) / tn.den.coeff(0) * D ** ((1 - k) // 2)
+    odd_part = UniPoly(odd).taylor_shift(-c)
+    for sign in (1, -1):
+        if A0 == RatMap.from_poly(odd_part * sign + UniPoly.constant(c)):
+            return SpecialClass("chebyshev", n=n, sign=sign, extension_needed=True)
     return None
 
 
@@ -440,9 +473,7 @@ def _propagate_tree(A: RatMap, cycle, m: int, preperiodic, place_cap: int):
     return Orbifold(ram)
 
 
-_max_orbifold_cache: dict = {}
-
-
+@memo
 def maximal_orbifold(A: RatMap, nu_cap: int = NU_CAP, place_cap: int = PLACE_CAP):
     """The largest orbifold carried into itself by A minimally
     holomorphically, or None when only the trivial one works.
@@ -450,26 +481,6 @@ def maximal_orbifold(A: RatMap, nu_cap: int = NU_CAP, place_cap: int = PLACE_CAP
     Raises NotDefined for maps conjugate to powers or Chebyshev maps (over
     any field), and Inconclusive when a postcritical orbit stays unsettled
     within the caps."""
-    key = (A, nu_cap, place_cap)
-    hit = _max_orbifold_cache.get(key)
-    if hit is not None:
-        kind, payload = hit
-        if kind == "ok":
-            return payload
-        raise (NotDefined if kind == "notdefined" else Inconclusive)(payload)
-    try:
-        result = _maximal_orbifold_uncached(A, nu_cap, place_cap)
-    except NotDefined as exc:
-        _max_orbifold_cache[key] = ("notdefined", str(exc))
-        raise
-    except Inconclusive as exc:
-        _max_orbifold_cache[key] = ("inconclusive", str(exc))
-        raise
-    _max_orbifold_cache[key] = ("ok", result)
-    return result
-
-
-def _maximal_orbifold_uncached(A: RatMap, nu_cap: int, place_cap: int):
     if A.degree < 2:
         raise PreconditionError("the maximal orbifold needs degree at least two")
     if detect_power_conjugacy(A) is not None:

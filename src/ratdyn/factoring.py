@@ -41,6 +41,7 @@ from .intpoly import (
     _z_mul,
     _z_primitive,
 )
+from .memo import memo
 from .polynomials import UniPoly
 
 SUBSET_CAP = 1 << 16
@@ -256,22 +257,15 @@ def _zassenhaus(f, max_degree=None):
 # public univariate interface
 
 
-_uni_cache: dict = {}
-
-
+@memo
 def factor_univariate(p: UniPoly):
     """Complete factorization over Q: (content, [(monic irreducible, mult)])
     with p = content * prod g**m, factors sorted canonically."""
     if p.is_zero:
         raise PreconditionError("cannot factor the zero polynomial")
-    hit = _uni_cache.get(p)
-    if hit is not None:
-        return hit
     content = p.lc
     if p.degree < 1:
-        out = (content, [])
-        _uni_cache[p] = out
-        return out
+        return content, []
     work = p.monic()
     factors = []
     k = 0
@@ -285,9 +279,7 @@ def factor_univariate(p: UniPoly):
         for fac in _zassenhaus(list(zz.nums)):
             factors.append((UniPoly._of(list(fac), fac[-1]), mult))
     factors.sort(key=lambda fm: (fm[0].degree, fm[0].c))
-    out = (content, factors)
-    _uni_cache[p] = out
-    return out
+    return content, factors
 
 
 def low_degree_factors(p: UniPoly, max_degree: int):

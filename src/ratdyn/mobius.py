@@ -21,6 +21,7 @@ from fractions import Fraction
 from .bipolys import BiPoly
 from .errors import PreconditionError, TheoremViolation
 from .factoring import rational_roots
+from .memo import memo
 from .places import rational_points_in_fiber
 from .polynomials import UniPoly
 from .ratmaps import INF, RatMap, mobius, mobius_through
@@ -170,16 +171,11 @@ def _transporter_candidates(a: RatMap, b: RatMap):
     return z0, z1, z2, cands
 
 
-_marked_cache: dict = {}
-
-
+@memo
 def _marked_points(f: RatMap):
     """Rational points pinned by the dynamics, with conjugation-invariant
     labels: critical points, two steps of their images, fixed points, and
     one level of rational preimages of all of those."""
-    hit = _marked_cache.get(f)
-    if hit is not None:
-        return hit
     from .places import (
         PLACE_INF,
         Place,
@@ -220,28 +216,16 @@ def _marked_points(f: RatMap):
             p,
             (ldeg(p), ldeg(v1), ldeg(v2), _point_key(v1) == _point_key(p)),
         )
-    _marked_cache[f] = labels
     return labels
 
 
-_transporter_cache: dict = {}
-
-
+@memo
 def conjugacy_transporters(a: RatMap, b: RatMap):
     """All degree-one mu over Q with mu o a = b o mu, for deg a = deg b >= 2."""
     if a.degree != b.degree:
         return []
     if a.degree < 2:
         raise PreconditionError("transporters need degree at least two")
-    hit = _transporter_cache.get((a, b))
-    if hit is not None:
-        return hit
-    result = _transporters_uncached(a, b)
-    _transporter_cache[(a, b)] = result
-    return result
-
-
-def _transporters_uncached(a: RatMap, b: RatMap):
     ma = _marked_points(a)
     mb = _marked_points(b)
     la = sorted(lab for _, lab in ma.values())

@@ -3,21 +3,16 @@
 A place is either the point at infinity or a monic irreducible polynomial
 over Q, standing for the Galois orbit of its roots.  Local degrees,
 fibers, critical points and values, and forward images of places are all
-computed here; every multiplicity question reduces to gcd chains, either
-over Q or over Q[c]/m(c).
+computed here.  Local degrees come from the multiplicity of a place in
+the Wronskian, and a fiber is read off the preimage places with their
+local degrees, so every multiplicity question stays over Q.
 """
 
 from __future__ import annotations
 
 from .errors import PreconditionError, TheoremViolation
 from .factoring import factor_univariate, rational_roots
-from .numberfields import (
-    NumberField,
-    kp_degree,
-    kp_from_unipoly,
-    kp_multiplicity_profile,
-    kp_trim,
-)
+from .memo import memo
 from .polynomials import UniPoly, qq
 from .ratmaps import INF, RatMap
 
@@ -94,22 +89,14 @@ PLACE_INF = Place.infinity()
 # local degrees
 
 
-_local_degree_cache: dict = {}
-
-
+@memo
 def local_degree(f: RatMap, p: Place) -> int:
     """Local degree of f at (each point of) the place p."""
     if f.degree < 1:
         raise PreconditionError("local degree needs a nonconstant map")
-    key = (f, p)
-    hit = _local_degree_cache.get(key)
-    if hit is None:
-        if p.is_infinity:
-            hit = _local_degree_finite(f.inverted_source(), Place(UniPoly.x()))
-        else:
-            hit = _local_degree_finite(f, p)
-        _local_degree_cache[key] = hit
-    return hit
+    if p.is_infinity:
+        return _local_degree_finite(f.inverted_source(), Place(UniPoly.x()))
+    return _local_degree_finite(f, p)
 
 
 def local_degree_profile(f: RatMap, p: Place):
@@ -134,60 +121,28 @@ def _local_degree_finite(f: RatMap, p: Place) -> int:
         cur = q
 
 
-_fiber_cache: dict = {}
-
-
+@memo
 def fiber_partition(f: RatMap, q: Place):
     """Multiplicity profile of the fiber of f over one geometric point of q:
     sorted tuple of (multiplicity, number of geometric points)."""
     if f.degree < 1:
         raise PreconditionError("fibers need a nonconstant map")
-    hit = _fiber_cache.get((f, q))
-    if hit is not None:
-        return hit
-    d = f.degree
+    # Galois permutes the points of a preimage place p transitively, so each
+    # point of q receives deg p / deg q of them, all of local degree e_p
     counts: dict[int, int] = {}
-    if q.is_infinity or q.degree == 1:
-        v = INF if q.is_infinity else q.rational_value()
-        h = f.fiber_poly(v)
-        inf_mult = d - h.degree
-        for g, mult in factor_univariate(h)[1]:
-            counts[mult] = counts.get(mult, 0) + g.degree
-        if inf_mult:
-            counts[inf_mult] = counts.get(inf_mult, 0) + 1
-    else:
-        field = NumberField(q.minpoly)
-        gamma = field.gen()
-        pk = kp_from_unipoly(field, f.num)
-        qk = kp_from_unipoly(field, f.den)
-        h = kp_trim(field, [field.sub(pk[i] if i < len(pk) else field.el(0),
-                                      field.mul(gamma, qk[i] if i < len(qk) else field.el(0)))
-                            for i in range(max(len(pk), len(qk)))])
-        if kp_degree(h) != d:
-            raise TheoremViolation("unexpected degree drop over a higher place")
-        for mult, deg in kp_multiplicity_profile(field, h):
-            counts[mult] = counts.get(mult, 0) + deg
-    out = tuple(sorted(counts.items()))
-    _fiber_cache[(f, q)] = out
-    return out
+    for p in preimage_places(f, q):
+        e = local_degree(f, p)
+        counts[e] = counts.get(e, 0) + p.degree // q.degree
+    if sum(e * n for e, n in counts.items()) != f.degree:
+        raise TheoremViolation("fiber multiplicities do not add up to the degree")
+    return tuple(sorted(counts.items()))
 
 
-_image_cache: dict = {}
-
-
+@memo
 def image_place(f: RatMap, p: Place) -> Place:
     """The place of f(alpha) for alpha running over the points of p."""
     if f.degree < 1:
         raise PreconditionError("images need a nonconstant map")
-    hit = _image_cache.get((f, p))
-    if hit is not None:
-        return hit
-    out = _image_place_uncached(f, p)
-    _image_cache[(f, p)] = out
-    return out
-
-
-def _image_place_uncached(f: RatMap, p: Place) -> Place:
     if p.is_infinity:
         v = f.value_at_infinity()
         return Place.of_rational(v)
@@ -211,16 +166,11 @@ def _image_place_uncached(f: RatMap, p: Place) -> Place:
     return places.pop()
 
 
-_preimage_cache: dict = {}
-
-
+@memo
 def preimage_places(f: RatMap, q: Place):
     """All places mapping onto q, sorted."""
     if f.degree < 1:
         raise PreconditionError("preimages need a nonconstant map")
-    hit = _preimage_cache.get((f, q))
-    if hit is not None:
-        return hit
     out = set()
     if q.is_infinity:
         if f.den.degree >= 1:
@@ -243,9 +193,7 @@ def preimage_places(f: RatMap, q: Place):
                 out.add(Place(g))
         if image_place(f, PLACE_INF) == q:
             out.add(PLACE_INF)
-    result = sorted(out, key=lambda p: p.sort_key())
-    _preimage_cache[(f, q)] = result
-    return result
+    return sorted(out, key=lambda p: p.sort_key())
 
 
 def critical_places(f: RatMap):
@@ -262,18 +210,12 @@ def critical_places(f: RatMap):
     return sorted(out, key=lambda p: p.sort_key())
 
 
-_critical_values_cache: dict = {}
-
-
+@memo
 def critical_values(f: RatMap):
     """Branch-point places of f, sorted; at most 2 deg f - 2 geometric points."""
     if f.degree < 2:
         raise PreconditionError("critical values need degree at least two")
-    hit = _critical_values_cache.get(f)
-    if hit is None:
-        hit = sorted({image_place(f, p) for p in critical_places(f)}, key=lambda p: p.sort_key())
-        _critical_values_cache[f] = hit
-    return hit
+    return sorted({image_place(f, p) for p in critical_places(f)}, key=lambda p: p.sort_key())
 
 
 def rh_defect(f: RatMap) -> int:

@@ -6,8 +6,10 @@ composition, interpolation, division and gcds by schoolbook `Fraction`
 arithmetic on coefficient lists and dicts and Euclid's algorithm over Q,
 resultants by Sylvester determinants with plain Gaussian elimination,
 genus counts by the raw pairing formula, commuting maps by coordinate
-series at a superattracting fixed point, and invariant graphs by the same
-series plus exact verification.
+series at a superattracting fixed point, invariant graphs by the same
+series plus exact verification, fiber partitions by gcd chains over the
+number field of the target place, and Chebyshev cubics by their
+centred-monic normal form.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ratdyn.bipolys import BiPoly
+from ratdyn.numberfields import NumberField
 from ratdyn.polynomials import UniPoly
 from ratdyn.ratmaps import INF, RatMap
 from ratdyn.series import pade_reconstruct
@@ -369,3 +372,103 @@ def brute_pairing_genus(Y1: RatMap, Y2: RatMap) -> int:
                 total += ca * cb * (a * b - gcd(a, b)) * c.degree
     assert (2 * p * q - total) % 2 == 0
     return (2 - (2 * p * q - total)) // 2
+
+
+# polynomials over a number field: lists of elements, lowest degree first
+
+
+def kp_trim(field, a):
+    while a and field.is_zero(a[-1]):
+        a.pop()
+    return a
+
+
+def kp_divmod(field, a, b):
+    inv = field.inv(b[-1])
+    rem = list(a)
+    dq = len(rem) - len(b)
+    if dq < 0:
+        return [], kp_trim(field, rem)
+    quo = [field.el(0) for _ in range(dq + 1)]
+    for k in range(dq, -1, -1):
+        top = rem[k + len(b) - 1]
+        if not top.is_zero:
+            c = field.mul(top, inv)
+            quo[k] = c
+            for j, bj in enumerate(b):
+                rem[k + j] = field.sub(rem[k + j], field.mul(c, bj))
+    return kp_trim(field, quo), kp_trim(field, rem[: len(b) - 1])
+
+
+def kp_monic(field, a):
+    inv = field.inv(a[-1])
+    return [field.mul(v, inv) for v in a]
+
+
+def kp_gcd(field, a, b):
+    a, b = list(a), list(b)
+    while b:
+        a, b = b, kp_divmod(field, a, b)[1]
+    return kp_monic(field, a)
+
+
+def kp_derivative(field, a):
+    return kp_trim(field, [field.mul(v, field.el(i)) for i, v in enumerate(a)][1:])
+
+
+def kp_multiplicity_profile(field, a):
+    """Yun's gcd chain over the field: (multiplicity, degree of the
+    squarefree slice) for a nonzero polynomial."""
+    a = kp_monic(field, list(a))
+    out = []
+    if len(a) < 2:
+        return out
+    g = kp_gcd(field, a, kp_derivative(field, a))
+    w = kp_divmod(field, a, g)[0]
+    i = 1
+    while len(w) >= 2:
+        y = kp_gcd(field, w, g)
+        fpart = kp_divmod(field, w, y)[0]
+        if len(fpart) >= 2:
+            out.append((i, len(fpart) - 1))
+        w, g = y, kp_divmod(field, g, y)[0]
+        i += 1
+    return out
+
+
+def kp_fiber_partition(f: RatMap, q):
+    """Fiber of f over one root gamma of the place q: the multiplicity
+    profile of num - gamma * den over Q(gamma), plus the degree drop at
+    infinity; over q = INF the fiber polynomial is den over Q."""
+    if q.is_infinity:
+        field = NumberField(UniPoly.x())
+        h = kp_trim(field, [field.el(v) for v in f.den.c])
+    else:
+        field = NumberField(q.minpoly)
+        gamma = field.gen()
+        num = list(f.num.c) + [Fraction(0)] * (f.degree + 1 - len(f.num.c))
+        den = list(f.den.c) + [Fraction(0)] * (f.degree + 1 - len(f.den.c))
+        h = kp_trim(field, [field.sub(field.el(a), field.mul(gamma, field.el(b))) for a, b in zip(num, den)])
+    counts = {}
+    for mult, deg in kp_multiplicity_profile(field, h):
+        counts[mult] = counts.get(mult, 0) + deg
+    drop = f.degree - (len(h) - 1)
+    if drop:
+        counts[drop] = counts.get(drop, 0) + 1
+    return tuple(sorted(counts.items()))
+
+
+def chebyshev_cubic_sign(A: RatMap):
+    """+1 or -1 when the cubic polynomial A is affinely conjugate over C to
+    +T_3 or -T_3, else 0.  Centring A = a z^3 + b z^2 + c z + e by
+    z -> z - b/(3a) gives a z^3 + p z + r; scaling to monic z^3 + p z + s
+    needs sqrt(a) but keeps p and s^2 = a r^2.  T_3 = 4z^3 - 3z normalises
+    to z^3 - 3z and -T_3 to z^3 + 3z."""
+    assert A.den.is_constant and A.degree == 3
+    a, b, c, e = (A.num.coeff(i) / A.den.coeff(0) for i in (3, 2, 1, 0))
+    t = -b / (3 * a)
+    p = 3 * a * t * t + 2 * b * t + c
+    r = a * t**3 + b * t * t + c * t + e - t
+    if r != 0:
+        return 0
+    return {Fraction(-3): 1, Fraction(3): -1}.get(p, 0)

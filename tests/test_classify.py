@@ -13,7 +13,9 @@ from ratdyn.errors import NotDefined, PreconditionError
 from ratdyn.orbifolds import Orbifold, chi, is_covering, is_min_holomorphic, o2_of, pullback
 from ratdyn.places import PLACE_INF, Place
 from ratdyn.polynomials import UniPoly
-from ratdyn.ratmaps import RatMap, chebyshev, power_map
+from ratdyn.ratmaps import RatMap, chebyshev, mobius, power_map
+
+from oracles import chebyshev_cubic_sign
 
 LATTES = RatMap(UniPoly.of(1, 0, 1) ** 2, UniPoly.monomial(1, 4) * UniPoly.of(-1, 0, 1))
 O2222 = Orbifold({0: 2, 1: 2, -1: 2, PLACE_INF: 2})
@@ -55,6 +57,46 @@ def test_chebyshev_detection():
     r = detect_chebyshev_conjugacy(m)
     assert r is not None and r.sign == -1
     assert detect_chebyshev_conjugacy(power_map(2)) is None
+
+
+MOVES = [mobius(1, 0, 0, 1), mobius(2, 1, 1, 3), mobius(0, 1, 1, -2), mobius(-1, 5, 3, 2)]
+
+
+def test_chebyshev_cubics_with_an_irrational_critical_pair_match_the_oracle():
+    # the finite critical values of each polynomial form one quadratic place
+    for poly in (UniPoly.of(1, 1, 0, 1), UniPoly.of(1, -1, 0, 1), UniPoly.of(2, 5, 0, 1),
+                 UniPoly.of(0, -3, 0, -4), UniPoly.of(0, 3, 0, 4), UniPoly.of(0, 3, 0, 1)):
+        P = RatMap(poly)
+        expected = chebyshev_cubic_sign(P)
+        for mu in MOVES:
+            r = classify(P.conjugate(mu))
+            assert (r.kind == "chebyshev") == (expected != 0)
+            if expected:
+                assert r.sign == expected and r.n == 3 and r.extension_needed
+    assert chebyshev_cubic_sign(RatMap(UniPoly.of(0, -3, 0, -4))) == 1
+
+
+def test_chebyshev_cubic_sweep_matches_the_oracle():
+    for a in (-4, -1, 1, 2, 4):
+        for c in range(-3, 4):
+            for e in range(-2, 3):
+                P = RatMap(UniPoly.of(e, c, 0, a))
+                expected = chebyshev_cubic_sign(P)
+                r = detect_chebyshev_conjugacy(P)
+                assert (r.sign if r is not None else 0) == expected
+
+
+def test_chebyshev_with_a_rational_critical_pair_keeps_a_witness():
+    for sign in (1, -1):
+        for n in (3, 4):
+            target = chebyshev(n) if sign == 1 else -chebyshev(n)
+            for mu in MOVES:
+                A = target.conjugate(mu)
+                r = classify(A)
+                assert r.kind == "chebyshev" and not r.extension_needed
+                assert A.conjugate(r.witness) == (chebyshev(n) if r.sign == 1 else -chebyshev(n))
+                # -T_n is conjugate to T_n by -z only for even n
+                assert r.sign == sign or n % 2 == 0
 
 
 def test_postcritical_data_cycles():

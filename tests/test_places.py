@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ratdyn.errors import PreconditionError
+from ratdyn.factoring import factor_univariate
 from ratdyn.places import (
     PLACE_INF,
     Place,
@@ -20,6 +22,7 @@ from ratdyn.places import (
 from ratdyn.polynomials import UniPoly
 from ratdyn.ratmaps import INF, RatMap, chebyshev, power_map
 
+from oracles import kp_fiber_partition
 from test_ratmaps import rand_map
 
 SQRT2 = Place(UniPoly.of(-2, 0, 1))
@@ -53,6 +56,34 @@ def test_fiber_counts_add_to_degree():
         for q in critical_values(f):
             total = sum(m * c for m, c in fiber_partition(f, q))
             assert total == f.degree
+
+
+small_ints = st.integers(-4, 4)
+
+
+@st.composite
+def maps_and_places(draw):
+    """A map of degree 1-4 and every place of a random monic polynomial of
+    degree 1-3, together with the map's critical values and INF."""
+    deg = draw(st.integers(1, 4))
+    num = UniPoly(draw(st.lists(small_ints, min_size=deg + 1, max_size=deg + 1)))
+    den = UniPoly(draw(st.lists(small_ints, min_size=1, max_size=deg + 1)))
+    assume(not den.is_zero)
+    f = RatMap(num, den)
+    assume(f.degree >= 1)
+    m = UniPoly(draw(st.lists(small_ints, min_size=1, max_size=3)) + [1])
+    places = [Place(g) for g, _ in factor_univariate(m)[1]] + [PLACE_INF]
+    if f.degree >= 2:
+        places += critical_values(f)
+    return f, places
+
+
+@settings(max_examples=120, deadline=None)
+@given(maps_and_places())
+def test_fiber_partition_matches_number_field_oracle(case):
+    f, places = case
+    for q in places:
+        assert fiber_partition(f, q) == kp_fiber_partition(f, q)
 
 
 def test_critical_values_examples():
