@@ -404,6 +404,15 @@ class BiPoly:
         return " ".join(parts)
 
 
+def separated(fn: UniPoly, fd: UniPoly, gn: UniPoly, gd: UniPoly) -> BiPoly:
+    """fn(x) gd(y) - gn(y) fd(x), the numerator of f(x) - g(y) for the
+    ratios f = fn/fd and g = gn/gd.  With g = y / 1 it is the pencil
+    fn(x) - y fd(x) of f, and with g = f the graph numerator of f."""
+    return BiPoly.from_unipoly(fn, "x") * BiPoly.from_unipoly(gd, "y") - BiPoly.from_unipoly(
+        gn, "y"
+    ) * BiPoly.from_unipoly(fd, "x")
+
+
 # ----------------------------------------------------------------------
 # gcd in x over Q(y)
 

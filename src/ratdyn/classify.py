@@ -114,8 +114,8 @@ def detect_power_conjugacy(A: RatMap):
         # totally ramified, so it is a two-point exceptional set, and a map
         # with one is conjugate to z^(+-n) over the field of the pair
         return SpecialClass("power", n=n, extension_needed=True)
-    v1 = support[0].rational_value() if not support[0].is_infinity else INF
-    v2 = support[1].rational_value() if not support[1].is_infinity else INF
+    v1 = support[0].rational_value()
+    v2 = support[1].rational_value()
     third = next(t for t in (Fraction(0), Fraction(1), Fraction(2)) if t not in (v1, v2))
     mu0 = mobius_through([v1, v2, third], [Fraction(0), INF, Fraction(1)])
     A0 = A.conjugate(mu0)
@@ -168,22 +168,22 @@ def detect_chebyshev_conjugacy(A: RatMap):
                 continue
             if len(others) == 1 and others[0][0].degree == 2:
                 return _chebyshev_over_pair(A, anchor, others[0][0])
-            pts = [p.rational_value() if not p.is_infinity else INF for p, _ in others]
+            pts = [p.rational_value() for p, _ in others]
             assignments = [(pts[0], pts[1]), (pts[1], pts[0])]
         else:
             # degree two: signature {2, 2}; the second singular point maps to
             # a regular point which must sit at the other Chebyshev end
             if len(others) != 1 or others[0][1] != 2 or others[0][0].degree != 1:
                 continue
-            v = others[0][0].rational_value() if not others[0][0].is_infinity else INF
+            v = others[0][0].rational_value()
             w_place = image_place(A, others[0][0])
             if w_place.degree != 1:
                 continue
-            w = w_place.rational_value() if not w_place.is_infinity else INF
-            if w in (v, anchor.rational_value() if not anchor.is_infinity else INF):
+            w = w_place.rational_value()
+            if w in (v, anchor.rational_value()):
                 continue
             assignments = [(v, w)]
-        a_pt = anchor.rational_value() if not anchor.is_infinity else INF
+        a_pt = anchor.rational_value()
         conjugations = []
         for minus_one, plus_one in assignments:
             try:
@@ -363,7 +363,7 @@ def _basin_resolves(basins, p: Place) -> bool:
                 return True
             continue
         if p.degree == 1:
-            v = INF if p.is_infinity else p.rational_value()
+            v = p.rational_value()
             if v is INF:
                 continue
             x = None
@@ -626,7 +626,7 @@ def theta(o: Orbifold) -> RatMap:
             raise NonRationalPosition("singular places must be rational points")
     pts = {}
     for p, v in o.items():
-        pts.setdefault(v, []).append(INF if p.is_infinity else p.rational_value())
+        pts.setdefault(v, []).append(p.rational_value())
     if family == "cyclic":
         n = o.signature()[0]
         (a, b) = sorted(pts[n], key=_pt_key)

@@ -40,14 +40,10 @@ from .decompose import (
     complete_semiconjugacy,
 )
 from .errors import (
-    ChainError,
     Inconclusive,
-    NonRationalPosition,
-    NotDefined,
     ParseError,
     PreconditionError,
     RatDynError,
-    ReducibleCurve,
     TheoremViolation,
 )
 from .orbifolds import Orbifold, chi, is_covering, is_min_holomorphic, o1_of, o2_of, pullback
@@ -367,8 +363,22 @@ def _cmd_bounds(args, out: _Output):
         out.add("gate", gate, f"g > (m - 84 n + 168)/84: {gate}")
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reads an argument that starts with '-' but names no option of the
+    command as a positional, so maps such as "-T3" and orbifolds such as
+    "-1:2,0:2" need no '--'.  Subparsers inherit the class."""
+
+    def _parse_optional(self, arg_string):
+        parsed = super()._parse_optional(arg_string)
+        # newer interpreters return a list of candidate (action, ...) tuples
+        first = parsed[0] if isinstance(parsed, list) else parsed
+        if first is not None and first[0] is None:
+            return None
+        return parsed
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="ratdyn",
         description="Exact dynamics of rational self-maps: orbifolds, "
         "classification, decomposition, and invariant curves.",
@@ -476,48 +486,51 @@ _DISPATCH = {
 }
 
 
-def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    structured = args.format == "structured"
+def _exit_code(exc: Exception, where: str = "") -> int:
+    """Report exc on stderr and return its exit code: 3 for a cap-limited
+    search, 4 for a failed internal check, 2 for every other error."""
+    if isinstance(exc, Inconclusive):
+        code, kind = 3, "inconclusive"
+    elif isinstance(exc, TheoremViolation):
+        code, kind = 4, "theorem violation"
+    else:
+        code, kind = 2, "error"
+    print(f"{kind}: {where}{exc}", file=sys.stderr)
+    return code
+
+
+def _run(args, structured: bool, where: str = "") -> int:
+    """Run one command, print its output and return its exit code."""
+    out = _Output(structured)
     try:
-        if args.command in ("analyze", "classify") and getattr(args, "file", None):
-            try:
-                with open(args.file) as handle:
-                    lines = handle.read().splitlines()
-            except (OSError, UnicodeDecodeError) as exc:
-                raise ParseError(f"cannot read the batch file: {exc}") from exc
-            for line in lines:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                out = _Output(structured)
-                sub_args = argparse.Namespace(**vars(args))
-                sub_args.map = line
-                _DISPATCH[args.command](sub_args, out)
-                out.emit()
-            return 0
         if args.command in ("analyze", "classify") and not args.map:
             raise ParseError("a map expression is required")
-        out = _Output(structured)
         _DISPATCH[args.command](args, out)
-        out.emit()
-        return 0
-    except (ParseError, PreconditionError, NotDefined, NonRationalPosition, ReducibleCurve, ChainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Inconclusive as exc:
-        print(f"inconclusive: {exc}", file=sys.stderr)
-        return 3
-    except TheoremViolation as exc:
-        print(f"theorem violation: {exc}", file=sys.stderr)
-        return 4
-    except RatDynError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ZeroDivisionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (RatDynError, ZeroDivisionError) as exc:
+        return _exit_code(exc, where)
+    out.emit()
+    return 0
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    structured = args.format == "structured"
+    if not getattr(args, "file", None):
+        return _run(args, structured)
+    try:
+        with open(args.file) as handle:
+            lines = handle.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        return _exit_code(ParseError(f"cannot read the batch file: {exc}"))
+    # every line runs; a bad line is reported with its number, and the
+    # batch exits with the largest code of its lines
+    code = 0
+    for n, line in enumerate(lines, 1):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            line_args = argparse.Namespace(**{**vars(args), "map": line})
+            code = max(code, _run(line_args, structured, f"line {n}: "))
+    return code
 
 
 if __name__ == "__main__":

@@ -1,22 +1,26 @@
 """Algebraic curves in the product of two projective lines.
 
 Curves are primitive squarefree bivariate polynomials in canonical form.
-Separated curves come from differences of one-variable maps, images of
-parametrizations and of product endomorphisms from iterated resultants
-with an exact membership certificate for discarding extraneous factors,
-and the genus of an irreducible separated curve from the fiber-pairing
-count 2 - 2g = 2pq - sum(ab - gcd(a, b))."""
+Two constructions carry every elimination here: `bipolys.separated`, the
+numerator of f(x) - g(y), gives separated curves Y1(x) = Y2(y) and the
+pencils num(x) - y den(x) of a map; `polynomials.homogenize` substitutes
+maps into a curve, numerator over numerator.  Images of parametrizations
+and of product endomorphisms come from iterated resultants against the
+pencils, with an exact certificate (vanishing on the parametrization, or
+dividing the pullback) for discarding extraneous factors; the genus of
+an irreducible separated curve comes from the fiber-pairing count
+2 - 2g = 2pq - sum(ab - gcd(a, b))."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd as _igcd
 
-from .bipolys import BiPoly, resultant_x_mixed, squarefree_part_x
+from .bipolys import BiPoly, resultant_x_mixed, separated, squarefree_part_x
 from .errors import PreconditionError, ReducibleCurve, TheoremViolation
 from .factoring import factor_bivariate
 from .places import critical_values, fiber_partition
-from .polynomials import UniPoly
+from .polynomials import UniPoly, homogenize
 from .ratmaps import INF, RatMap
 
 
@@ -78,48 +82,30 @@ def separated_curve(Y1: RatMap, Y2: RatMap) -> BiCurve:
     """The curve Y1(x) = Y2(y)."""
     if Y1.degree < 1 or Y2.degree < 1:
         raise PreconditionError("separated curves need nonconstant maps")
-    num = BiPoly.from_unipoly(Y1.num, "x") * BiPoly.from_unipoly(Y2.den, "y") - BiPoly.from_unipoly(
-        Y2.num, "y"
-    ) * BiPoly.from_unipoly(Y1.den, "x")
-    return BiCurve(num)
+    return BiCurve(separated(Y1.num, Y1.den, Y2.num, Y2.den))
+
+
+def _substitute(F: BiPoly, n1, d1, n2, d2):
+    """Numerator of F(n1/d1, n2/d2): each y-row of F substituted in x, then
+    the row results substituted in y."""
+    rows = homogenize([row.c for row in F.coeffs_in_y()], n1, d1, F.deg_x)
+    return homogenize([rows], n2, d2, F.deg_y)[0]
 
 
 def substitute_maps(F: BiPoly, A1: RatMap, A2: RatMap) -> BiPoly:
     """Numerator of F(A1(x), A2(y))."""
-    dx, dy = F.deg_x, F.deg_y
-    n1 = [BiPoly.constant(1)]
-    d1 = [BiPoly.constant(1)]
-    for _ in range(dx):
-        n1.append(n1[-1] * BiPoly.from_unipoly(A1.num, "x"))
-        d1.append(d1[-1] * BiPoly.from_unipoly(A1.den, "x"))
-    n2 = [BiPoly.constant(1)]
-    d2 = [BiPoly.constant(1)]
-    for _ in range(dy):
-        n2.append(n2[-1] * BiPoly.from_unipoly(A2.num, "y"))
-        d2.append(d2[-1] * BiPoly.from_unipoly(A2.den, "y"))
-    out = BiPoly.zero()
-    for (i, j), v in F.terms.items():
-        out = out + n1[i] * d1[dx - i] * n2[j] * d2[dy - j] * v
-    return out
+    return _substitute(
+        F,
+        BiPoly.from_unipoly(A1.num, "x"),
+        BiPoly.from_unipoly(A1.den, "x"),
+        BiPoly.from_unipoly(A2.num, "y"),
+        BiPoly.from_unipoly(A2.den, "y"),
+    )
 
 
 def vanishes_on_parametrization(F: BiPoly, X1: RatMap, X2: RatMap) -> bool:
     """Whether F(X1(t), X2(t)) is identically zero."""
-    dx, dy = F.deg_x, F.deg_y
-    acc = UniPoly.zero()
-    p1 = [UniPoly.one()]
-    q1 = [UniPoly.one()]
-    for _ in range(dx):
-        p1.append(p1[-1] * X1.num)
-        q1.append(q1[-1] * X1.den)
-    p2 = [UniPoly.one()]
-    q2 = [UniPoly.one()]
-    for _ in range(dy):
-        p2.append(p2[-1] * X2.num)
-        q2.append(q2[-1] * X2.den)
-    for (i, j), v in F.terms.items():
-        acc = acc + p1[i] * q1[dx - i] * p2[j] * q2[dy - j] * v
-    return acc.is_zero
+    return _substitute(F, X1.num, X1.den, X2.num, X2.den).is_zero
 
 
 def implicitize(par) -> BiCurve:
@@ -128,9 +114,8 @@ def implicitize(par) -> BiCurve:
     if not isinstance(par, ParamCurve):
         par = ParamCurve(*par)
     X1, X2 = par.X1, par.X2
-    f = BiPoly.from_unipoly(X1.num, "x") - BiPoly.var_y() * BiPoly.from_unipoly(X1.den, "x")
-    g = BiPoly.from_unipoly(X2.num, "x") - BiPoly.var_y() * BiPoly.from_unipoly(X2.den, "x")
-    r = resultant_x_mixed(f, g)
+    x, one = UniPoly.x(), UniPoly.one()
+    r = resultant_x_mixed(separated(X1.num, X1.den, x, one), separated(X2.num, X2.den, x, one))
     if r.is_zero:
         raise TheoremViolation("elimination degenerated for a parametrization")
     _, facs = factor_bivariate(r)
@@ -146,10 +131,9 @@ def image_curve(C: BiCurve, A1: RatMap, A2: RatMap) -> BiCurve:
     F = C.poly
     if F.deg_x < 1 or F.deg_y < 1:
         raise PreconditionError("lines are handled by fixed-point logic")
-    pencil1 = BiPoly.from_unipoly(A1.num, "x") - BiPoly.var_y() * BiPoly.from_unipoly(A1.den, "x")
-    r1 = resultant_x_mixed(F, pencil1)  # variables (y, u)
-    pencil2 = BiPoly.from_unipoly(A2.num, "x") - BiPoly.var_y() * BiPoly.from_unipoly(A2.den, "x")
-    r2 = resultant_x_mixed(r1, pencil2)  # variables (u, v)
+    x, one = UniPoly.x(), UniPoly.one()
+    r1 = resultant_x_mixed(F, separated(A1.num, A1.den, x, one))  # variables (y, u)
+    r2 = resultant_x_mixed(r1, separated(A2.num, A2.den, x, one))  # variables (u, v)
     if r2.is_zero:
         raise TheoremViolation("elimination degenerated for an image curve")
     _, facs = factor_bivariate(r2)
@@ -158,16 +142,11 @@ def image_curve(C: BiCurve, A1: RatMap, A2: RatMap) -> BiCurve:
         pull = substitute_maps(G, A1, A2)
         if pull.is_zero:
             raise TheoremViolation("pullback of a candidate factor vanished")
-        quotient_exists = _divides_curve(F, pull)
-        if quotient_exists:
+        if F.divides(pull):
             keep.append(G)
     if len(keep) != 1:
         raise TheoremViolation("image curve certificate did not isolate one factor")
     return BiCurve(keep[0], normalize=False)
-
-
-def _divides_curve(C: BiPoly, G: BiPoly) -> bool:
-    return C.divides(G)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .bipolys import BiPoly, gcd_x
+from .bipolys import BiPoly, gcd_x, separated
 from .errors import ChainError, Inconclusive, PreconditionError, TheoremViolation
 from .factoring import SUBSET_CAP, bi_is_irreducible, factor_bivariate
 from .mobius import are_conjugate, mu_right_transports
@@ -29,18 +29,7 @@ from .series import newton_series_root, pade_reconstruct, ratmap_roots_over_func
 
 def graph_numerator(f: RatMap) -> BiPoly:
     """num(f(x) - f(t)) as a BiPoly in (x, t)."""
-    px = BiPoly.from_unipoly(f.num, "x")
-    qx = BiPoly.from_unipoly(f.den, "x")
-    pt = BiPoly.from_unipoly(f.num, "y")
-    qt = BiPoly.from_unipoly(f.den, "y")
-    return px * qt - pt * qx
-
-
-def separated_numerator(f: RatMap, g: RatMap) -> BiPoly:
-    """num(f(x) - g(y)) as a BiPoly in (x, y)."""
-    return BiPoly.from_unipoly(f.num, "x") * BiPoly.from_unipoly(g.den, "y") - BiPoly.from_unipoly(
-        g.num, "y"
-    ) * BiPoly.from_unipoly(f.den, "x")
+    return separated(f.num, f.den, f.num, f.den)
 
 
 # ----------------------------------------------------------------------
@@ -127,25 +116,15 @@ def max_common_right_factor(f: RatMap, g: RatMap):
     dw = G.deg_x
     if dw <= 1:
         return RatMap.identity(), f, g
-    w = _generator_from_graph(G, dw)
+    w = _try_generator(G, dw)
+    if w is None:
+        raise TheoremViolation("graph gcd yielded no generator ratio")
     w = right_factor_rep(w)
     f1 = right_divide(f, w)
     g1 = right_divide(g, w)
     if f1 is None or g1 is None:
         raise TheoremViolation("maximal right factor failed to divide")
     return w, f1, g1
-
-
-def _generator_from_graph(G: BiPoly, dw: int) -> RatMap:
-    """A degree-dw map w with G proportional to the graph numerator of w,
-    read off as a nonconstant ratio of x-coefficients of G."""
-    coeffs = G.coeffs_in_x()
-    nonzero = [(i, c) for i, c in enumerate(coeffs) if not c.is_zero]
-    for (i, ci), (j, cj) in itertools.combinations(nonzero, 2):
-        cand = RatMap(ci, cj)
-        if cand.degree == dw:
-            return cand
-    raise TheoremViolation("graph gcd yielded no generator ratio")
 
 
 # ----------------------------------------------------------------------
@@ -198,6 +177,8 @@ def all_left_factors(F: RatMap, n: int, subset_cap: int = SUBSET_CAP):
 
 
 def _try_generator(prod: BiPoly, k: int):
+    """A degree-k map w whose graph numerator is prod up to a unit, read off
+    as a ratio of two x-coefficients of prod, or None."""
     coeffs = prod.coeffs_in_x()
     nonzero = [(i, c) for i, c in enumerate(coeffs) if not c.is_zero]
     for (i, ci), (j, cj) in itertools.combinations(nonzero, 2):
@@ -384,7 +365,7 @@ def is_good_solution(f: RatMap, p: RatMap, g: RatMap, q: RatMap) -> bool:
     of (p, q), degree matching; any two imply all three."""
     if f.compose(p) != g.compose(q):
         raise PreconditionError("the square does not commute")
-    c1 = bi_is_irreducible(separated_numerator(f, g))
+    c1 = bi_is_irreducible(separated(f.num, f.den, g.num, g.den))
     c2 = max_common_right_factor(p, q)[0].degree <= 1
     c3 = f.degree == q.degree and g.degree == p.degree
     good = (c1 + c2 + c3) >= 2

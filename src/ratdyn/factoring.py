@@ -263,23 +263,9 @@ def factor_univariate(p: UniPoly):
     with p = content * prod g**m, factors sorted canonically."""
     if p.is_zero:
         raise PreconditionError("cannot factor the zero polynomial")
-    content = p.lc
     if p.degree < 1:
-        return content, []
-    work = p.monic()
-    factors = []
-    k = 0
-    while not work.nums[k]:
-        k += 1
-    if k:
-        factors.append((UniPoly.x(), k))
-        work = UniPoly._of(list(work.nums[k:]), work.denom)
-    for sqf, mult in work.yun_decomposition():
-        _, zz = sqf.content_and_primitive()
-        for fac in _zassenhaus(list(zz.nums)):
-            factors.append((UniPoly._of(list(fac), fac[-1]), mult))
-    factors.sort(key=lambda fm: (fm[0].degree, fm[0].c))
-    return content, factors
+        return p.lc, []
+    return p.lc, _monic_factors(p)
 
 
 def low_degree_factors(p: UniPoly, max_degree: int):
@@ -289,19 +275,27 @@ def low_degree_factors(p: UniPoly, max_degree: int):
         raise PreconditionError("cannot factor the zero polynomial")
     if p.degree < 1:
         return []
+    return _monic_factors(p, max_degree)
+
+
+def _monic_factors(p: UniPoly, max_degree=None):
+    """[(monic irreducible, mult)] of a p of degree >= 1, sorted canonically:
+    every factor, or with max_degree set every factor of degree at most
+    max_degree.  Strips the power of z, then runs Zassenhaus on the
+    primitive part of each squarefree (Yun) part."""
     out = []
     work = p.monic()
     k = 0
     while not work.nums[k]:
         k += 1
     if k:
-        if max_degree >= 1:
+        if max_degree is None or max_degree >= 1:
             out.append((UniPoly.x(), k))
         work = UniPoly._of(list(work.nums[k:]), work.denom)
     for sqf, mult in work.yun_decomposition():
         _, zz = sqf.content_and_primitive()
         for fac in _zassenhaus(list(zz.nums), max_degree=max_degree):
-            if len(fac) - 1 <= max_degree:
+            if max_degree is None or len(fac) - 1 <= max_degree:
                 out.append((UniPoly._of(list(fac), fac[-1]), mult))
     out.sort(key=lambda fm: (fm[0].degree, fm[0].c))
     return out

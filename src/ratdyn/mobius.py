@@ -16,6 +16,7 @@ Two exact solvers cover every question asked of degree-one maps:
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from .bipolys import BiPoly
@@ -23,7 +24,7 @@ from .errors import PreconditionError, TheoremViolation
 from .factoring import rational_roots
 from .memo import memo
 from .places import rational_points_in_fiber
-from .polynomials import UniPoly
+from .polynomials import UniPoly, homogenize
 from .ratmaps import INF, RatMap, mobius, mobius_through
 
 
@@ -35,32 +36,25 @@ def mu_right_transports(f: RatMap, g: RatMap):
     """All degree-one mu over Q with f o mu = g, in canonical order."""
     if f.degree != g.degree or f.degree < 1:
         return []
-    base = []
-    t = Fraction(0)
-    while len(base) < 3:
-        if all(t != b for b in base):
-            base.append(t)
-        t += 1
+    base = [Fraction(0), Fraction(1), Fraction(2)]
     fibers = [rational_points_in_fiber(f, g(z)) for z in base]
-    out = []
-    seen = set()
-    for w0 in fibers[0]:
-        for w1 in fibers[1]:
-            if _point_key(w1) == _point_key(w0):
-                continue
-            for w2 in fibers[2]:
-                if _point_key(w2) in (_point_key(w0), _point_key(w1)):
-                    continue
-                try:
-                    mu = mobius_through(base, [w0, w1, w2])
-                except PreconditionError:
-                    continue
-                if mu in seen:
-                    continue
-                seen.add(mu)
-                if f.compose(mu) == g:
-                    out.append(mu)
-    return sorted(set(out), key=lambda m: m.sort_key())
+    return _maps_through(base, fibers, lambda mu: f.compose(mu) == g)
+
+
+def _maps_through(base, choices, verify):
+    """The degree-one maps sending the three base points to three distinct
+    targets, the k-th drawn from choices[k], that pass verify; sorted."""
+    found = set()
+    for targets in itertools.product(*choices):
+        if len({_point_key(w) for w in targets}) < 3:
+            continue
+        try:
+            mu = mobius_through(base, targets)
+        except PreconditionError:
+            continue
+        if mu not in found and verify(mu):
+            found.add(mu)
+    return sorted(found, key=lambda m: m.sort_key())
 
 
 def mu_equivalent(f: RatMap, g: RatMap) -> bool:
@@ -94,35 +88,6 @@ def _orbit_base(a: RatMap):
     raise PreconditionError("no usable base orbit found")
 
 
-def _bi_of_uni_in_z(p: UniPoly) -> BiPoly:
-    return BiPoly.from_unipoly(p, "x")
-
-
-def _bi_of_uni_in_w(p: UniPoly) -> BiPoly:
-    return BiPoly.from_unipoly(p, "y")
-
-
-def _compose_pair_bi(f: RatMap, num: BiPoly, den: BiPoly):
-    """Numerator/denominator of f applied to the ratio num/den (BiPoly pair)."""
-    m = f.degree
-    pn = [BiPoly.constant(1)]
-    pd = [BiPoly.constant(1)]
-    for _ in range(m):
-        pn.append(pn[-1] * num)
-        pd.append(pd[-1] * den)
-    rn = BiPoly.zero()
-    rd = BiPoly.zero()
-    for i in range(m + 1):
-        cross = pn[i] * pd[m - i]
-        ci = f.num.coeff(i)
-        di = f.den.coeff(i)
-        if ci:
-            rn = rn + cross * ci
-        if di:
-            rd = rd + cross * di
-    return rn, rd
-
-
 def _transporter_candidates(a: RatMap, b: RatMap):
     """Rational candidates w for mu(z0) solving mu o a = b o mu."""
     z0, z1, z2 = _orbit_base(a)
@@ -140,22 +105,22 @@ def _transporter_candidates(a: RatMap, b: RatMap):
     Cn = UniPoly((-z0, 1)) * (z1 - z2)
     Cd = UniPoly((-z2, 1)) * (z1 - z0)
     # mu_w(z) = (w*E1*Cd(z) - Cn(z)*q2n*E2) / (E1*Cd(z) - Cn(z)*q2d*E2)
-    wE1 = _bi_of_uni_in_w(w_poly * E1)
-    E1w = _bi_of_uni_in_w(E1)
-    q2nE2 = _bi_of_uni_in_w(q2n * E2)
-    q2dE2 = _bi_of_uni_in_w(q2d * E2)
-    Cn_b = _bi_of_uni_in_z(Cn)
-    Cd_b = _bi_of_uni_in_z(Cd)
+    wE1 = BiPoly.from_unipoly(w_poly * E1, "y")
+    E1w = BiPoly.from_unipoly(E1, "y")
+    q2nE2 = BiPoly.from_unipoly(q2n * E2, "y")
+    q2dE2 = BiPoly.from_unipoly(q2d * E2, "y")
+    Cn_b = BiPoly.from_unipoly(Cn, "x")
+    Cd_b = BiPoly.from_unipoly(Cd, "x")
     Mn = wE1 * Cd_b - Cn_b * q2nE2
     Md = E1w * Cd_b - Cn_b * q2dE2
     # left side: mu_w(a(z)); (a(z) - c) has numerator a.num - c*a.den and
     # the denominator of a cancels in the ratio
-    cna = _bi_of_uni_in_z((a.num - a.den * z0) * (z1 - z2))
-    cda = _bi_of_uni_in_z((a.num - a.den * z2) * (z1 - z0))
+    cna = BiPoly.from_unipoly((a.num - a.den * z0) * (z1 - z2), "x")
+    cda = BiPoly.from_unipoly((a.num - a.den * z2) * (z1 - z0), "x")
     Ln = wE1 * cda - cna * q2nE2
     Ld = E1w * cda - cna * q2dE2
     # right side: b(mu_w(z))
-    Rn, Rd = _compose_pair_bi(b, Mn, Md)
+    Rn, Rd = homogenize((b.num.c, b.den.c), Mn, Md, b.degree)
     E = Ln * Rd - Ld * Rn
     if E.is_zero:
         raise TheoremViolation("transporter identity degenerated")
@@ -205,8 +170,7 @@ def _marked_points(f: RatMap):
             pts.add(q)
 
     def ldeg(v):
-        place = PLACE_INF if v is INF else Place.of_rational(v)
-        return local_degree(f, place)
+        return local_degree(f, Place.of_rational(v))
 
     labels = {}
     for p in pts:
@@ -240,27 +204,8 @@ def conjugacy_transporters(a: RatMap, b: RatMap):
 def _transporters_by_marks(a, b, ma, mb):
     pool_a = sorted(ma.values(), key=lambda t: (1, 0) if t[0] is INF else (0, t[0]))
     base = [pool_a[i][0] for i in range(3)]
-    base_labels = [pool_a[i][1] for i in range(3)]
-    choices = [
-        [pt for pt, lab in mb.values() if lab == want] for want in base_labels
-    ]
-    found = {}
-    for w0 in choices[0]:
-        for w1 in choices[1]:
-            if _point_key(w1) == _point_key(w0):
-                continue
-            for w2 in choices[2]:
-                if _point_key(w2) in (_point_key(w0), _point_key(w1)):
-                    continue
-                try:
-                    mu = mobius_through(base, [w0, w1, w2])
-                except PreconditionError:
-                    continue
-                if mu in found:
-                    continue
-                if mu.compose(a) == b.compose(mu):
-                    found[mu] = True
-    return sorted(found, key=lambda m: m.sort_key())
+    choices = [[pt for pt, lab in mb.values() if lab == pool_a[i][1]] for i in range(3)]
+    return _maps_through(base, choices, lambda mu: mu.compose(a) == b.compose(mu))
 
 
 def _transporters_symbolic(a: RatMap, b: RatMap):

@@ -4,6 +4,14 @@ Precedence, loosest first: composition (o), addition, multiplication,
 unary minus, powers.  The power operator also carries the iteration
 suffix: f^o3 (or with the ring operator symbol) is the third iterate.
 Whitespace is insignificant.  Chebyshev aliases T1 .. T12 are built in.
+
+Input size is bounded before any work: every product, quotient, power,
+composition and iterate, and the parsed result, must fit MAX_DEGREE.  A
+map fits when its degree is at most MAX_DEGREE; a curve of bidegree
+(dx, dy) when (dx + 1)(dy + 1) - 1 is, the degree of its Kronecker image
+x -> z, y -> z^(dx + 1), so both carry at most MAX_DEGREE + 1
+coefficients.  The bound on a result is taken from its operands' degrees
+before it is built.
 """
 
 from __future__ import annotations
@@ -13,6 +21,10 @@ from fractions import Fraction
 from .bipolys import BiPoly
 from .errors import ParseError
 from .ratmaps import RatMap, chebyshev
+
+# the largest degree a parsed map, or the Kronecker image of a parsed
+# curve, may have at any step of the parse
+MAX_DEGREE = 4096
 
 
 class _Lexer:
@@ -34,7 +46,11 @@ class _Lexer:
                 j = i
                 while j < len(t) and t[j].isdigit():
                     j += 1
-                self.tokens.append(("num", int(t[i:j]), i))
+                try:
+                    value = int(t[i:j])
+                except ValueError as exc:  # over the interpreter's digit limit
+                    raise ParseError("number too long", position=i) from exc
+                self.tokens.append(("num", value, i))
                 i = j
                 continue
             if ch.isalpha():
@@ -84,13 +100,19 @@ class _Parser:
 
     # expression := composition chain over additive terms
     def parse(self):
-        value = self.additive()
-        while self.peek()[0] == "ident" and self.peek()[1] == "o":
-            self.next()
-            rhs = self.additive()
-            value = self.compose(value, rhs)
+        value = self.composition()
         if self.peek()[0] != "end":
             self.fail(f"trailing input {self.peek()[1]!r}")
+        self.budget(self.degrees(value), 0)
+        return value
+
+    def composition(self):
+        value = self.additive()
+        while self.peek()[0] == "ident" and self.peek()[1] == "o":
+            at = self.next()[2]
+            rhs = self.additive()
+            self.budget([a * b for a, b in zip(self.degrees(value), self.degrees(rhs))], at)
+            value = self.compose(value, rhs)
         return value
 
     def additive(self):
@@ -104,8 +126,9 @@ class _Parser:
     def multiplicative(self):
         value = self.unary()
         while self.peek()[0] in ("*", "/"):
-            op = self.next()[0]
+            op, _, at = self.next()
             rhs = self.unary()
+            self.budget([a + b for a, b in zip(self.degrees(value), self.degrees(rhs))], at)
             value = value * rhs if op == "*" else self.divide(value, rhs)
         return value
 
@@ -121,23 +144,29 @@ class _Parser:
     def power(self):
         base = self.atom()
         while self.peek()[0] == "^":
-            self.next()
+            at = self.next()[2]
             tok = self.peek()
             if tok[0] == "ident" and tok[1].startswith("o") and tok[1][1:].isdigit():
                 self.next()
-                base = self.iterate(base, int(tok[1][1:]))
-                continue
-            if tok[0] == "ident" and tok[1] == "o":
+                count = int(tok[1][1:])
+            elif tok[0] == "ident" and tok[1] == "o":
                 self.next()
                 count = self.expect("num")[1]
-                base = self.iterate(base, count)
+            else:
+                sign = 1
+                if tok[0] == "-":
+                    self.next()
+                    sign = -1
+                e = sign * self.expect("num")[1]
+                if abs(e) > 512:
+                    raise ParseError("exponent too large", position=at)
+                self.budget([abs(e) * d for d in self.degrees(base)], at)
+                base = self.int_power(base, e)
                 continue
-            sign = 1
-            if tok[0] == "-":
-                self.next()
-                sign = -1
-            exp = self.expect("num")[1]
-            base = self.int_power(base, sign * exp)
+            if not 1 <= count <= MAX_DEGREE:
+                raise ParseError(f"iteration count must be in 1..{MAX_DEGREE}", position=at)
+            self.budget([d**count for d in self.degrees(base)], at)
+            base = self.iterate(base, count)
         return base
 
     def atom(self):
@@ -145,17 +174,26 @@ class _Parser:
         if tok[0] == "num":
             return self.constant(tok[1])
         if tok[0] == "(":
-            value = self.additive()
-            while self.peek()[0] == "ident" and self.peek()[1] == "o":
-                self.next()
-                value = self.compose(value, self.additive())
+            value = self.composition()
             self.expect(")")
             return value
         if tok[0] == "ident":
             return self.identifier(tok[1], tok[2])
         raise ParseError(f"unexpected token {tok[1]!r}", position=tok[2])
 
+    def budget(self, degrees, at):
+        """Refuse a value of the given degree bounds, one per variable, when
+        its dense coefficient count exceeds MAX_DEGREE + 1."""
+        size = 1
+        for d in degrees:
+            size *= max(d, 0) + 1
+        if size - 1 > MAX_DEGREE:
+            raise ParseError(f"degree over the budget of {MAX_DEGREE}", position=at)
+
     # algebra hooks
+    def degrees(self, value):
+        raise NotImplementedError
+
     def constant(self, n):
         raise NotImplementedError
 
@@ -169,8 +207,6 @@ class _Parser:
         raise NotImplementedError
 
     def int_power(self, base, e):
-        if abs(e) > 512:
-            self.fail("exponent too large")
         if e == 0:
             return self.constant(1)
         out = base
@@ -188,6 +224,9 @@ class _Parser:
 
 
 class _MapParser(_Parser):
+    def degrees(self, value):
+        return (value.degree,)
+
     def constant(self, n):
         return RatMap.constant(n)
 
@@ -204,14 +243,13 @@ class _MapParser(_Parser):
         return f.compose(g)
 
     def iterate(self, f, k):
-        if k < 1:
-            raise ParseError("iteration count must be positive")
-        if f.degree**k > 4096:
-            raise ParseError("iterate degree too large")
         return f.iterate(k)
 
 
 class _CurveParser(_Parser):
+    def degrees(self, value):
+        return value.bidegree()
+
     def constant(self, n):
         return BiPoly.constant(n)
 

@@ -5,15 +5,19 @@ over Q, standing for the Galois orbit of its roots.  Local degrees,
 fibers, critical points and values, and forward images of places are all
 computed here.  Local degrees come from the multiplicity of a place in
 the Wronskian, and a fiber is read off the preimage places with their
-local degrees, so every multiplicity question stays over Q.
+local degrees, so every multiplicity question stays over Q.  The
+preimages of a place m are the factors of den^d m(num/den), built by
+`polynomials.homogenize`; its image is the resultant of m(z) against the
+pencil num(z) - w den(z) from `bipolys.separated`.
 """
 
 from __future__ import annotations
 
+from .bipolys import BiPoly, resultant_x, separated
 from .errors import PreconditionError, TheoremViolation
 from .factoring import factor_univariate, rational_roots
 from .memo import memo
-from .polynomials import UniPoly, qq
+from .polynomials import UniPoly, homogenize, qq
 from .ratmaps import INF, RatMap
 
 
@@ -152,11 +156,8 @@ def image_place(f: RatMap, p: Place) -> Place:
     if m.divides(f.den):
         return PLACE_INF
     # resultant in z of m(z) and num(z) - w*den(z); its roots are f(points of p)
-    from .bipolys import BiPoly, resultant_x
-
-    m_bi = BiPoly.from_unipoly(m, "x")
-    pencil = BiPoly.from_unipoly(f.num, "x") - BiPoly.var_y() * BiPoly.from_unipoly(f.den, "x")
-    r = resultant_x(m_bi, pencil)
+    pencil = separated(f.num, f.den, UniPoly.x(), UniPoly.one())
+    r = resultant_x(BiPoly.from_unipoly(m, "x"), pencil)
     if r.is_zero:
         raise TheoremViolation("degenerate image pencil")
     _, facs = factor_univariate(r)
@@ -180,12 +181,7 @@ def preimage_places(f: RatMap, q: Place):
             out.add(PLACE_INF)
     else:
         m = q.minpoly
-        dm = m.degree
-        num, den = f.num, f.den
-        acc = UniPoly.zero()
-        for i, c in enumerate(m.c):
-            if c:
-                acc = acc + (num**i) * (den ** (dm - i)) * c
+        (acc,) = homogenize([m.c], f.num, f.den, m.degree)
         if acc.is_zero:
             raise TheoremViolation("degenerate preimage polynomial")
         if acc.degree >= 1:

@@ -503,3 +503,29 @@ def _fmt_q(v: Fraction) -> str:
         return str(v.numerator)
     return f"{v.numerator}/{v.denominator}"
 
+
+def homogenize(coeff_lists, r, s, m: int) -> list:
+    """[sum_i p[i] r^i s^(m-i) for p in coeff_lists]: each coefficient list
+    homogenised to degree m >= len(p) - 1 and evaluated at (r, s), over one
+    shared table of the products r^i s^(m-i).  With r/s a map or a ratio,
+    this is s^m p(r/s), the numerator of p after the substitution.
+
+    Duck-typed: r and s may be `UniPoly`s or `BiPoly`s (anything with ring
+    arithmetic and `** 0`), and the coefficients scalars or ring elements."""
+    one = r**0
+    rp, sp = [one], [one]
+    for _ in range(m):
+        rp.append(rp[-1] * r)
+        sp.append(sp[-1] * s)
+    table = {}
+    out = []
+    for p in coeff_lists:
+        acc = None
+        for i, c in enumerate(p):
+            if c:
+                if i not in table:
+                    table[i] = rp[i] * sp[m - i]
+                term = table[i] * c
+                acc = term if acc is None else acc + term
+        out.append(one * 0 if acc is None else acc)
+    return out

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import PreconditionError
-from .polynomials import UniPoly, qq
+from .polynomials import UniPoly, homogenize, qq
 
 
 class _Infinity:
@@ -207,22 +207,7 @@ class RatMap:
             if w is INF:
                 raise PreconditionError("composition degenerates to infinity")
             return RatMap.constant(w)
-        r, s = inner.num, inner.den
-        rp = [UniPoly.one()]
-        sp = [UniPoly.one()]
-        for _ in range(m):
-            rp.append(rp[-1] * r)
-            sp.append(sp[-1] * s)
-        num = UniPoly.zero()
-        den = UniPoly.zero()
-        for i in range(m + 1):
-            cross = rp[i] * sp[m - i]
-            ni = self.num.coeff(i)
-            di = self.den.coeff(i)
-            if ni:
-                num = num + cross * ni
-            if di:
-                den = den + cross * di
+        num, den = homogenize((self.num.c, self.den.c), inner.num, inner.den, m)
         return RatMap(num, den)
 
     def iterate(self, k: int) -> "RatMap":

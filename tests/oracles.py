@@ -1,7 +1,8 @@
 """Independent oracles used by the tests.
 
 Everything here recomputes expected values by a route different from the
-library code under test: uni- and bivariate ring arithmetic, evaluation,
+library code under test: uni- and bivariate ring arithmetic, evaluation
+(of polynomials, ratios and bivariate terms one power at a time),
 composition, interpolation, division and gcds by schoolbook `Fraction`
 arithmetic on coefficient lists and dicts and Euclid's algorithm over Q,
 resultants by Sylvester determinants with plain Gaussian elimination,
@@ -101,6 +102,12 @@ def frac_compose(a, b) -> tuple:
     return acc
 
 
+def frac_ratio(num, den, t):
+    """num(t) / den(t) for coefficient lists, or None where den(t) = 0."""
+    d = frac_eval(den, t)
+    return None if d == 0 else frac_eval(num, t) / d
+
+
 def ser_mul(a, b, k) -> list:
     """The first k coefficients of a * b, one `Fraction` product per pair."""
     out = [Fraction(0)] * k
@@ -157,6 +164,11 @@ def bi_eval_x(f, a) -> tuple:
 def bi_eval_y(f, a) -> tuple:
     """f(x, a) as a coefficient tuple in x."""
     return bi_eval_x({(j, i): v for (i, j), v in f.items()}, a)
+
+
+def bi_value(f, a, b) -> Fraction:
+    """f(a, b), one power product per term."""
+    return sum((v * Fraction(a) ** i * Fraction(b) ** j for (i, j), v in f.items()), Fraction(0))
 
 
 def bi_coeffs_in_x(f) -> list:

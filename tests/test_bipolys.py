@@ -4,7 +4,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from ratdyn.bipolys import BiPoly, gcd_x, resultant_x, resultant_x_mixed, resultant_y
+from ratdyn.bipolys import BiPoly, gcd_x, resultant_x, resultant_x_mixed, resultant_y, separated
 from ratdyn.decompose import graph_numerator
 from ratdyn.polynomials import UniPoly
 from ratdyn.ratmaps import RatMap
@@ -15,6 +15,8 @@ from oracles import (
     bi_eval_x,
     bi_eval_y,
     bi_mul,
+    bi_value,
+    frac_eval,
     prs_gcd_x,
     sylvester_resultant,
 )
@@ -222,3 +224,13 @@ def test_divides_agrees_with_exact_division(a, b):
     assert f.divides(f * g)
     assert f.divides(g) == (g.exact_div(f) is not None)
     assert f.divides(g + X * f) == (g.exact_div(f) is not None)
+
+
+unis = st.lists(rationals, max_size=4).map(UniPoly)
+
+
+@settings(max_examples=50, deadline=None)
+@given(unis, unis, unis, unis, rationals, rationals)
+def test_separated_matches_pointwise_values(fn, fd, gn, gd, a, b):
+    got = bi_value(separated(fn, fd, gn, gd).terms, a, b)
+    assert got == frac_eval(fn.c, a) * frac_eval(gd.c, b) - frac_eval(gn.c, b) * frac_eval(fd.c, a)

@@ -3,6 +3,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ratdyn.bipolys import BiPoly
 from ratdyn.curves import (
@@ -19,13 +20,14 @@ from ratdyn.curves import (
     preperiodicity,
     separated_curve,
     substitute_maps,
+    vanishes_on_parametrization,
 )
 from ratdyn.errors import ReducibleCurve
 from ratdyn.polynomials import UniPoly
 from ratdyn.ratmaps import INF, RatMap, chebyshev, power_map
 
-from oracles import brute_pairing_genus
-from test_ratmaps import rand_map
+from oracles import bi_value, brute_pairing_genus, frac_eval, frac_ratio
+from test_ratmaps import maps, points, rand_map
 
 X = BiPoly.var_x()
 Y = BiPoly.var_y()
@@ -160,6 +162,36 @@ def test_substitute_maps():
     A = RatMap(UniPoly.of(-1, 0, 1))
     pull = substitute_maps(F, A, A)
     assert pull == (X**2 - Y**2)
+
+
+curve_terms = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(-3, 3).filter(bool), min_size=1, max_size=6
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(curve_terms, maps(min_degree=1), maps(min_degree=1), points, points)
+def test_substitute_maps_matches_pointwise_values(terms, A1, A2, a, b):
+    F = BiPoly(terms)
+    u, v = frac_ratio(A1.num.c, A1.den.c, a), frac_ratio(A2.num.c, A2.den.c, b)
+    assume(u is not None and v is not None)
+    scale = frac_eval(A1.den.c, a) ** F.deg_x * frac_eval(A2.den.c, b) ** F.deg_y
+    assert bi_value(substitute_maps(F, A1, A2).terms, a, b) == bi_value(F.terms, u, v) * scale
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    maps(min_degree=1, max_degree=2),
+    maps(min_degree=1, max_degree=2),
+    st.integers(0, 2),
+    st.integers(0, 2),
+    st.integers(-3, 3).filter(bool),
+)
+def test_vanishes_on_parametrization(X1, X2, i, j, c):
+    F = implicitize((X1, X2)).poly
+    assert vanishes_on_parametrization(F, X1, X2)
+    # (F + c x^i y^j)(X1, X2) = c X1^i X2^j, never identically zero
+    assert not vanishes_on_parametrization(F + BiPoly({(i, j): c}), X1, X2)
 
 
 def test_periodic_certificate_full_identities():

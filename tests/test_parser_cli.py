@@ -1,11 +1,12 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
 from ratdyn.errors import ParseError
-from ratdyn.parser import parse_curve, parse_map
+from ratdyn.parser import MAX_DEGREE, parse_curve, parse_map
 from ratdyn.polynomials import UniPoly
 from ratdyn.ratmaps import RatMap, chebyshev, power_map
 
@@ -71,6 +72,39 @@ def test_round_trip_fixtures():
     ]
     for f in fixtures:
         assert parse_map(f.to_str()) == f
+
+
+def test_parse_degree_budget():
+    # one budget on every product, quotient, power, composition and iterate
+    assert parse_map("z^2^o12") == power_map(MAX_DEGREE)
+    assert parse_map("(z^2+1)^32 o z^64").degree == MAX_DEGREE
+    for text, at in [
+        ("((z+1)^512)^512", 11),
+        ("z^2^o13", 3),
+        ("(z+1)^o5000", 5),
+        ("((z^512)^8) * z", 12),
+        ("(z^512)^4 / (z^512)^5", 10),
+        ("z^64 o z^65", 5),
+        ("(z^64 o z^32) o z^3", 14),
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse_map(text)
+        assert err.value.position == at, text
+    # a curve of bidegree (dx, dy) counts as degree (dx + 1)(dy + 1) - 1
+    assert parse_curve("(x*y + x + y + 1)^63").bidegree() == (63, 63)
+    assert parse_curve("x^512 * x^256 - y^4").bidegree() == (768, 4)
+    for text in ("(x + y)^64", "((x+y+1)^64)^64", "x^512 + y^512"):
+        with pytest.raises(ParseError):
+            parse_curve(text)
+    # the exponent guard bounds coefficient height and stays
+    with pytest.raises(ParseError, match="exponent"):
+        parse_map("(1/2)^513")
+
+
+def test_parse_rejects_numbers_over_the_digit_limit():
+    with pytest.raises(ParseError) as err:
+        parse_map("z + " + "9" * 5000)
+    assert err.value.position == 4
 
 
 def test_parse_curves():
@@ -259,3 +293,55 @@ def test_cli_bounds_small_values_unchanged():
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"phi": 983057}
     assert run_cli("bounds", "psi", "2", "3").stdout == "psi: 491528\n"
+
+
+def test_cli_batch_reports_every_line(tmp_path):
+    batch = tmp_path / "maps.txt"
+    batch.write_text("z^2+1\nz^^\n(z+1)^2\n")
+    proc = run_cli("classify", "--file", str(batch))
+    assert proc.returncode == 2
+    assert proc.stdout.count("classification: non_special_non_gl") == 2
+    assert proc.stderr == "error: line 2: expected 'num', found '^'\n"
+    proc = run_cli("--format", "structured", "classify", "--file", str(batch))
+    assert proc.returncode == 2
+    assert proc.stdout.count('"kind": "non_special_non_gl"') == 2
+    # the batch exits with the largest code of its lines: 3 beats 2
+    batch.write_text("z^^\n# a comment\n\n(z^2+z+1)/z^2\nz^5\n")
+    proc = run_cli("analyze", "--file", str(batch))
+    assert proc.returncode == 3
+    assert "degree: 5" in proc.stdout
+    lines = proc.stderr.splitlines()
+    assert lines[0].startswith("error: line 1: ")
+    assert lines[1].startswith("inconclusive: line 4: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_positionals_that_begin_with_a_minus():
+    proc = run_cli("classify", "-T3")
+    assert proc.returncode == 0 and "chebyshev" in proc.stdout
+    lattes = "(z^2+1)^2 / (4*z*(z^2-1))"
+    orb = "-1:2,0:2,1:2,inf:2"
+    for argv in (["orbifold", "check", lattes, orb, orb], ["orbifold", "check", "--", lattes, orb, orb]):
+        proc = run_cli(*argv)
+        assert proc.returncode == 0 and "covering: True" in proc.stdout
+    proc = run_cli("orbifold", "chi", "-1:2,inf:2")
+    assert proc.returncode == 0 and "chi: 1" in proc.stdout
+    # registered options keep working, and unknown words are still refused
+    proc = run_cli("search", "invariant", "(z+1)^2", "(z+1)^2", "1", "1", "--cap", "1", "--lines")
+    assert proc.returncode == 0 and "lines: " in proc.stdout
+    assert run_cli("classify", "-h").returncode == 0
+    assert run_cli("bounds", "kappa", "-1").returncode == 2
+    proc = run_cli("classify", "z^2", "-x")
+    assert proc.returncode == 2 and "unrecognized arguments" in proc.stderr
+
+
+def test_cli_degree_budget_is_fast():
+    start = time.perf_counter()
+    proc = run_cli("classify", "((z+1)^512)^512")
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: degree over the budget")
+    assert "Traceback" not in proc.stderr
+    assert elapsed < 1.0
+    proc = run_cli("classify", "z^" + "9" * 5000)
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr

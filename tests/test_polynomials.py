@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ratdyn.intpoly import PRIMES, _is_prime, _z_exact_div, _z_gcd, from_ints
-from ratdyn.polynomials import UniPoly
+from ratdyn.bipolys import BiPoly
+from ratdyn.polynomials import UniPoly, homogenize
 
 from oracles import (
     euclid_gcd,
@@ -299,3 +300,27 @@ def test_equality_and_hash_follow_the_coefficients(p, q):
     c, prim = p.content_and_primitive()
     assert_normal_form(prim)
     assert prim.denom == 1 and prim * c == p
+
+
+small_polys = st.lists(st.integers(-5, 5), max_size=4).map(UniPoly)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(small_polys, max_size=3),
+    small_polys,
+    small_polys,
+    st.integers(0, 2),
+    st.fractions(min_value=-5, max_value=5, max_denominator=4),
+)
+def test_homogenize_matches_pointwise_values(ps, r, s, extra, t):
+    m = max((p.degree for p in ps), default=0) + extra
+    got = homogenize([p.c for p in ps], r, s, m)
+    assert len(got) == len(ps)
+    at_r, at_s = frac_eval(r.c, t), frac_eval(s.c, t)
+    for p, h in zip(ps, got):
+        assert h(t) == sum((c * at_r**i * at_s ** (m - i) for i, c in enumerate(p.c)), Fraction(0))
+    # BiPoly arguments and ring-element coefficients: sum_i p_i(y) x^i
+    rows = [BiPoly.from_unipoly(p, "y") for p in ps]
+    (acc,) = homogenize([rows], BiPoly.var_x(), BiPoly.constant(1), len(rows) - 1)
+    assert acc == BiPoly.from_coeffs_in_x(ps)

@@ -2,10 +2,26 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ratdyn.errors import PreconditionError
 from ratdyn.polynomials import UniPoly
 from ratdyn.ratmaps import INF, RatMap, chebyshev, mobius, mobius_through, power_map
+
+from oracles import frac_ratio
+
+points = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+
+
+@st.composite
+def maps(draw, min_degree=0, max_degree=3):
+    """A RatMap with small integer coefficients and degree in range."""
+    n = draw(st.integers(max(min_degree, 1), max_degree))
+    num = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=n + 1))
+    den = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=n + 1).filter(any))
+    f = RatMap(UniPoly(num), UniPoly(den))
+    assume(min_degree <= f.degree <= max_degree)
+    return f
 
 
 def rand_map(rng, deg, span=4):
@@ -131,3 +147,14 @@ def test_package_mobius_is_the_constructor():
     assert ratdyn.mobius is ratdyn.ratmaps.mobius
     assert exported(1, 2, 0, 1) == RatMap(UniPoly.of(2, 1))
     assert exported(2, 1, 1, 3).degree == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(maps(), maps(), points)
+def test_compose_matches_pointwise_composition(f, g, t):
+    inner = frac_ratio(g.num.c, g.den.c, t)
+    assume(inner is not None)
+    want = frac_ratio(f.num.c, f.den.c, inner)
+    assume(want is not None)
+    h = f.compose(g)
+    assert frac_ratio(h.num.c, h.den.c, t) == want
