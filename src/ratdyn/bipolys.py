@@ -7,18 +7,21 @@ equality and hashing compare the pair directly.  Ring arithmetic,
 evaluation and the views below run on the ints; the reduced `Fraction`
 coefficients are the read-only view `terms`.  The workhorse views are the
 coefficient lists "in x" (a list of UniPoly in y, index = x-power) and
-symmetrically "in y"; resultants are computed by evaluation and exact
-interpolation, gcds by a coprimality certificate at a few integer points
-and otherwise a primitive remainder sequence over Q[y].
+symmetrically "in y".  Gcds and resultants in x share one evaluation-
+interpolation scheme in y: univariate images at y = 0, 1, -1, 2, ...
+(skipping points where an x-degree drops) from the integer kernel, and
+exact interpolation of their coefficients; a gcd is certified by exact
+division.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from math import gcd as _igcd, lcm as _lcm
 
-from .errors import PreconditionError
-from .intpoly import PRIMES, _m_gcd, _q, to_ints
+from .errors import PreconditionError, TheoremViolation
+from .intpoly import _q, to_ints
 from .polynomials import UniPoly, qq
 
 
@@ -295,41 +298,7 @@ class BiPoly:
         return BiPoly._of({k: v // g for k, v in self.nums.items()})
 
     # ------------------------------------------------------------------
-    # division in x over Q(y)
-
-    def pseudo_divmod_x(self, other: "BiPoly"):
-        """Pseudo-division by x-degree: lc(other)^k * self = q*other + r with
-        deg_x r < deg_x other.  Returns (q, r, multiplier UniPoly in y)."""
-        if other.is_zero:
-            raise ZeroDivisionError("pseudo-division by zero")
-        a = self.coeffs_in_x()
-        b = other.coeffs_in_x()
-        db = len(b) - 1
-        lb = b[-1]
-        mult = UniPoly.one()
-        q = {}
-        while len(a) - 1 >= db and any(not p.is_zero for p in a):
-            while a and a[-1].is_zero:
-                a.pop()
-            if len(a) - 1 < db:
-                break
-            da = len(a) - 1
-            top = a[-1]
-            # multiply everything through by lb, subtract top * x^(da-db) * other
-            a = [p * lb for p in a]
-            for k in q:
-                q[k] = q[k] * lb
-            mult = mult * lb
-            q[da - db] = q.get(da - db, UniPoly.zero()) + top
-            for j in range(db + 1):
-                a[da - db + j] = a[da - db + j] - top * b[j]
-            a.pop()
-        qc = [q.get(k, UniPoly.zero()) for k in range(max(q, default=-1) + 1)]
-        return (
-            BiPoly.from_coeffs_in_x(qc),
-            BiPoly.from_coeffs_in_x(a),
-            mult,
-        )
+    # division
 
     def divides(self, other: "BiPoly") -> bool:
         """Exact divisibility test over Q[x, y]."""
@@ -414,52 +383,72 @@ def separated(fn: UniPoly, fd: UniPoly, gn: UniPoly, gd: UniPoly) -> BiPoly:
 
 
 # ----------------------------------------------------------------------
-# gcd in x over Q(y)
+# gcds and resultants by evaluation in y and interpolation
 
-# specialization points for the coprimality certificate in gcd_x; several,
-# because small integers are often critical: 0, 1, -1 and -2 all are for
-# the graph numerator of (z^3 - 3z + 1)^2
-_COPRIME_POINTS = (0, 1, -1, 2, -2, 3, -3, 4)
+
+def _images(*polys):
+    """Yield (y0, [p.eval_y(y0) for p in polys]) at y0 = 0, 1, -1, 2, -2, ...,
+    skipping every point at which an image drops in x-degree."""
+    degs = [p.deg_x for p in polys]
+    y0 = Fraction(0)
+    while True:
+        ims = [p.eval_y(y0) for p in polys]
+        if all(u.degree == d for u, d in zip(ims, degs)):
+            yield y0, ims
+        y0 = -y0 if y0 > 0 else -y0 + 1
+
+
+def _interpolate_in_y(images) -> BiPoly:
+    """The BiPoly of least y-degree whose image at each y0 is the given
+    UniPoly in x, for (y0, UniPoly) pairs with distinct y0."""
+    n = max((u.degree for _, u in images), default=-1)
+    return BiPoly.from_coeffs_in_x(
+        [UniPoly.interpolate([(y0, u.coeff(i)) for y0, u in images]) for i in range(n + 1)]
+    )
 
 
 def gcd_x(f: BiPoly, g: BiPoly) -> BiPoly:
     """Gcd of f and g viewed in Q(y)[x], returned primitive in Q[y][x]
-    with monic content-free leading structure (up to a rational unit).
+    in canonical form.
 
-    Coprimality is certified first by specialization (Brown 1971).  A
-    common factor h, primitive in x of x-degree e >= 1, has a leading
-    x-coefficient dividing those of f and g (Gauss's lemma).  So at an
-    integer y0 where neither of those vanishes, and modulo a prime p that
-    divides neither leading coefficient of f(x, y0) and g(x, y0), h keeps
-    x-degree e and divides both images.  A gcd of degree 0 mod p at one
-    such point proves the gcd is 1.  Otherwise the primitive
-    pseudo-remainder sequence decides."""
+    By evaluation and interpolation in y (Brown 1971).  The gcd G has a
+    leading x-coefficient dividing gamma = gcd(lc_x f, lc_x g) (Gauss's
+    lemma).  At a point y0 where neither leading coefficient vanishes, G(x,
+    y0) divides the monic image gcd h, and they agree up to a constant
+    unless y0 is a root of the resultant of the cofactors.  So an h of degree 0 proves the gcd is 1;
+    otherwise the images of least degree, scaled by gamma(y0), are images of
+    G gamma / lc_x G, whose y-degree is at most
+    bound = deg gamma + min(deg_y f, deg_y g).  Past bound + 1 of them the
+    interpolant's primitive part is returned once it divides f and g
+    exactly.  Contents need no removal: they divide the leading
+    coefficients, so they do not vanish at the points used."""
     if f.is_zero:
         return g.primitive_part_x().canonical()
     if g.is_zero:
         return f.primitive_part_x().canonical()
-    p = PRIMES[0]
-    nf, ng = f.deg_x + 1, g.deg_x + 1
-    for y0 in _COPRIME_POINTS:
-        a, b = f.eval_y(y0).nums, g.eval_y(y0).nums
-        if len(a) == nf and len(b) == ng and a[-1] % p and b[-1] % p:
-            if len(_m_gcd([v % p for v in a], [v % p for v in b], p)) == 1:
-                return BiPoly.constant(1)
-    a = f.primitive_part_x()
-    b = g.primitive_part_x()
-    if a.deg_x < b.deg_x:
-        a, b = b, a
-    while True:
-        if b.is_zero:
-            return a.primitive_part_x().canonical()
-        if b.deg_x == 0:
+    (dfx, dfy), (dgx, dgy) = f.bidegree(), g.bidegree()
+    gamma = f.coeffs_in_x()[-1].gcd(g.coeffs_in_x()[-1])
+    bound = gamma.degree + min(dfy, dgy)
+    # unlucky points are roots of the nonzero resultant of the cofactors,
+    # at most dfx dgy + dgx dfy of them
+    limit = bound + 1 + dfx * dgy + dgx * dfy
+    best, kept = min(dfx, dgx) + 1, []
+    for used, (y0, (fy, gy)) in enumerate(_images(f, g), 1):
+        if used > limit:
+            raise TheoremViolation("gcd_x found no certified gcd within its point bound")
+        h = fy.gcd(gy)
+        if h.degree == 0:
             return BiPoly.constant(1)
-        _, r, _ = a.pseudo_divmod_x(b)
-        a, b = b, r.primitive_part_x()
-
-
-# ----------------------------------------------------------------------
-# resultants by evaluation and interpolation
+        if h.degree < best:
+            # every earlier image had too high a degree
+            best, kept = h.degree, []
+        elif h.degree > best:
+            continue
+        kept.append((y0, h * gamma(y0)))
+        if len(kept) > bound:
+            cand = _interpolate_in_y(kept).primitive_part_x().canonical()
+            if f.exact_div(cand) is not None and g.exact_div(cand) is not None:
+                return cand
 
 
 def resultant_x(f: BiPoly, g: BiPoly) -> UniPoly:
@@ -474,18 +463,8 @@ def resultant_x(f: BiPoly, g: BiPoly) -> UniPoly:
     if dgx == 0:
         return g.coeffs_in_x()[0] ** dfx
     bound = dfx * g.deg_y + dgx * f.deg_y
-    lf = f.coeffs_in_x()[-1]
-    lg = g.coeffs_in_x()[-1]
-    points = []
-    a = 0
-    while len(points) < bound + 1:
-        ya = Fraction(a)
-        if lf(ya) != 0 and lg(ya) != 0:
-            fu = f.eval_y(ya)
-            gu = g.eval_y(ya)
-            points.append((ya, fu.resultant(gu)))
-        a = -a if a > 0 else -a + 1
-    return UniPoly.interpolate(points)
+    points = islice(_images(f, g), bound + 1)
+    return UniPoly.interpolate([(y0, fy.resultant(gy)) for y0, (fy, gy) in points])
 
 
 def resultant_y(f: BiPoly, g: BiPoly) -> UniPoly:
@@ -505,22 +484,22 @@ def resultant_x_mixed(f: BiPoly, g: BiPoly) -> BiPoly:
     if g.deg_x == 0:
         c = g.coeffs_in_x()[0]
         return BiPoly.from_unipoly(c ** f.deg_x, "y")
-    bound_s = f.deg_y * g.deg_x
-    lf = f.coeffs_in_x()[-1]
-    slices = []
-    a = 0
-    while len(slices) < bound_s + 1:
-        sa = Fraction(a)
-        if lf(sa) != 0:
-            fu = f.eval_y(sa)  # univariate in x
-            fu_bi = BiPoly.from_unipoly(fu, "x")
-            r = resultant_x(fu_bi, g)  # UniPoly in t
-            slices.append((sa, r))
-        a = -a if a > 0 else -a + 1
-    # interpolate each t-coefficient in s
-    max_t = max((r.degree for _, r in slices), default=-1)
-    in_t = [UniPoly.interpolate([(sa, r.coeff(j)) for sa, r in slices]) for j in range(max_t + 1)]
-    return BiPoly.from_coeffs_in_x(in_t).swap()
+    # one resultant in t per s0, interpolated in s
+    points = islice(_images(f), f.deg_y * g.deg_x + 1)
+    slices = [(s0, resultant_x(BiPoly.from_unipoly(fs, "x"), g)) for s0, (fs,) in points]
+    return _interpolate_in_y(slices).swap()
+
+
+def squarefree_reduction_x(prim: BiPoly) -> BiPoly:
+    """prim / gcd_x(prim, d prim / dx), the squarefree part over Q(y) of a
+    polynomial prim primitive in x."""
+    g = gcd_x(prim, prim.derivative_x())
+    if g.deg_x < 1:
+        return prim
+    sf = prim.exact_div(g)
+    if sf is None:
+        raise PreconditionError("squarefree reduction failed to divide")
+    return sf
 
 
 def squarefree_part_x(f: BiPoly) -> BiPoly:
@@ -532,11 +511,5 @@ def squarefree_part_x(f: BiPoly) -> BiPoly:
     prim = f.primitive_part_x()
     out = BiPoly.from_unipoly(cont.squarefree_part(), "y") if cont.degree >= 1 else BiPoly.constant(1)
     if prim.deg_x >= 1:
-        g = gcd_x(prim, prim.derivative_x())
-        sf = prim.exact_div(g) if not g.is_zero and g.deg_x >= 1 else prim
-        if sf is None:
-            raise PreconditionError("inconsistent squarefree division")
-        out = out * sf
-    else:
-        out = out * prim
-    return out.canonical()
+        prim = squarefree_reduction_x(prim)
+    return (out * prim).canonical()

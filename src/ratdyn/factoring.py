@@ -22,7 +22,7 @@ import random
 from fractions import Fraction
 from math import isqrt
 
-from .bipolys import BiPoly, gcd_x
+from .bipolys import BiPoly, squarefree_reduction_x
 from .errors import Inconclusive, PreconditionError
 from .intpoly import (
     _centered,
@@ -354,14 +354,7 @@ def factor_bivariate(F: BiPoly):
         _, cfacs = factor_univariate(cont)
         for g, m in cfacs:
             factors.append((BiPoly.from_unipoly(g, "y").canonical(), m))
-    g = gcd_x(prim, prim.derivative_x())
-    if g.deg_x >= 1:
-        sf = prim.exact_div(g)
-        if sf is None:
-            raise PreconditionError("squarefree reduction failed to divide")
-    else:
-        sf = prim
-    sf = sf.primitive_part_x().canonical()
+    sf = squarefree_reduction_x(prim).primitive_part_x().canonical()
     for irr in _factor_squarefree_bi(sf):
         mult = 0
         probe = prim

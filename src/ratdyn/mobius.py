@@ -124,12 +124,7 @@ def _transporter_candidates(a: RatMap, b: RatMap):
     E = Ln * Rd - Ld * Rn
     if E.is_zero:
         raise TheoremViolation("transporter identity degenerated")
-    g = UniPoly.zero()
-    for coeff in E.coeffs_in_x():
-        if not coeff.is_zero:
-            g = coeff if g.is_zero else g.gcd(coeff)
-            if g.degree == 0:
-                break
+    g = E.content_x()
     cands = []
     if g.degree >= 1:
         cands.extend(rational_roots(g))

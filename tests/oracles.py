@@ -180,6 +180,16 @@ def bi_coeffs_in_x(f) -> list:
     return [_trimmed(r) for r in rows]
 
 
+def _pseudo_rem_x(a: BiPoly, b: BiPoly) -> BiPoly:
+    """lc_x(b)^k a mod b in Q[y][x]: each step cross-multiplies by the two
+    leading x-coefficients and cancels the top x-term of a."""
+    lb = BiPoly.from_unipoly(b.coeffs_in_x()[-1], "y")
+    while not a.is_zero and a.deg_x >= b.deg_x:
+        la = BiPoly.from_unipoly(a.coeffs_in_x()[-1], "y")
+        a = a * lb - la * BiPoly({(a.deg_x - b.deg_x, 0): 1}) * b
+    return a
+
+
 def prs_gcd_x(f: BiPoly, g: BiPoly) -> BiPoly:
     """gcd in x over Q(y) by the primitive pseudo-remainder sequence."""
     if f.is_zero:
@@ -195,8 +205,7 @@ def prs_gcd_x(f: BiPoly, g: BiPoly) -> BiPoly:
             return a.primitive_part_x().canonical()
         if b.deg_x == 0:
             return BiPoly.constant(1)
-        _, r, _ = a.pseudo_divmod_x(b)
-        a, b = b, r.primitive_part_x()
+        a, b = b, _pseudo_rem_x(a, b).primitive_part_x()
 
 
 def sylvester_resultant(f: UniPoly, g: UniPoly) -> Fraction:

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ratdyn.bipolys import BiPoly, gcd_x, resultant_x, resultant_x_mixed, resultant_y, separated
@@ -184,7 +185,7 @@ def test_bipoly_equality_and_hash_follow_the_terms(a, b):
 
 
 # ----------------------------------------------------------------------
-# gcd in x: the coprimality certificate against the remainder sequence
+# gcd in x: evaluation and interpolation against the remainder sequence
 
 small_terms = st.dictionaries(
     st.tuples(st.integers(0, 2), st.integers(0, 2)),
@@ -202,18 +203,32 @@ def test_gcd_x_matches_remainder_sequence_with_planted_factor(a, b, h):
     assert gcd_x(f * common, g * common) == prs_gcd_x(f * common, g * common)
 
 
-def test_gcd_x_certificate_skips_critical_points(monkeypatch):
+@pytest.mark.parametrize(
+    "f, g, want",
+    [
+        # y = 0 is an unlucky first point: both images are x (x - 1)
+        ((X + Y) * (X - 1), (X - Y) * (X - 1), X - 1),
+        # the gcd's leading x-coefficient y vanishes at y = 0
+        ((Y * X + 1) * (X + Y), (Y * X + 1) * (X - Y + 2), X * Y + 1),
+        # the first two images agree in degree 2 and interpolate to a
+        # common multiple of x - 1 that divides f alone
+        ((X - 1) * (X + Y), (X - 1) * (X + Y**2), X - 1),
+        # the cofactor resultant 4 y (y - 1) takes all the unlucky points
+        # the bound allows: y = 0 and 1, before the degree-0 image at -1
+        (X + 2 * Y - 1, X**2 - 1, BiPoly.constant(1)),
+    ],
+)
+def test_gcd_x_explicit_cases(f, g, want):
+    assert gcd_x(f, g) == prs_gcd_x(f, g) == want
+
+
+def test_gcd_x_certificate_skips_critical_points():
     # for A = z^3 - 3z + 1, the graph numerator of A o A is not squarefree
     # in x at y = 0, 1, -1 and -2, which are critical points of A o A
     A = RatMap(UniPoly.of(1, -3, 0, 1))
     N = graph_numerator(A.compose(A))
     for y0 in (0, 1, -1, -2):
         assert not N.eval_y(y0).is_squarefree()
-
-    def no_sequence(*args):
-        raise AssertionError("the remainder sequence ran")
-
-    monkeypatch.setattr(BiPoly, "pseudo_divmod_x", no_sequence)
     assert gcd_x(N, N.derivative_x()) == BiPoly.constant(1)
 
 

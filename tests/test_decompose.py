@@ -29,6 +29,7 @@ from ratdyn.decompose import (
     right_factor_rep,
     genus_degree_gate,
     verify_semiconjugacy,
+    _try_generator,
 )
 from ratdyn.errors import ChainError, PreconditionError
 from ratdyn.factoring import factor_bivariate
@@ -512,3 +513,10 @@ def test_genus_degree_gate():
     assert genus_degree_gate(2, 2, 5)
     assert not genus_degree_gate(2, 1000, 0)
     assert not genus_degree_gate(3, 84 * 3 - 168, 0)  # boundary: 0 > 0 fails
+
+
+def test_try_generator_checks_the_graph_numerator():
+    # the ratio -2 z^2 of the two x-coefficients has degree 2, but its graph
+    # numerator is x^2 - y^2, not x^2 - 2 y^2
+    X, Y = BiPoly.var_x(), BiPoly.var_y()
+    assert _try_generator(X**2 - 2 * Y**2, 2) is None

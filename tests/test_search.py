@@ -50,10 +50,22 @@ def test_invariant_search_no_22_curves():
 
 def test_invariant_search_no_22_curves_at_cap_4():
     # the commutant of (z+1)^2 is {id, A}, so no (2,2) curve up to cap 4;
-    # the squarefree tests on graph numerators of A^4 take the coprimality
-    # certificate, not the remainder sequence
+    # the squarefree tests on graph numerators of A^4 end at the first
+    # image gcd of degree 0
     start = time.perf_counter()
     rep = find_invariant_curves(A_SHIFT, A_SHIFT, SearchConfig(bidegree=(2, 2), iterate_cap=4))
+    elapsed = time.perf_counter() - start
+    assert rep.curves == []
+    assert rep.completeness == "complete_up_to_cap"
+    assert elapsed < 3.0
+
+
+def test_invariant_search_cubic_at_cap_3():
+    # each squarefree test on a graph numerator of A^3 ends at an image
+    # gcd of degree 0, past the critical points of A^3 among 0, 1, -1, ...
+    A = RatMap(UniPoly.of(1, -3, 0, 1))  # z^3 - 3z + 1
+    start = time.perf_counter()
+    rep = find_invariant_curves(A, A, SearchConfig(bidegree=(3, 3), iterate_cap=3))
     elapsed = time.perf_counter() - start
     assert rep.curves == []
     assert rep.completeness == "complete_up_to_cap"

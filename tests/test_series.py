@@ -157,6 +157,23 @@ def test_newton_series_root_solves_the_equation(num, den, w0, tail, k):
     assert nw == ser_mul(target, dw, k)
 
 
+@settings(max_examples=80, deadline=None)
+@given(coeff_lists, st.integers(0, 3), st.integers(0, 3), st.integers(-1, 2))
+def test_pade_reconstruct_meets_its_contract(a, dn, dd, spare):
+    series = UniPoly(a)
+    k = dn + dd + 1
+    rec = pade_reconstruct(series, k + spare, dn, dd)
+    if spare < 0:
+        assert rec is None
+        return
+    if rec is None:
+        return
+    num, den = rec
+    assert num.degree <= dn and 0 <= den.degree <= dd and den.coeff(0) != 0
+    # num - den * series = O(tau^k)
+    assert padded(num, k) == ser_mul(list(den.c), padded(series, k), k)
+
+
 def test_pade_needs_the_full_precision():
     f = RatMap(UniPoly.of(1, 2), UniPoly.of(1, 0, 1))
     s = expand_ratmap(f, Fraction(0), 5)
