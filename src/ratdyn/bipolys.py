@@ -427,14 +427,9 @@ def gcd_x(f: BiPoly, g: BiPoly) -> BiPoly:
     if g.is_zero:
         return f.primitive_part_x().canonical()
     (dfx, dfy), (dgx, dgy) = f.bidegree(), g.bidegree()
-    gamma = f.coeffs_in_x()[-1].gcd(g.coeffs_in_x()[-1])
-    bound = gamma.degree + min(dfy, dgy)
-    # unlucky points are roots of the nonzero resultant of the cofactors,
-    # at most dfx dgy + dgx dfy of them
-    limit = bound + 1 + dfx * dgy + dgx * dfy
-    best, kept = min(dfx, dgx) + 1, []
+    best, kept, limit = min(dfx, dgx) + 1, [], None
     for used, (y0, (fy, gy)) in enumerate(_images(f, g), 1):
-        if used > limit:
+        if limit is not None and used > limit:
             raise TheoremViolation("gcd_x found no certified gcd within its point bound")
         h = fy.gcd(gy)
         if h.degree == 0:
@@ -444,6 +439,12 @@ def gcd_x(f: BiPoly, g: BiPoly) -> BiPoly:
             best, kept = h.degree, []
         elif h.degree > best:
             continue
+        if limit is None:
+            # built at the first image of positive degree; unlucky points are
+            # roots of the cofactors' resultant, at most dfx dgy + dgx dfy
+            gamma = f.coeffs_in_x()[-1].gcd(g.coeffs_in_x()[-1])
+            bound = gamma.degree + min(dfy, dgy)
+            limit = bound + 1 + dfx * dgy + dgx * dfy
         kept.append((y0, h * gamma(y0)))
         if len(kept) > bound:
             cand = _interpolate_in_y(kept).primitive_part_x().canonical()

@@ -3,7 +3,9 @@
 Univariate: Yun squarefree decomposition, then Zassenhaus on each
 squarefree primitive integer polynomial (factor modulo a good odd prime
 with distinct-degree / equal-degree splitting, Hensel lift past twice the
-Mignotte bound, recombine by subset search).
+Mignotte bound, recombine by subset search).  Rational roots need no
+factoring: the roots mod one good prime are Newton-lifted p-adically and
+certified by exact integer evaluation.
 
 Bivariate: content/primitive split in x, squarefree reduction over Q(y),
 then specialization at the smallest good integer y0, lifting the
@@ -35,11 +37,13 @@ from .intpoly import (
     _m_mul,
     _m_pow_mod,
     _m_sub,
+    _m_value,
     _m_xgcd,
     _next_prime,
     _z_exact_div,
     _z_mul,
     _z_primitive,
+    _z_value,
 )
 from .memo import memo
 from .polynomials import UniPoly
@@ -146,59 +150,51 @@ def _degree_subset_sums(degrees, n):
     possible = 1  # bitmask
     for d in degrees:
         possible |= possible << d
-    out = set()
-    for k in range(n + 1):
-        if possible >> k & 1:
-            out.add(k)
-    return out
+    return {k for k in range(n + 1) if possible >> k & 1}
+
+
+def _good_primes(f):
+    """Yield (p, f mod p made monic) for the odd primes p that divide no
+    leading coefficient of the squarefree integer polynomial f and keep it
+    squarefree mod p; only the finitely many primes dividing lc(f) times
+    its discriminant are skipped."""
+    p = 2
+    while True:
+        p = _next_prime(p)
+        if f[-1] % p == 0:
+            continue
+        fp = _m_monic([v % p for v in f], p)
+        if len(_m_gcd(fp, _m_deriv(fp, p), p)) == 1:
+            yield p, fp
 
 
 def _pick_modular(f):
     """(p, modular factors, possible factor degrees) for a good odd prime;
     the degree set is intersected over the primes tried, so a {0, n} result
     certifies irreducibility without any lifting."""
-    lc = f[-1]
     n = len(f) - 1
     rng = random.Random(20240801)
     best = None
     possible = None
-    p = 2
-    tried = 0
-    while tried < 4:
-        p = _next_prime(p)
-        if lc % p == 0:
-            continue
-        fp = _m_monic([v % p for v in f], p)
-        if len(fp) != len(f):
-            continue
-        if len(_m_gcd(fp, _m_deriv(fp, p), p)) != 1:
-            continue
+    for tried, (p, fp) in enumerate(_good_primes(f), 1):
         facs = _gf_factor_squarefree(fp, p, rng)
-        tried += 1
         sums = _degree_subset_sums([len(g) - 1 for g in facs], n)
         possible = sums if possible is None else (possible & sums)
         if best is None or len(facs) < len(best[1]):
             best = (p, facs)
-        if len(facs) == 1 or possible <= {0, n}:
-            break
-    if best is None:
-        raise PreconditionError("no usable prime found")
-    return best[0], best[1], possible
+        if len(facs) == 1 or possible <= {0, n} or tried == 4:
+            return best[0], best[1], possible
 
 
-def _zassenhaus(f, max_degree=None):
-    """Factor a squarefree primitive integer polynomial of degree >= 1.
-
-    Unbounded: the complete list of primitive irreducible integer factors.
-    With max_degree set: all irreducible factors of degree <= max_degree
-    (the large-degree remainder is discarded).
-    """
+def _zassenhaus(f):
+    """The primitive irreducible integer factors of a squarefree primitive
+    integer polynomial of degree >= 1."""
     n = len(f) - 1
     if n == 1:
         return [list(f)]
     p, modular, possible = _pick_modular(f)
     if len(modular) == 1 or possible <= {0, n}:
-        return [] if max_degree is not None and n > max_degree else [list(f)]
+        return [list(f)]
     height = max(abs(v) for v in f)
     bound = (isqrt(n + 1) + 1) * (1 << n) * height * abs(f[-1])
     l = 1
@@ -211,23 +207,16 @@ def _zassenhaus(f, max_degree=None):
     pool = list(range(len(lifted)))
     current = list(f)
     visited = 0
-    if max_degree is None:
-        size_limit = lambda pool_len: pool_len // 2
-    else:
-        size_limit = lambda pool_len: min(pool_len, max_degree)
     s = 1
-    while pool and s <= size_limit(len(pool)):
+    while pool and 2 * s <= len(pool):
         found = True
-        while found and s <= size_limit(len(pool)):
+        while found and 2 * s <= len(pool):
             found = False
             for combo in itertools.combinations(pool, s):
                 visited += 1
                 if visited > SUBSET_CAP:
                     raise Inconclusive("factor recombination exceeded the subset cap")
-                deg_sum = sum(len(lifted[i]) - 1 for i in combo)
-                if deg_sum not in possible:
-                    continue
-                if max_degree is not None and deg_sum > max_degree:
+                if sum(len(lifted[i]) - 1 for i in combo) not in possible:
                     continue
                 g = [current[-1] % target]
                 for i in combo:
@@ -245,11 +234,7 @@ def _zassenhaus(f, max_degree=None):
                     break
         s += 1
     if len(current) > 1:
-        if max_degree is None:
-            result.append(current)
-        elif len(current) - 1 <= max_degree and len(pool) > 0:
-            # everything left recombines to one small factor
-            result.append(_z_primitive(current))
+        result.append(current)
     return result
 
 
@@ -268,35 +253,22 @@ def factor_univariate(p: UniPoly):
     return p.lc, _monic_factors(p)
 
 
-def low_degree_factors(p: UniPoly, max_degree: int):
-    """Monic irreducible factors of degree <= max_degree with multiplicity;
-    complete for those degrees, the rest of p is not factored."""
-    if p.is_zero:
-        raise PreconditionError("cannot factor the zero polynomial")
-    if p.degree < 1:
-        return []
-    return _monic_factors(p, max_degree)
-
-
-def _monic_factors(p: UniPoly, max_degree=None):
-    """[(monic irreducible, mult)] of a p of degree >= 1, sorted canonically:
-    every factor, or with max_degree set every factor of degree at most
-    max_degree.  Strips the power of z, then runs Zassenhaus on the
-    primitive part of each squarefree (Yun) part."""
+def _monic_factors(p: UniPoly):
+    """[(monic irreducible, mult)] of a p of degree >= 1, sorted canonically.
+    Strips the power of z, then runs Zassenhaus on the primitive part of
+    each squarefree (Yun) part."""
     out = []
     work = p.monic()
     k = 0
     while not work.nums[k]:
         k += 1
     if k:
-        if max_degree is None or max_degree >= 1:
-            out.append((UniPoly.x(), k))
+        out.append((UniPoly.x(), k))
         work = UniPoly._of(list(work.nums[k:]), work.denom)
     for sqf, mult in work.yun_decomposition():
         _, zz = sqf.content_and_primitive()
-        for fac in _zassenhaus(list(zz.nums), max_degree=max_degree):
-            if max_degree is None or len(fac) - 1 <= max_degree:
-                out.append((UniPoly._of(list(fac), fac[-1]), mult))
+        for fac in _zassenhaus(list(zz.nums)):
+            out.append((UniPoly._of(list(fac), fac[-1]), mult))
     out.sort(key=lambda fm: (fm[0].degree, fm[0].c))
     return out
 
@@ -309,8 +281,37 @@ def is_irreducible(p: UniPoly) -> bool:
 
 
 def rational_roots(p: UniPoly):
-    """All rational roots, without multiplicity, sorted."""
-    return sorted({-fac.coeff(0) for fac, _ in low_degree_factors(p, 1)})
+    """All rational roots, without multiplicity, sorted.
+
+    By p-adic lifting, without factoring (Loos, SIAM J. Comput. 1983).  For
+    f the squarefree primitive integer part of p and q its first good prime,
+    a root a/b in lowest terms has b | lc(f), so it is a simple root of f
+    mod q.  Each root of gcd(f, x^q - x) mod q is Newton-lifted past
+    2 |lc(f)| height(f) >= 2 |lc(f) a / b|, so the centred lift of lc(f) r
+    is lc(f) a / b.  Candidates are certified by sum f_i a^i b^(n-i) = 0."""
+    if p.is_zero:
+        raise PreconditionError("the zero polynomial has every point as a root")
+    if p.degree < 1:
+        return []
+    f = list(p.squarefree_part().content_and_primitive()[1].nums)
+    q, fq = next(_good_primes(f))
+    split = _m_gcd(_m_sub(_m_pow_mod([0, 1], q, fq, q), [0, 1], q), fq, q)
+    if len(split) == 1:
+        return []
+    lc, df = f[-1], [i * v for i, v in enumerate(f)][1:]
+    bound = 2 * abs(lc) * max(abs(v) for v in f)
+    roots = []
+    for lin in _gf_edf(split, 1, q, random.Random(20240801)):
+        r, m = -lin[0] % q, q
+        while m <= bound:
+            m *= m
+            r = (r - _m_value(f, r, m) * pow(_m_value(df, r, m), -1, m)) % m
+        c = lc * r % m
+        root = Fraction(c - m if c > m // 2 else c, lc)
+        if _z_value(f, root.numerator, root.denominator) == 0:
+            roots.append(root)
+    return sorted(roots)
+
 
 
 # ----------------------------------------------------------------------

@@ -135,6 +135,21 @@ def _z_inv_trunc(a, k):
     return w, ck
 
 
+def _z_value(a, p, q=1):
+    """sum a_i p^i q^(n-i) for a nonzero a of degree n: the integer
+    q^n a(p/q), by Horner's rule on the homogenised numerators."""
+    acc = a[-1]
+    if q == 1:
+        for v in reversed(a[:-1]):
+            acc = acc * p + v
+        return acc
+    qk = 1
+    for v in reversed(a[:-1]):
+        qk *= q
+        acc = acc * p + v * qk
+    return acc
+
+
 def _z_exact_div(a, b):
     """The integer polynomial a / b, or None when b does not divide a in
     Z[x]; gives up at the first quotient coefficient that is not an integer.
@@ -307,6 +322,14 @@ def _m_pow_mod(a, n, f, p):
         base = _m_divmod(_m_mul(base, base, p), f, p)[1]
         n >>= 1
     return result
+
+
+def _m_value(a, x, m):
+    """a(x) mod m, by Horner's rule reduced at every step."""
+    acc = 0
+    for v in reversed(a):
+        acc = (acc * x + v) % m
+    return acc
 
 
 def _m_deriv(a, p):

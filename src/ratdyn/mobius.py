@@ -7,11 +7,13 @@ Two exact solvers cover every question asked of degree-one maps:
   be a rational point of a known fiber of f, so the search space is finite
   and every candidate is verified exactly.
 
-* conjugacy_transporters(a, b): all mu with mu o a = b o mu.  Here
-  mu(a^k(z0)) = b^k(mu(z0)), so mu is a one-parameter family in
-  w = mu(z0); the commutation identity becomes a bivariate polynomial
-  whose w-coefficient gcd pins down finitely many rational candidates.
-  Conjugated reruns cover parameters that escape to infinity.
+* conjugacy_transporters(a, b): all mu with mu o a = b o mu.  When each
+  map has three marked points, mu is pinned by their images as above.
+  Otherwise mu(a^k(z0)) = b^k(mu(z0)), so mu is a one-parameter family in
+  w = mu(z0); the commutation identity E(z, w) = 0 specialised at enough
+  integers z = t gives univariate polynomials in w whose gcd pins down
+  finitely many rational candidates.  Conjugated reruns cover parameters
+  that escape to infinity.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .bipolys import BiPoly
 from .errors import PreconditionError, TheoremViolation
 from .factoring import rational_roots
 from .memo import memo
@@ -66,11 +67,6 @@ def mu_equivalent(f: RatMap, g: RatMap) -> bool:
 # conjugacy transporters
 
 
-def _inv_c(c):
-    """z -> 1/(z - c)."""
-    return mobius(0, 1, 1, -c)
-
-
 def _orbit_base(a: RatMap):
     """A rational z0 with z0, a(z0), a(a(z0)) pairwise distinct and finite."""
     t = Fraction(0)
@@ -89,46 +85,39 @@ def _orbit_base(a: RatMap):
 
 
 def _transporter_candidates(a: RatMap, b: RatMap):
-    """Rational candidates w for mu(z0) solving mu o a = b o mu."""
+    """Rational candidates w for mu(z0) solving mu o a = b o mu.
+
+    mu_w is the degree-one map through (z0, z1, z2) -> (w, b(w), b^2(w)),
+    and E(z, w) is the numerator of mu_w(a(z)) - b(mu_w(z)).  A transporter
+    makes E(z, w0) vanish identically in z, so w0 is a root of the content
+    of E in z.  Since deg_z E <= deg a + deg b, that content is the gcd of
+    the images E(t, w) at t = 0, 1, ..., deg a + deg b, each built from
+    univariate pieces in w; the running gcd stops once it is constant."""
     z0, z1, z2 = _orbit_base(a)
-    w_poly = UniPoly.x()
-    b1 = b
+    w = UniPoly.x()
     b2 = b.compose(b)
-    # q0 = w, q1 = b(w), q2 = b^2(w) as (numerator, denominator) in w
-    q0n, q0d = w_poly, UniPoly.one()
-    q1n, q1d = b1.num, b1.den
-    q2n, q2d = b2.num, b2.den
-    # E1 = q1 - q2 over common den q1d*q2d; E2 = q1 - q0 over q1d
-    E1 = q1n * q2d - q2n * q1d
-    E2 = q1n - w_poly * q1d
-    # cross-ratio through (z0, z1, z2): Cn = (z - z0)(z1 - z2), Cd = (z - z2)(z1 - z0)
-    Cn = UniPoly((-z0, 1)) * (z1 - z2)
-    Cd = UniPoly((-z2, 1)) * (z1 - z0)
-    # mu_w(z) = (w*E1*Cd(z) - Cn(z)*q2n*E2) / (E1*Cd(z) - Cn(z)*q2d*E2)
-    wE1 = BiPoly.from_unipoly(w_poly * E1, "y")
-    E1w = BiPoly.from_unipoly(E1, "y")
-    q2nE2 = BiPoly.from_unipoly(q2n * E2, "y")
-    q2dE2 = BiPoly.from_unipoly(q2d * E2, "y")
-    Cn_b = BiPoly.from_unipoly(Cn, "x")
-    Cd_b = BiPoly.from_unipoly(Cd, "x")
-    Mn = wE1 * Cd_b - Cn_b * q2nE2
-    Md = E1w * Cd_b - Cn_b * q2dE2
-    # left side: mu_w(a(z)); (a(z) - c) has numerator a.num - c*a.den and
-    # the denominator of a cancels in the ratio
-    cna = BiPoly.from_unipoly((a.num - a.den * z0) * (z1 - z2), "x")
-    cda = BiPoly.from_unipoly((a.num - a.den * z2) * (z1 - z0), "x")
-    Ln = wE1 * cda - cna * q2nE2
-    Ld = E1w * cda - cna * q2dE2
-    # right side: b(mu_w(z))
-    Rn, Rd = homogenize((b.num.c, b.den.c), Mn, Md, b.degree)
-    E = Ln * Rd - Ld * Rn
-    if E.is_zero:
+    # q1 = b(w), q2 = b^2(w) as numerator over denominator in w;
+    # E1 = q1 - q2 over q1d q2d and E2 = q1 - w over q1d
+    E1 = b.num * b2.den - b2.num * b.den
+    E2 = b.num - w * b.den
+    wE1, q2nE2, q2dE2 = w * E1, b2.num * E2, b2.den * E2
+
+    def mu_w(n, d):
+        # mu_w at n/d, through the cross-ratio of (n/d, z0, z1, z2)
+        cn, cd = (n - z0 * d) * (z1 - z2), (n - z2 * d) * (z1 - z0)
+        return wE1 * cd - q2nE2 * cn, E1 * cd - q2dE2 * cn
+
+    g = UniPoly.zero()
+    for t in range(a.degree + b.degree + 1):
+        # left side mu_w(a(t)); right side b(mu_w(t))
+        Ln, Ld = mu_w(a.num(t), a.den(t))
+        Rn, Rd = homogenize((b.num.c, b.den.c), *mu_w(t, 1), b.degree)
+        g = g.gcd(Ln * Rd - Ld * Rn)
+        if g.degree == 0:
+            return z0, z1, z2, []
+    if g.is_zero:
         raise TheoremViolation("transporter identity degenerated")
-    g = E.content_x()
-    cands = []
-    if g.degree >= 1:
-        cands.extend(rational_roots(g))
-    return z0, z1, z2, cands
+    return z0, z1, z2, rational_roots(g)
 
 
 @memo
@@ -143,13 +132,11 @@ def _marked_points(f: RatMap):
         rational_fixed_points,
         rational_points_in_fiber,
     )
-    from .factoring import low_degree_factors
 
     pts = set()
     w = f.wronskian()
     if w.degree >= 1:
-        for g, _ in low_degree_factors(w, 1):
-            pts.add(-g.coeff(0))
+        pts.update(rational_roots(w))
     if local_degree(f, PLACE_INF) >= 2:
         pts.add(INF)
     for p in list(pts):
@@ -204,16 +191,12 @@ def _transporters_by_marks(a, b, ma, mb):
 
 
 def _transporters_symbolic(a: RatMap, b: RatMap):
-    variants = [None, Fraction(0), Fraction(1), Fraction(2)]
-    found = {}
-    for c in variants:
-        if c is None:
-            bb = b
-            back = None
-        else:
-            ic = _inv_c(c)
-            bb = ic.compose(b).compose(ic.mobius_inverse())
-            back = ic.mobius_inverse()
+    # reruns with b conjugated by z -> 1/(z - c) make w = mu(z0) finite
+    # when it is infinite in the plain run
+    found = set()
+    for ic in [RatMap.identity()] + [mobius(0, 1, 1, -c) for c in range(3)]:
+        back = ic.mobius_inverse()
+        bb = ic.compose(b).compose(back)
         z0, z1, z2, cands = _transporter_candidates(a, bb)
         for w in cands:
             t1 = bb(w)
@@ -226,9 +209,9 @@ def _transporters_symbolic(a: RatMap, b: RatMap):
                 nu = mobius_through([z0, z1, z2], targets)
             except PreconditionError:
                 continue
-            mu = back.compose(nu) if back is not None else nu
+            mu = back.compose(nu)
             if mu.compose(a) == b.compose(mu):
-                found[mu] = True
+                found.add(mu)
     return sorted(found, key=lambda m: m.sort_key())
 
 

@@ -29,6 +29,7 @@ from .intpoly import (
     _z_mul_trunc,
     _z_primitive,
     _z_resultant,
+    _z_value,
     from_ints,
     to_ints,
 )
@@ -298,20 +299,10 @@ class UniPoly:
         """The value at x, by Horner's rule on the numerators homogenised in
         x = p/q: sum nums[i] p^i q^(n-i) over q^n denom."""
         x = qq(x)
-        nums = self.nums
-        if not nums:
+        if not self.nums:
             return Fraction(0)
         p, q = x.numerator, x.denominator
-        acc = nums[-1]
-        if q == 1:
-            for v in reversed(nums[:-1]):
-                acc = acc * p + v
-            return _q(acc, self.denom)
-        qk = 1
-        for v in reversed(nums[:-1]):
-            qk *= q
-            acc = acc * p + v * qk
-        return _q(acc, qk * self.denom)
+        return _q(_z_value(self.nums, p, q), q**self.degree * self.denom)
 
     def compose(self, other: "UniPoly") -> "UniPoly":
         """self(other), by Horner's rule on integer numerators: with other =

@@ -9,8 +9,9 @@ resultants by Sylvester determinants with plain Gaussian elimination,
 genus counts by the raw pairing formula, commuting maps by coordinate
 series at a superattracting fixed point, invariant graphs by the same
 series plus exact verification, fiber partitions by gcd chains over the
-number field of the target place, and Chebyshev cubics by their
-centred-monic normal form.
+number field of the target place, Chebyshev cubics by their
+centred-monic normal form, and transporter candidates by elimination in
+Q[z, w] and factoring.
 """
 
 from __future__ import annotations
@@ -18,8 +19,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ratdyn.bipolys import BiPoly
+from ratdyn.factoring import factor_univariate
+from ratdyn.mobius import _orbit_base
 from ratdyn.numberfields import NumberField
-from ratdyn.polynomials import UniPoly
+from ratdyn.polynomials import UniPoly, homogenize
 from ratdyn.ratmaps import INF, RatMap
 from ratdyn.series import pade_reconstruct
 
@@ -493,3 +496,32 @@ def chebyshev_cubic_sign(A: RatMap):
     if r != 0:
         return 0
     return {Fraction(-3): 1, Fraction(3): -1}.get(p, 0)
+
+
+def bivariate_transporter_candidates(a: RatMap, b: RatMap):
+    """(z0, z1, z2, rational candidates w) for mu o a = b o mu, by the
+    transporter identity E(z, w) built in Q[z, w] with `BiPoly` arithmetic
+    and the linear factors of its content in z."""
+    z0, z1, z2 = _orbit_base(a)
+    w_poly = UniPoly.x()
+    b2 = b.compose(b)
+    E1 = b.num * b2.den - b2.num * b.den
+    E2 = b.num - w_poly * b.den
+    wE1 = BiPoly.from_unipoly(w_poly * E1, "y")
+    E1w = BiPoly.from_unipoly(E1, "y")
+    q2nE2 = BiPoly.from_unipoly(b2.num * E2, "y")
+    q2dE2 = BiPoly.from_unipoly(b2.den * E2, "y")
+    Cn_b = BiPoly.from_unipoly(UniPoly((-z0, 1)) * (z1 - z2), "x")
+    Cd_b = BiPoly.from_unipoly(UniPoly((-z2, 1)) * (z1 - z0), "x")
+    Mn = wE1 * Cd_b - Cn_b * q2nE2
+    Md = E1w * Cd_b - Cn_b * q2dE2
+    cna = BiPoly.from_unipoly((a.num - a.den * z0) * (z1 - z2), "x")
+    cda = BiPoly.from_unipoly((a.num - a.den * z2) * (z1 - z0), "x")
+    Ln = wE1 * cda - cna * q2nE2
+    Ld = E1w * cda - cna * q2dE2
+    Rn, Rd = homogenize((b.num.c, b.den.c), Mn, Md, b.degree)
+    E = Ln * Rd - Ld * Rn
+    assert not E.is_zero
+    g = E.content_x()
+    facs = factor_univariate(g)[1] if g.degree >= 1 else []
+    return z0, z1, z2, sorted(-f.coeff(0) for f, _ in facs if f.degree == 1)

@@ -1,5 +1,7 @@
 import random
+import time
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -12,7 +14,6 @@ from ratdyn.factoring import (
     factor_bivariate,
     factor_univariate,
     is_irreducible,
-    low_degree_factors,
     rational_roots,
 )
 from ratdyn.polynomials import UniPoly
@@ -92,12 +93,60 @@ def test_rational_roots():
     assert rational_roots(big) == [1, 2, 3]
 
 
-def test_low_degree_factors_bounded_completeness():
+def test_rational_roots_beside_an_irreducible_quartic():
     p = UniPoly.of(-1, 1) * UniPoly.of(3, 1) * UniPoly.of(1, 1, 1, 1, 1)
-    got = low_degree_factors(p, 1)
-    assert (UniPoly.of(-1, 1), 1) in got
-    assert (UniPoly.of(3, 1), 1) in got
-    assert all(f.degree <= 1 for f, _ in got)
+    assert rational_roots(p) == [-3, 1]
+
+
+def test_rational_roots_of_a_high_power_within_budget():
+    p = UniPoly([comb(1024, k) for k in range(1025)])  # ((z+1)^64)^16
+    t0 = time.perf_counter()
+    assert rational_roots(p) == [-1]
+    assert time.perf_counter() - t0 < 1.0
+
+
+def linear_factors(p: UniPoly):
+    """The rational roots of p read off its complete factorization."""
+    return sorted(-g.coeff(0) for g, _ in factor_univariate(p)[1] if g.degree == 1)
+
+
+# planted roots a/b with numerators up to 10^12 and denominators up to 10^8
+planted_roots = st.builds(
+    Fraction,
+    st.one_of(st.just(0), st.integers(-(10**12), 10**12)),
+    st.integers(1, 10**8),
+)
+# cofactor leading coefficients divisible by 3, 5 and 7 make the prime
+# search skip those primes; as an overall factor k checks the content
+lead_multipliers = st.sampled_from([1, 3, 5, 7, 15, 21, 35, 105])
+
+
+@st.composite
+def irreducible_cofactors(draw):
+    """k z^2 + c with c > 0 (no real root) or k z^3 - 2 with k odd (a
+    rational root a/b would need a = +-1 and k = 2 b^3): both irreducible."""
+    k = draw(lead_multipliers)
+    if draw(st.booleans()):
+        return UniPoly.of(draw(st.integers(1, 10**6)), 0, k)
+    return UniPoly.of(-2, 0, 0, k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(planted_roots, st.integers(1, 3)), max_size=4),
+    st.lists(irreducible_cofactors(), max_size=2),
+    lead_multipliers,
+)
+def test_rational_roots_match_the_linear_factors(roots, cofactors, k):
+    p = UniPoly.constant(k)
+    for r, m in roots:
+        p = p * UniPoly.of(-r.numerator, r.denominator) ** m
+    for c in cofactors:
+        p = p * c
+    assume(p.degree >= 1)
+    got = rational_roots(p)
+    assert got == linear_factors(p)
+    assert got == sorted({r for r, _ in roots})
 
 
 def test_bivariate_split_and_irreducible():
@@ -147,6 +196,8 @@ def test_bivariate_random_round_trip():
 def test_zero_rejected():
     with pytest.raises(PreconditionError):
         factor_univariate(UniPoly.zero())
+    with pytest.raises(PreconditionError):
+        rational_roots(UniPoly.zero())
     with pytest.raises(PreconditionError):
         factor_bivariate(BiPoly.zero())
 

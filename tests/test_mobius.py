@@ -1,4 +1,9 @@
+from hypothesis import assume, given, settings, strategies as st
+
+from ratdyn.errors import PreconditionError
 from ratdyn.mobius import (
+    _orbit_base,
+    _transporter_candidates,
     are_conjugate,
     conjugacy_transporters,
     mobius_commutant,
@@ -7,7 +12,10 @@ from ratdyn.mobius import (
     mu_right_transports,
 )
 from ratdyn.polynomials import UniPoly
-from ratdyn.ratmaps import RatMap, chebyshev, mobius, power_map
+from ratdyn.ratmaps import INF, RatMap, chebyshev, mobius, power_map
+
+from oracles import bivariate_transporter_candidates
+from test_ratmaps import maps
 
 HALF_SYM = RatMap(UniPoly.of(1, 0, 0, 0, 1), UniPoly.monomial(2, 2))  # (z^4+1)/(2 z^2)
 
@@ -77,3 +85,40 @@ def test_right_transport_completeness():
     f = power_map(4)
     transports = mu_right_transports(f, f)
     assert strs(transports) == ["-z", "z"]
+
+
+# ----------------------------------------------------------------------
+# transporter candidates by specialisation against elimination in Q[z, w]
+
+mobius_maps = (
+    st.tuples(*[st.integers(-3, 3)] * 4)
+    .filter(lambda c: c[0] * c[3] != c[1] * c[2])
+    .map(lambda c: mobius(*c))
+)
+
+
+def candidates_match_elimination(a, b):
+    try:
+        _orbit_base(a)
+    except PreconditionError:
+        assume(False)
+    got = _transporter_candidates(a, b)
+    assert got == bivariate_transporter_candidates(a, b)
+    return got
+
+
+@settings(max_examples=25, deadline=None)
+@given(maps(min_degree=2, max_degree=3), mobius_maps)
+def test_transporter_candidates_on_conjugate_pairs(a, mu):
+    # nu = mu^-1 carries a to b: nu o a = b o nu
+    nu = mu.mobius_inverse()
+    b = nu.compose(a).compose(mu)
+    z0, _, _, cands = candidates_match_elimination(a, b)
+    w0 = nu(z0)
+    assert w0 is INF or w0 in cands
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 3).flatmap(lambda d: st.tuples(maps(d, d), maps(d, d))))
+def test_transporter_candidates_on_unrelated_pairs(pair):
+    candidates_match_elimination(*pair)
