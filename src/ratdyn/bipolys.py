@@ -1,32 +1,35 @@
 """Bivariate polynomials over the rationals.
 
-Stored as integer numerators over one common denominator: `nums`, a dict
-(x-exponent, y-exponent) -> nonzero int, and `denom`, a positive int, in
-normal form gcd(denom, *nums.values()) == 1 and denom == 1 for zero, so
-equality and hashing compare the pair directly.  Ring arithmetic,
-evaluation and the views below run on the ints; the reduced `Fraction`
-coefficients are the read-only view `terms`.  The workhorse views are the
-coefficient lists "in x" (a list of UniPoly in y, index = x-power) and
-symmetrically "in y".  Gcds and resultants in x share one evaluation-
+Stored in the dense recursive form the algorithms read (von zur Gathen and
+Gerhard, *Modern Computer Algebra*, ch. 6): `rows`, a tuple with one tuple
+of integer numerators per power of x, lowest power of y first, and
+`denom`, one positive int over all of them.  Each row is trimmed, the last
+row is nonempty unless the polynomial is zero, and the pair is in normal
+form gcd(denom, entries) == 1 with denom == 1 for zero, so equality and
+hashing compare the pair directly.  Ring arithmetic, evaluation and the
+views below run on the ints: a product adds the `intpoly._z_mul` of row
+pairs, and the coefficient list "in x" (a list of UniPoly in y, index =
+x-power) wraps the rows.  The reduced `Fraction` coefficients are the
+read-only view `terms`.  Gcds and resultants in x share one evaluation-
 interpolation scheme in y: univariate images at y = 0, 1, -1, 2, ...
 (skipping points where an x-degree drops) from the integer kernel, and
-exact interpolation of their coefficients; a gcd is certified by exact
-division.
+exact interpolation of their coefficients over shared nodes; a gcd is
+certified by exact division.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice, zip_longest
 from math import gcd as _igcd, lcm as _lcm
 
 from .errors import PreconditionError, TheoremViolation
-from .intpoly import _q, to_ints
+from .intpoly import _q, _z_interpolate, _z_mul, _z_value, to_ints
 from .polynomials import UniPoly, qq
 
 
 class BiPoly:
-    __slots__ = ("nums", "denom")
+    __slots__ = ("rows", "denom")
 
     def __init__(self, terms=None):
         clean = {}
@@ -37,25 +40,35 @@ class BiPoly:
                     clean[(int(i), int(j))] = v
         # over the least common denominator the pair is already in normal form
         nums, self.denom = to_ints(list(clean.values()))
-        self.nums = dict(zip(clean, nums))
+        rows = [[] for _ in range(max((i + 1 for i, _ in clean), default=0))]
+        for (i, j), v in zip(clean, nums):
+            row = rows[i]
+            row.extend([0] * (j + 1 - len(row)))
+            row[j] = v
+        self.rows = tuple(map(tuple, rows))
 
     @classmethod
-    def _of(cls, nums: dict, d: int = 1) -> "BiPoly":
-        """The polynomial sum(nums[i, j] x^i y^j) / d, for a dict of ints
-        (zero entries allowed) and an int d != 0, brought to normal form."""
-        nums = {k: v for k, v in nums.items() if v}
-        if not nums:
+    def _of(cls, rows: list, d: int = 1) -> "BiPoly":
+        """The polynomial sum(rows[i][j] x^i y^j) / d, for a fresh list of int
+        lists (trimmed in place, zero entries allowed) and an int d != 0,
+        brought to normal form."""
+        for row in rows:
+            while row and row[-1] == 0:
+                row.pop()
+        while rows and not rows[-1]:
+            rows.pop()
+        if not rows:
             d = 1
         elif d != 1:
             if d < 0:
                 d = -d
-                nums = {k: -v for k, v in nums.items()}
-            g = _igcd(d, *nums.values())
+                rows = [[-v for v in row] for row in rows]
+            g = _igcd(d, *chain.from_iterable(rows))
             if g != 1:
                 d //= g
-                nums = {k: v // g for k, v in nums.items()}
+                rows = [[v // g for v in row] for row in rows]
         p = object.__new__(cls)
-        p.nums = nums
+        p.rows = tuple(map(tuple, rows))
         p.denom = d
         return p
 
@@ -63,46 +76,46 @@ class BiPoly:
 
     @classmethod
     def zero(cls):
-        return cls._of({})
+        return cls._of([])
 
     @classmethod
     def constant(cls, v):
         v = qq(v)
-        return cls._of({(0, 0): v.numerator}, v.denominator)
+        return cls._of([[v.numerator]], v.denominator)
 
     @classmethod
     def var_x(cls):
-        return cls._of({(1, 0): 1})
+        return cls._of([[], [1]])
 
     @classmethod
     def var_y(cls):
-        return cls._of({(0, 1): 1})
+        return cls._of([[0, 1]])
 
     @classmethod
     def from_unipoly(cls, p: UniPoly, var: str) -> "BiPoly":
         if var == "x":
-            return cls._of({(i, 0): v for i, v in enumerate(p.nums)}, p.denom)
+            return cls._of([[v] for v in p.nums], p.denom)
         if var == "y":
-            return cls._of({(0, i): v for i, v in enumerate(p.nums)}, p.denom)
+            return cls._of([list(p.nums)], p.denom)
         raise ValueError("var must be 'x' or 'y'")
 
     @property
     def terms(self) -> dict:
         """The coefficients as reduced Fractions, keyed by (i, j)."""
         d = self.denom
-        return {k: _q(v, d) for k, v in self.nums.items()}
+        return {(i, j): _q(v, d) for i, row in enumerate(self.rows) for j, v in enumerate(row) if v}
 
     @property
     def is_zero(self) -> bool:
-        return not self.nums
+        return not self.rows
 
     @property
     def deg_x(self) -> int:
-        return max((i for i, _ in self.nums), default=-1)
+        return len(self.rows) - 1
 
     @property
     def deg_y(self) -> int:
-        return max((j for _, j in self.nums), default=-1)
+        return max(map(len, self.rows), default=0) - 1
 
     def bidegree(self):
         return (self.deg_x, self.deg_y)
@@ -110,16 +123,16 @@ class BiPoly:
     def __eq__(self, other):
         if not isinstance(other, BiPoly):
             return NotImplemented
-        return self.denom == other.denom and self.nums == other.nums
+        return self.denom == other.denom and self.rows == other.rows
 
     def __hash__(self):
-        return hash(("BiPoly", tuple(sorted(self.nums.items())), self.denom))
+        return hash(("BiPoly", self.rows, self.denom))
 
     def __repr__(self):
         return f"BiPoly({self.to_str()})"
 
     def __bool__(self):
-        return bool(self.nums)
+        return bool(self.rows)
 
     # ------------------------------------------------------------------
     # ring arithmetic
@@ -140,10 +153,13 @@ class BiPoly:
             g = _igcd(da, db)
             ma, mb = db // g, da // g
         mb *= sign
-        out = {k: v * ma for k, v in self.nums.items()} if ma != 1 else dict(self.nums)
-        for k, v in o.nums.items():
-            out[k] = out.get(k, 0) + v * mb
-        return BiPoly._of(out, da * ma)
+        rows = []
+        for ra, rb in zip_longest(self.rows, o.rows, fillvalue=()):
+            row = [v * ma for v in ra] + [0] * (len(rb) - len(ra))
+            for j, v in enumerate(rb):
+                row[j] += v * mb
+            rows.append(row)
+        return BiPoly._of(rows, da * ma)
 
     def __add__(self, other):
         o = self._co(other)
@@ -154,7 +170,7 @@ class BiPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return BiPoly._of({k: -v for k, v in self.nums.items()}, self.denom)
+        return BiPoly._of([[-v for v in row] for row in self.rows], self.denom)
 
     def __sub__(self, other):
         o = self._co(other)
@@ -166,14 +182,18 @@ class BiPoly:
         o = self._co(other)
         if o is None:
             return NotImplemented
-        out = {}
-        get = out.get
-        b = list(o.nums.items())
-        for (i1, j1), v1 in self.nums.items():
-            for (i2, j2), v2 in b:
-                k = (i1 + i2, j1 + j2)
-                out[k] = get(k, 0) + v1 * v2
-        return BiPoly._of(out, self.denom * o.denom)
+        if not self.rows or not o.rows:
+            return BiPoly.zero()
+        rows = [[] for _ in range(len(self.rows) + len(o.rows) - 1)]
+        for i, ra in enumerate(self.rows):
+            if ra:
+                for row, rb in zip(rows[i:], o.rows):
+                    if rb:
+                        prod = _z_mul(ra, rb)
+                        row.extend([0] * (len(prod) - len(row)))
+                        for j, v in enumerate(prod):
+                            row[j] += v
+        return BiPoly._of(rows, self.denom * o.denom)
 
     __rmul__ = __mul__
 
@@ -192,14 +212,8 @@ class BiPoly:
 
     def coeffs_in_x(self):
         """List of UniPoly in y; index = power of x."""
-        rows = [[] for _ in range(self.deg_x + 1)]
-        for (i, j), v in self.nums.items():
-            row = rows[i]
-            if len(row) <= j:
-                row.extend([0] * (j + 1 - len(row)))
-            row[j] = v
         d = self.denom
-        return [UniPoly._of(row, d) for row in rows]
+        return [UniPoly._of(list(row), d) for row in self.rows]
 
     def coeffs_in_y(self):
         return self.swap().coeffs_in_x()
@@ -207,57 +221,39 @@ class BiPoly:
     @classmethod
     def from_coeffs_in_x(cls, coeffs) -> "BiPoly":
         den = _lcm(*(p.denom for p in coeffs))
-        nums = {}
-        for i, p in enumerate(coeffs):
-            m = den // p.denom
-            for j, v in enumerate(p.nums):
-                if v:
-                    nums[(i, j)] = v * m
-        return cls._of(nums, den)
+        return cls._of([[v * (den // p.denom) for v in p.nums] for p in coeffs], den)
 
     def swap(self) -> "BiPoly":
-        return BiPoly._of({(j, i): v for (i, j), v in self.nums.items()}, self.denom)
+        rows = [[0] * len(self.rows) for _ in range(self.deg_y + 1)]
+        for i, row in enumerate(self.rows):
+            for j, v in enumerate(row):
+                rows[j][i] = v
+        return BiPoly._of(rows, self.denom)
 
-    def _eval(self, a, axis: int) -> UniPoly:
-        """Substitute a = p/q for the variable in slot axis (0 = x, 1 = y):
-        the numerators become v p^e q^(n-e) over q^n denom, n the degree in
-        that variable."""
+    def eval_y(self, a) -> UniPoly:
+        """Substitute y = a; result is a UniPoly in x.  For a = p/q and
+        n = deg_y, row i gives the integer q^n row_i(p/q): `_z_value` of the
+        row, homogenised to degree n."""
+        if not self.rows:
+            return UniPoly.zero()
         a = qq(a)
         p, q = a.numerator, a.denominator
-        n = max((k[axis] for k in self.nums), default=0)
-        pw = [1] * (n + 1)
-        for e in range(1, n + 1):
-            pw[e] = pw[e - 1] * p
-        if q != 1:
-            qw = q
-            for e in range(n - 1, -1, -1):
-                pw[e] *= qw
-                qw *= q
-        other = 1 - axis
-        row = []
-        for k, v in self.nums.items():
-            j = k[other]
-            if len(row) <= j:
-                row.extend([0] * (j + 1 - len(row)))
-            row[j] += v * pw[k[axis]]
-        return UniPoly._of(row, self.denom * q**n)
+        n = self.deg_y
+        out = [_z_value(row, p, q) * q ** (n + 1 - len(row)) if row else 0 for row in self.rows]
+        return UniPoly._of(out, self.denom * q**n)
 
     def eval_x(self, a) -> UniPoly:
         """Substitute x = a; result is a UniPoly in y."""
-        return self._eval(a, 0)
-
-    def eval_y(self, a) -> UniPoly:
-        """Substitute y = a; result is a UniPoly in x."""
-        return self._eval(a, 1)
+        return self.swap().eval_y(a)
 
     def eval_point(self, a, b) -> Fraction:
         return self.eval_x(a)(b)
 
     def derivative_x(self) -> "BiPoly":
-        return BiPoly._of({(i - 1, j): v * i for (i, j), v in self.nums.items() if i}, self.denom)
+        return BiPoly._of([[v * i for v in row] for i, row in enumerate(self.rows)][1:], self.denom)
 
     def derivative_y(self) -> "BiPoly":
-        return BiPoly._of({(i, j - 1): v * j for (i, j), v in self.nums.items() if j}, self.denom)
+        return BiPoly._of([[v * j for j, v in enumerate(row)][1:] for row in self.rows], self.denom)
 
     def shift_y(self, a) -> "BiPoly":
         """Substitute y -> y + a."""
@@ -283,19 +279,20 @@ class BiPoly:
         return BiPoly.from_coeffs_in_x([p // c for p in self.coeffs_in_x()])
 
     def leading_term_key(self):
-        return max(self.nums) if self.nums else None
+        """The lexicographically largest exponent pair (i, j), or None."""
+        return (len(self.rows) - 1, len(self.rows[-1]) - 1) if self.rows else None
 
     def canonical(self) -> "BiPoly":
         """Integer coprime coefficients with positive lexicographically
         largest term."""
         if self.is_zero:
             return self
-        g = _igcd(*self.nums.values())
-        if self.nums[max(self.nums)] < 0:
+        g = _igcd(*chain.from_iterable(self.rows))
+        if self.rows[-1][-1] < 0:
             g = -g
         if g == 1 and self.denom == 1:
             return self
-        return BiPoly._of({k: v // g for k, v in self.nums.items()})
+        return BiPoly._of([[v // g for v in row] for row in self.rows])
 
     # ------------------------------------------------------------------
     # division
@@ -311,42 +308,27 @@ class BiPoly:
         return other.exact_div(self) is not None
 
     def exact_div(self, other: "BiPoly"):
-        """Exact quotient over Q[x, y], or None when not divisible."""
+        """Exact quotient over Q[x, y], or None when not divisible: long
+        division in x, each quotient row an exact division in Q[y]."""
         if other.is_zero:
             raise ZeroDivisionError("division by zero")
-        if self.is_zero:
-            return BiPoly.zero()
-        if other.deg_x == 0:
-            c = other.coeffs_in_x()[0]
-            out = []
-            for p in self.coeffs_in_x():
-                q, r = divmod(p, c)
-                if not r.is_zero:
-                    return None
-                out.append(q)
-            return BiPoly.from_coeffs_in_x(out)
         a = self.coeffs_in_x()
         b = other.coeffs_in_x()
         db = len(b) - 1
-        lb = b[-1]
-        q = {}
-        while True:
-            while a and a[-1].is_zero:
-                a.pop()
-            da = len(a) - 1
-            if da < db:
-                break
-            qt, rt = divmod(a[-1], lb)
+        q = [UniPoly.zero()] * max(len(a) - db, 0)
+        for k in range(len(q) - 1, -1, -1):
+            top = a[k + db]
+            if top.is_zero:
+                continue
+            qt, rt = divmod(top, b[-1])
             if not rt.is_zero:
                 return None
-            q[da - db] = qt
-            for j in range(db + 1):
-                a[da - db + j] = a[da - db + j] - qt * b[j]
-            a.pop()
-        if any(not p.is_zero for p in a):
+            q[k] = qt
+            for j in range(db):
+                a[k + j] = a[k + j] - qt * b[j]
+        if any(a[:db]):
             return None
-        qc = [q.get(k, UniPoly.zero()) for k in range(max(q, default=-1) + 1)]
-        return BiPoly.from_coeffs_in_x(qc)
+        return BiPoly.from_coeffs_in_x(q)
 
     # ------------------------------------------------------------------
 
@@ -401,10 +383,8 @@ def _images(*polys):
 def _interpolate_in_y(images) -> BiPoly:
     """The BiPoly of least y-degree whose image at each y0 is the given
     UniPoly in x, for (y0, UniPoly) pairs with distinct y0."""
-    n = max((u.degree for _, u in images), default=-1)
-    return BiPoly.from_coeffs_in_x(
-        [UniPoly.interpolate([(y0, u.coeff(i)) for y0, u in images]) for i in range(n + 1)]
-    )
+    nodes = [(y0.numerator, y0.denominator) for y0, _ in images]
+    return BiPoly._of(*_z_interpolate(nodes, [(u.nums, u.denom) for _, u in images]))
 
 
 def gcd_x(f: BiPoly, g: BiPoly) -> BiPoly:

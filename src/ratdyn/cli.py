@@ -370,7 +370,8 @@ class _ArgumentParser(argparse.ArgumentParser):
 
     def _parse_optional(self, arg_string):
         parsed = super()._parse_optional(arg_string)
-        # newer interpreters return a list of candidate (action, ...) tuples
+        # an (action, option, ...) tuple of three or four entries, or in later
+        # patch releases a list of such tuples
         first = parsed[0] if isinstance(parsed, list) else parsed
         if first is not None and first[0] is None:
             return None

@@ -15,6 +15,7 @@ explicit (deliberately loose) bound functions.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -131,7 +132,7 @@ def max_common_right_factor(f: RatMap, g: RatMap):
 # left factors of a map, up to precomposition
 
 
-def all_left_factors(F: RatMap, n: int, subset_cap: int = SUBSET_CAP):
+def all_left_factors(F: RatMap, n: int):
     """Representatives of the precomposition classes of degree-n left
     factors of F: every X with X o R = F for some R arises as X o mu."""
     if F.degree < 1:
@@ -155,13 +156,12 @@ def all_left_factors(F: RatMap, n: int, subset_cap: int = SUBSET_CAP):
     for size in range(1, len(factors) + 1):
         for combo in itertools.combinations(range(len(factors)), size):
             visited += 1
-            if visited > subset_cap:
+            if visited > SUBSET_CAP:
                 raise Inconclusive("left-factor subset search exceeded the cap")
-            prod = BiPoly.constant(1)
-            for i in combo:
-                prod = prod * factors[i]
-            if prod.deg_x != k or prod.deg_y != k:
+            # degrees add under products, so only subsets of bidegree (k, k) are built
+            if sum(factors[i].deg_x for i in combo) != k or sum(factors[i].deg_y for i in combo) != k:
                 continue
+            prod = math.prod(factors[i] for i in combo)
             w = _try_generator(prod, k)
             if w is None:
                 continue

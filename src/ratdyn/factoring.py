@@ -378,14 +378,18 @@ def _bi_sort_key(fm):
 
 
 def _unit_for(F, factors):
-    prod = BiPoly.constant(1)
+    """F over the product of the factors, from leading terms alone: the order
+    of `leading_term_key` is a monomial order, so the product's leading
+    exponents are the factors' times their multiplicities, summed."""
+    i = j = 0
+    pv = Fraction(1)
     for f, m in factors:
-        prod = prod * f**m
-    lead = F.leading_term_key()
-    pv = prod.terms.get(lead)
-    if pv is None:
+        fi, fj = f.leading_term_key()
+        i, j = i + m * fi, j + m * fj
+        pv *= f.terms[(fi, fj)] ** m
+    if F.leading_term_key() != (i, j):
         raise PreconditionError("factorization lost the leading term")
-    return F.terms[lead] / pv
+    return F.terms[(i, j)] / pv
 
 
 def bi_is_irreducible(F: BiPoly) -> bool:

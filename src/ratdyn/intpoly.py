@@ -13,6 +13,7 @@ at the edges (constructors and the `.c` view).  Every operation is plain
   division that stops at the first non-integral quotient;
 * division over Q of integer polynomials, scaling by the divisor's
   leading coefficient only when a quotient is not integral;
+* Lagrange interpolation of several columns of values at shared nodes;
 * a modular gcd (Brown 1971; von zur Gathen and Gerhard, *Modern Computer
   Algebra*, ch. 6) whose every answer is certified: by a prime, dividing
   neither leading coefficient, at which the inputs are coprime, or by
@@ -24,7 +25,7 @@ at the edges (constructors and the `.c` view).  Every operation is plain
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import PreconditionError
 
@@ -148,6 +149,49 @@ def _z_value(a, p, q=1):
         qk *= q
         acc = acc * p + v * qk
     return acc
+
+
+def _z_interpolate(nodes, values):
+    """(cols, den) with cols[k] / den the interpolant of least degree of
+    column k, for distinct nodes p_i/q_i given as pairs (p_i, q_i) with
+    q_i > 0, and values[i] = (nums, d) holding nums[k] / d, the value of
+    column k at node i.  cols is a fresh list of int lists; den > 0.
+
+    With W the integer polynomial prod (q_j z - p_j), the basis polynomial of
+    node i is L_i(z) / L_i(p_i/q_i) for the exact integer quotient
+    L_i = W / (q_i z - p_i), and q_i^(n-1) L_i(p_i/q_i) is the integer
+    D_i = prod_{j != i} (q_j p_i - p_j q_i).  W, each L_i and each D_i are
+    built once for all columns, and every column is summed over one
+    denominator, the lcm of the d_i D_i."""
+    m = len(nodes) - 1
+    used = []
+    den = 1
+    for i, (p, q) in enumerate(nodes):
+        nums, d = values[i]
+        if not any(nums):
+            continue
+        D = 1
+        for j, (pj, qj) in enumerate(nodes):
+            if j != i:
+                D *= qj * p - pj * q
+        if D == 0:
+            raise ZeroDivisionError("interpolation points share an x value")
+        used.append((i, d * D))
+        den = lcm(den, d * D)
+    W = [1]
+    for p, q in nodes:
+        W = _z_mul(W, (-p, q))
+    cols = [[0] * (m + 1) for _ in range(max((len(nums) for nums, _ in values), default=0))]
+    for i, s in used:
+        p, q = nodes[i]
+        L = _z_exact_div(W, [-p, q])
+        scale = den // s * q**m
+        for col, v in zip(cols, values[i][0]):
+            if v:
+                t = v * scale
+                for k, c in enumerate(L):
+                    col[k] += t * c
+    return cols, den
 
 
 def _z_exact_div(a, b):
@@ -402,11 +446,13 @@ def _z_gcd(a, b):
     least that of the true gcd; an image of degree 0 proves a and b coprime.
     Images of least degree are scaled to leading coefficient
     gcd(lc a, lc b), combined by CRT and lifted symmetrically; the lift's
-    primitive part is returned once it divides both a and b exactly."""
+    primitive part is returned once it divides both a and b exactly.  That
+    division is tried at the first image of least degree and then only when
+    the lift repeats, since a lift still growing cannot be the gcd yet."""
     la, lb = a[-1], b[-1]
     gamma = gcd(la, lb)
     best = None
-    h = m = None
+    h = m = prev = None
     for p in _gcd_primes():
         if la % p == 0 or lb % p == 0:
             continue
@@ -418,6 +464,7 @@ def _z_gcd(a, b):
             best = len(g)
             h = [gamma * v % p for v in g]
             m = p
+            prev = None
         elif len(g) > best:
             continue
         else:
@@ -427,8 +474,10 @@ def _z_gcd(a, b):
         cand = _z_primitive(_centered(h, m))
         if cand[-1] < 0:
             cand = [-v for v in cand]
-        if _z_exact_div(a, cand) is not None and _z_exact_div(b, cand) is not None:
-            return cand
+        if prev is None or cand == prev:
+            if _z_exact_div(a, cand) is not None and _z_exact_div(b, cand) is not None:
+                return cand
+        prev = cand
 
 
 # ----------------------------------------------------------------------

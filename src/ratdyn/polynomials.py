@@ -22,8 +22,8 @@ from math import gcd as _igcd
 from .intpoly import (
     _q,
     _z_divmod,
-    _z_exact_div,
     _z_gcd,
+    _z_interpolate,
     _z_inv_trunc,
     _z_mul,
     _z_mul_trunc,
@@ -430,39 +430,12 @@ class UniPoly:
 
     @staticmethod
     def interpolate(points) -> "UniPoly":
-        """Lagrange interpolation through exact (x, y) pairs with distinct x.
-
-        With x_j = p_j / q_j and W the integer polynomial prod (q_j z - p_j),
-        the basis polynomial of point i is L_i(z) / L_i(x_i) for the exact
-        integer quotient L_i = W / (q_i z - p_i), and q_i^(n-1) L_i(x_i) is
-        the integer D_i = prod_{j != i} (q_j p_i - p_j q_i).  The terms
-        y_i q_i^(n-1) L_i / D_i are summed over one running denominator."""
+        """Lagrange interpolation through exact (x, y) pairs with distinct x:
+        the one-column case of `intpoly._z_interpolate`."""
         pts = [(qq(x), qq(y)) for x, y in points]
-        xs = [(x.numerator, x.denominator) for x, _ in pts]
-        W = [1]
-        for p, q in xs:
-            W = _z_mul(W, (-p, q))
-        m = len(pts) - 1
-        acc, den = [], 1
-        for i, (_, y) in enumerate(pts):
-            if y == 0:
-                continue
-            p, q = xs[i]
-            D = 1
-            for j, (pj, qj) in enumerate(xs):
-                if j != i:
-                    D *= qj * p - pj * q
-            if D == 0:
-                raise ZeroDivisionError("interpolation points share an x value")
-            L = _z_exact_div(W, [-p, q])
-            t, s = y.numerator * q**m, y.denominator * D
-            g = _igcd(den, s)
-            scale, t = s // g, t * (den // g)
-            acc = [v * scale for v in acc] + [0] * (len(L) - len(acc))
-            for k, v in enumerate(L):
-                acc[k] += t * v
-            den *= scale
-        return UniPoly._of(acc, den)
+        nodes = [(x.numerator, x.denominator) for x, _ in pts]
+        cols, den = _z_interpolate(nodes, [((y.numerator,), y.denominator) for _, y in pts])
+        return UniPoly._of(cols[0] if cols else [], den)
 
     # ------------------------------------------------------------------
     # printing

@@ -46,7 +46,6 @@ class SearchConfig:
     bidegree: tuple
     iterate_cap: int = 2
     include_lines: bool = False
-    dedup_by_symmetry: bool = True
 
     def __post_init__(self):
         d1, d2 = self.bidegree
@@ -142,19 +141,12 @@ def find_invariant_curves(A1: RatMap, A2: RatMap, cfg: SearchConfig) -> SearchRe
                         if X1m.compose(b2) != A1.compose(X1m):
                             raise TheoremViolation("transported pair lost the identity")
                         C = implicitize(ParamCurve(X1m, X2))
-                        if C.bidegree != (d1, d2):
+                        if C.bidegree != (d1, d2) or C in found:
                             continue
-                        cert = CurveCertificate(curve=C, X1=X1m, X2=X2, B=b2)
-                        if C not in found:
-                            if not is_invariant(C, A1, A2):
-                                raise TheoremViolation("emitted curve failed invariance")
-                            found[C] = [cert]
-                        elif not cfg.dedup_by_symmetry:
-                            found[C].append(cert)
-    certs = []
-    for group in found.values():
-        certs.extend(group)
-    report.curves = sorted(certs, key=lambda c: (c.curve.sort_key(), c.X1.sort_key()))
+                        if not is_invariant(C, A1, A2):
+                            raise TheoremViolation("emitted curve failed invariance")
+                        found[C] = CurveCertificate(curve=C, X1=X1m, X2=X2, B=b2)
+    report.curves = sorted(found.values(), key=lambda c: c.curve.sort_key())
     return report
 
 

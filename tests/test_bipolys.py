@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ratdyn.bipolys import BiPoly, gcd_x, resultant_x, resultant_x_mixed, resultant_y, separated
 from ratdyn.decompose import graph_numerator
@@ -47,6 +47,25 @@ def test_exact_division():
     f = (X**2 + Y) * (X * Y - 1)
     assert f.exact_div(X**2 + Y) == X * Y - 1
     assert f.exact_div(X + Y) is None
+    q = X**3 * Y - 2 * X + Y**2
+    # a divisor of x-degree 0
+    d = Y**2 + 1
+    assert (q * d).exact_div(d) == q
+    assert (q * d + X).exact_div(d) is None
+    # a constant divisor divides everything
+    c = BiPoly.constant(Fraction(3, 2))
+    assert (q * c).exact_div(c) == q
+    assert q.exact_div(c) == q * Fraction(2, 3)
+    # a pure power of x
+    assert (q * X**2).exact_div(X**2) == q
+    assert q.exact_div(X**2) is None
+    # a dividend whose x^1 row is zero
+    f = (X**2 + 1) * (Y + 1)
+    assert f.rows[1] == ()
+    assert f.exact_div(Y + 1) == X**2 + 1
+    assert f.exact_div(X**2 + 1) == Y + 1
+    assert f.exact_div(X + 1) is None
+    assert BiPoly.zero().exact_div(d) == BiPoly.zero()
 
 
 def test_divides():
@@ -128,20 +147,35 @@ def _rand_bi(rng):
 
 
 # ----------------------------------------------------------------------
-# the stored form: integer numerators over one denominator
+# the stored form: integer rows in x over one denominator
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
-bi_terms = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), rationals, max_size=6)
+
+
+def _terms_of_rows(rows):
+    return {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row) if v}
+
+
+# bidegrees up to (8, 8); inner rows may be empty, all zero or end in zeros
+bi_terms = st.lists(
+    st.lists(st.one_of(st.just(Fraction(0)), rationals), max_size=9), max_size=9
+).map(_terms_of_rows)
 
 
 def assert_normal_form(f):
     assert type(f.denom) is int and f.denom > 0
-    assert all(type(v) is int and v for v in f.nums.values())
-    if f.nums:
-        assert math.gcd(f.denom, *f.nums.values()) == 1
+    assert type(f.rows) is tuple
+    for row in f.rows:
+        assert type(row) is tuple and all(type(v) is int for v in row)
+        assert not row or row[-1] != 0
+    if f.rows:
+        assert f.rows[-1]
+        assert math.gcd(f.denom, *(v for row in f.rows for v in row)) == 1
     else:
         assert f.denom == 1
-    assert f.terms == {k: Fraction(v, f.denom) for k, v in f.nums.items()}
+    assert f.terms == {
+        (i, j): Fraction(v, f.denom) for i, row in enumerate(f.rows) for j, v in enumerate(row) if v
+    }
 
 
 @settings(max_examples=80, deadline=None)
@@ -239,6 +273,17 @@ def test_divides_agrees_with_exact_division(a, b):
     assert f.divides(f * g)
     assert f.divides(g) == (g.exact_div(f) is not None)
     assert f.divides(g + X * f) == (g.exact_div(f) is not None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bi_terms, bi_terms, st.integers(0, 8), st.integers(0, 8))
+def test_exact_division_undoes_products(a, b, i, j):
+    f, g = BiPoly(a), BiPoly(b)
+    assume(g)
+    assert (f * g).exact_div(g) == f
+    # a divisor of a monomial is a monomial
+    if len(g.terms) >= 2:
+        assert (f * g + X**i * Y**j).exact_div(g) is None
 
 
 unis = st.lists(rationals, max_size=4).map(UniPoly)

@@ -166,6 +166,11 @@ def test_bivariate_with_content_and_multiplicity():
     by_mult = sorted((m, f.to_str()) for f, m in facs)
     assert (2, "x - y") in by_mult
     assert (1, "x + y + 1") in by_mult
+    # a repeated factor whose leading coefficient is not 1
+    F = (2 * X - Y) ** 2 * (3 * X + Y**2 + 1) * Fraction(5, 7)
+    unit, facs = factor_bivariate(F)
+    assert sorted((m, f.to_str()) for f, m in facs) == [(1, "3*x + y^2 + 1"), (2, "2*x - y")]
+    assert unit == Fraction(5, 7)
 
 
 def test_bivariate_random_round_trip():

@@ -212,6 +212,27 @@ def test_gcd_lifts_across_several_primes():
     assert a.gcd(b) == euclid_gcd(a, b)
 
 
+def test_gcd_divides_only_when_its_lift_repeats(monkeypatch):
+    # the normalising gcd in the derivative of z^256 / (z+1)^256 is a
+    # multiple of (z+1)^255, whose CRT lift takes about ten 31-bit primes;
+    # trial division waits for the lift to repeat instead of following
+    # every prime
+    from ratdyn import intpoly
+    from ratdyn.ratmaps import RatMap
+
+    f = RatMap(UniPoly.x() ** 256, UniPoly.of(1, 1) ** 256)
+    calls = []
+
+    def counted(a, b):
+        calls.append(len(a))
+        return _z_exact_div(a, b)
+
+    monkeypatch.setattr(intpoly, "_z_exact_div", counted)
+    d = f.derivative()
+    assert d == RatMap(256 * UniPoly.x() ** 255, UniPoly.of(1, 1) ** 257)
+    assert 1 <= len(calls) <= 3
+
+
 def test_exact_division_stops_at_non_integral_quotient():
     assert _z_exact_div([-1, 0, 1], [1, 1]) == [-1, 1]
     assert _z_exact_div([-1, 0, 1], [1, 2]) is None
