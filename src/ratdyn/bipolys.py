@@ -7,14 +7,17 @@ of integer numerators per power of x, lowest power of y first, and
 row is nonempty unless the polynomial is zero, and the pair is in normal
 form gcd(denom, entries) == 1 with denom == 1 for zero, so equality and
 hashing compare the pair directly.  Ring arithmetic, evaluation and the
-views below run on the ints: a product adds the `intpoly._z_mul` of row
-pairs, and the coefficient list "in x" (a list of UniPoly in y, index =
-x-power) wraps the rows.  The reduced `Fraction` coefficients are the
-read-only view `terms`.  Gcds and resultants in x share one evaluation-
-interpolation scheme in y: univariate images at y = 0, 1, -1, 2, ...
-(skipping points where an x-degree drops) from the integer kernel, and
-exact interpolation of their coefficients over shared nodes; a gcd is
-certified by exact division.
+views below run on the ints, and the coefficient list "in x" (a list of
+UniPoly in y, index = x-power) wraps the rows.  The reduced `Fraction`
+coefficients are the read-only view `terms`.  A product is one
+`intpoly._z_mul`, and an exact quotient one `intpoly._z_exact_div`, of
+Kronecker images x -> z^n, y -> z (Kronecker 1882; ibid., ch. 8), with n
+above the result's y-degree, where packing is injective; a quotient counts
+only when each of its rows fits that degree.  Gcds and resultants in x
+share one evaluation-interpolation scheme in y: univariate images at
+y = 0, 1, -1, 2, ... (skipping points where an x-degree drops) from the
+integer kernel, and exact interpolation of their coefficients over shared
+nodes; a gcd is certified by exact division.
 """
 
 from __future__ import annotations
@@ -24,8 +27,22 @@ from itertools import chain, islice, zip_longest
 from math import gcd as _igcd, lcm as _lcm
 
 from .errors import PreconditionError, TheoremViolation
-from .intpoly import _q, _z_interpolate, _z_mul, _z_value, to_ints
+from .intpoly import _q, _z_exact_div, _z_interpolate, _z_mul, _z_value, to_ints
 from .polynomials import UniPoly, qq
+
+
+def _pack(rows, n):
+    """The Kronecker image x -> z^n, y -> z of integer rows of at most n
+    entries: the list with rows[i][j] at index i n + j."""
+    out = [0] * (n * (len(rows) - 1) + len(rows[-1]))
+    for i, row in enumerate(rows):
+        out[i * n : i * n + len(row)] = row
+    return out
+
+
+def _unpack(a, n):
+    """The rows of the Kronecker image a, n slots each."""
+    return [a[i : i + n] for i in range(0, len(a), n)]
 
 
 class BiPoly:
@@ -178,22 +195,21 @@ class BiPoly:
             return NotImplemented
         return self._add(o, -1)
 
+    def __rsub__(self, other):
+        o = self._co(other)
+        if o is None:
+            return NotImplemented
+        return o._add(self, -1)
+
     def __mul__(self, other):
         o = self._co(other)
         if o is None:
             return NotImplemented
         if not self.rows or not o.rows:
             return BiPoly.zero()
-        rows = [[] for _ in range(len(self.rows) + len(o.rows) - 1)]
-        for i, ra in enumerate(self.rows):
-            if ra:
-                for row, rb in zip(rows[i:], o.rows):
-                    if rb:
-                        prod = _z_mul(ra, rb)
-                        row.extend([0] * (len(prod) - len(row)))
-                        for j, v in enumerate(prod):
-                            row[j] += v
-        return BiPoly._of(rows, self.denom * o.denom)
+        n = self.deg_y + o.deg_y + 1
+        prod = _z_mul(_pack(self.rows, n), _pack(o.rows, n))
+        return BiPoly._of(_unpack(prod, n), self.denom * o.denom)
 
     __rmul__ = __mul__
 
@@ -255,6 +271,10 @@ class BiPoly:
     def derivative_y(self) -> "BiPoly":
         return BiPoly._of([[v * j for j, v in enumerate(row)][1:] for row in self.rows], self.denom)
 
+    def trunc_y(self, k: int) -> "BiPoly":
+        """The terms of y-degree below k."""
+        return BiPoly._of([list(row[:k]) for row in self.rows], self.denom)
+
     def shift_y(self, a) -> "BiPoly":
         """Substitute y -> y + a."""
         return BiPoly.from_coeffs_in_x([p.taylor_shift(a) for p in self.coeffs_in_x()])
@@ -301,34 +321,32 @@ class BiPoly:
         """Exact divisibility test over Q[x, y]."""
         if self.is_zero:
             return other.is_zero
-        if other.is_zero:
-            return True
-        if self.deg_x > other.deg_x or self.deg_y > other.deg_y:
-            return False
         return other.exact_div(self) is not None
 
     def exact_div(self, other: "BiPoly"):
-        """Exact quotient over Q[x, y], or None when not divisible: long
-        division in x, each quotient row an exact division in Q[y]."""
+        """Exact quotient over Q[x, y], or None when not divisible.  By
+        Gauss's lemma the quotient of the images (n = deg_y self + 1) by the
+        primitive integer part of other is integral when it exists, and it is
+        the image of a bivariate quotient when each row fits in
+        deg_y self - deg_y other + 1 slots, since packing is injective."""
         if other.is_zero:
             raise ZeroDivisionError("division by zero")
-        a = self.coeffs_in_x()
-        b = other.coeffs_in_x()
-        db = len(b) - 1
-        q = [UniPoly.zero()] * max(len(a) - db, 0)
-        for k in range(len(q) - 1, -1, -1):
-            top = a[k + db]
-            if top.is_zero:
-                continue
-            qt, rt = divmod(top, b[-1])
-            if not rt.is_zero:
-                return None
-            q[k] = qt
-            for j in range(db):
-                a[k + j] = a[k + j] - qt * b[j]
-        if any(a[:db]):
+        if not self.rows:
+            return self
+        if other.deg_x > self.deg_x or other.deg_y > self.deg_y:
             return None
-        return BiPoly.from_coeffs_in_x(q)
+        n = self.deg_y + 1
+        g = _igcd(*chain.from_iterable(other.rows))
+        b = [v // g for v in _pack(other.rows, n)]
+        q = _z_exact_div(_pack(self.rows, n), b)
+        if q is None:
+            return None
+        rows = _unpack(q, n)
+        slots = n - other.deg_y
+        if any(any(row[slots:]) for row in rows):
+            return None
+        d = other.denom
+        return BiPoly._of([[v * d for v in row] for row in rows], self.denom * g)
 
     # ------------------------------------------------------------------
 

@@ -79,14 +79,12 @@ def right_divide(F: RatMap, W: RatMap):
         return F.compose(W.mobius_inverse())
     n = F.degree // W.degree
     k = 2 * n + 1
-    wp = W.derivative()
+    wr = W.wronskian()
     t = Fraction(0)
     for _ in range(100):
         t0 = t
         t = -t if t > 0 else -t + 1
-        if W.den(t0) == 0 or F.den(t0) == 0:
-            continue
-        if wp.num(t0) == 0:
+        if W.den(t0) == 0 or F.den(t0) == 0 or wr(t0) == 0:
             continue
         x0 = W(t0)
         if x0 is INF:

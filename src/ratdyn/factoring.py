@@ -10,11 +10,14 @@ certified by exact integer evaluation.
 Bivariate: content/primitive split in x, squarefree reduction over Q(y),
 then specialization at the smallest good integer y0, lifting the
 univariate factors y-adically, and subset recombination with an exact
-divisibility certificate.  The lifting works in tau = y - y0 mod tau^K on
-`UniPoly` series (`UniPoly.mul_trunc`, `inv_trunc`), one order of tau at a
-time against partial products kept order by order.  Subset searches are
-capped; hitting the cap raises Inconclusive rather than silently
-truncating.
+divisibility certificate.  The lifting works in tau = y - y0 mod tau^K,
+one order of tau at a time against partial products kept order by order,
+and returns `BiPoly` factors in (x, tau); a candidate is their product
+truncated by `BiPoly.trunc_y`, read back with `shift_y(-y0)`.
+
+Both recombinations run one subset search, `_recombine`, with a `split`
+closure that tries a subset.  The search is capped; hitting the cap raises
+Inconclusive rather than silently truncating.
 """
 
 from __future__ import annotations
@@ -202,40 +205,52 @@ def _zassenhaus(f):
         l *= 2
     target = p**l
     lifted = _hensel_lift(p, _m_mod(f, target), modular, l)
-
     result = []
-    pool = list(range(len(lifted)))
     current = list(f)
-    visited = 0
-    s = 1
-    while pool and 2 * s <= len(pool):
-        found = True
-        while found and 2 * s <= len(pool):
-            found = False
-            for combo in itertools.combinations(pool, s):
-                visited += 1
-                if visited > SUBSET_CAP:
-                    raise Inconclusive("factor recombination exceeded the subset cap")
-                if sum(len(lifted[i]) - 1 for i in combo) not in possible:
-                    continue
-                g = [current[-1] % target]
-                for i in combo:
-                    g = _m_mul(g, lifted[i], target)
-                g = _z_primitive(_centered(g, target))
-                # g and current are primitive, so by Gauss's lemma g divides
-                # current over Q exactly when it does over Z
-                q = _z_exact_div(current, g)
-                if q is not None:
-                    result.append(g)
-                    current = q if q[-1] > 0 else [-v for v in q]
-                    for i in combo:
-                        pool.remove(i)
-                    found = True
-                    break
-        s += 1
+
+    def split(combo):
+        nonlocal current
+        if sum(len(lifted[i]) - 1 for i in combo) not in possible:
+            return False
+        g = [current[-1] % target]
+        for i in combo:
+            g = _m_mul(g, lifted[i], target)
+        g = _z_primitive(_centered(g, target))
+        # g and current are primitive, so by Gauss's lemma g divides
+        # current over Q exactly when it does over Z
+        q = _z_exact_div(current, g)
+        if q is None:
+            return False
+        result.append(g)
+        current = q if q[-1] > 0 else [-v for v in q]
+        return True
+
+    _recombine(len(lifted), split, "factor recombination exceeded the subset cap")
     if len(current) > 1:
         result.append(current)
     return result
+
+
+def _recombine(count, split, message):
+    """Zassenhaus's subset search over the lifted factors 0 .. count - 1.
+    Subsets of the pool are visited by size s = 1, 2, ... while 2 s is at
+    most the pool's size; split(combo) tries a subset and returns True when
+    it split off a factor, whose members then leave the pool, and the
+    search tries size s again.  More than SUBSET_CAP visits raise
+    Inconclusive(message) rather than silently truncating."""
+    pool = list(range(count))
+    visited = 0
+    s = 1
+    while 2 * s <= len(pool):
+        for combo in itertools.combinations(pool, s):
+            visited += 1
+            if visited > SUBSET_CAP:
+                raise Inconclusive(message)
+            if split(combo):
+                pool = [i for i in pool if i not in combo]
+                break
+        else:
+            s += 1
 
 
 # ----------------------------------------------------------------------
@@ -311,20 +326,6 @@ def rational_roots(p: UniPoly):
         if _z_value(f, root.numerator, root.denominator) == 0:
             roots.append(root)
     return sorted(roots)
-
-
-
-# ----------------------------------------------------------------------
-# x-polynomials with truncated series coefficients: lists of UniPoly
-# series in tau, index = power of x, each read mod tau^k
-
-
-def _xser_mul(A, B, k):
-    out = [UniPoly.zero()] * (len(A) + len(B) - 1)
-    for i, ai in enumerate(A):
-        for j, bj in enumerate(B):
-            out[i + j] = out[i + j] + ai.mul_trunc(bj, k)
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -403,19 +404,14 @@ def _factor_squarefree_bi(G: BiPoly):
     if G.deg_x == 1:
         return [G.canonical()]
     lcx = G.coeffs_in_x()[-1]
-    y0 = None
-    a = 0
-    while True:
-        cand = Fraction(a)
-        if lcx(cand) != 0:
-            slice0 = G.eval_y(cand)
+    for a in range(41 + 4 * (G.deg_y + 1)):
+        y0 = Fraction(a)
+        if lcx(y0) != 0:
+            slice0 = G.eval_y(y0)
             if slice0.degree == G.deg_x and slice0.is_squarefree():
-                y0 = cand
                 break
-        a += 1
-        if a > 40 + 4 * (G.deg_y + 1):
-            raise Inconclusive("no squarefree specialization point found")
-    slice0 = G.eval_y(y0)
+    else:
+        raise Inconclusive("no squarefree specialization point found")
     _, ufacs = factor_univariate(slice0)
     base = [f for f, _ in ufacs]
     if len(base) == 1:
@@ -425,52 +421,35 @@ def _factor_squarefree_bi(G: BiPoly):
     inv_lc = rows[-1].inv_trunc(K)
     ghat = [c.mul_trunc(inv_lc, K) for c in rows]
     lifted = _bi_hensel(ghat, base, K)
-
-    pool = list(range(len(lifted)))
     out = []
     current = G
-    lc_now = rows[-1]
-    s = 1
-    visited = 0
-    while pool and 2 * s <= len(pool):
-        found = True
-        while found and 2 * s <= len(pool):
-            found = False
-            for combo in itertools.combinations(pool, s):
-                visited += 1
-                if visited > SUBSET_CAP:
-                    raise Inconclusive("bivariate recombination exceeded the subset cap")
-                prod = [UniPoly.one()]
-                for i in combo:
-                    prod = _xser_mul(prod, lifted[i], K)
-                scaled = [c.mul_trunc(lc_now, K) for c in prod]
-                cand = _xser_to_bipoly(scaled, y0).primitive_part_x().canonical()
-                if cand.deg_x < 1:
-                    continue
-                q = current.exact_div(cand)
-                if q is not None:
-                    out.append(cand)
-                    current = q.primitive_part_x().canonical()
-                    lc_now = current.coeffs_in_x()[-1].taylor_shift(y0)
-                    for i in combo:
-                        pool.remove(i)
-                    found = True
-                    break
-        s += 1
+    lc_now = BiPoly.from_unipoly(rows[-1], "y")
+
+    def split(combo):
+        nonlocal current, lc_now
+        prod = lc_now
+        for i in combo:
+            prod = (prod * lifted[i]).trunc_y(K)
+        cand = prod.shift_y(-y0).primitive_part_x().canonical()
+        if cand.deg_x < 1:
+            return False
+        q = current.exact_div(cand)
+        if q is None:
+            return False
+        out.append(cand)
+        current = q.primitive_part_x().canonical()
+        lc_now = BiPoly.from_unipoly(current.coeffs_in_x()[-1].taylor_shift(y0), "y")
+        return True
+
+    _recombine(len(lifted), split, "bivariate recombination exceeded the subset cap")
     if current.deg_x >= 1:
         out.append(current.primitive_part_x().canonical())
     return out
 
 
-def _xser_to_bipoly(A, y0):
-    """The BiPoly in (x, y) whose x-coefficients are the series A[i] in
-    tau = y - y0, read as polynomials."""
-    return BiPoly.from_coeffs_in_x([ser.taylor_shift(-y0) for ser in A])
-
-
 def _bi_hensel(ghat, base, K):
     """Lift pairwise coprime monic univariate factors (product = ghat at
-    tau = 0) to monic x-polynomials with series coefficients mod tau**K.
+    tau = 0) to monic x-polynomials mod tau**K, as BiPolys in (x, tau).
 
     Linear lifting, one order of tau at a time (von zur Gathen and Gerhard,
     *Modern Computer Algebra*, section 15.4), on the coefficients of tau^t,
@@ -516,4 +495,4 @@ def _bi_hensel(ghat, base, K):
             F[j].append(delta)
             have = S[j] + have * base[j] + L[j][0] * delta
             L[j + 1].append(have)
-    return [BiPoly.from_coeffs_in_x(Fj).swap().coeffs_in_x() for Fj in F]
+    return [BiPoly.from_coeffs_in_x(Fj).swap() for Fj in F]

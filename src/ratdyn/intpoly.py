@@ -10,7 +10,9 @@ at the edges (constructors and the `.c` view).  Every operation is plain
 * Z/m arithmetic (`_m_*`) for factoring and for modular images;
 * integer convolution, full and truncated at t^k, the truncated series
   inverse over one denominator (`_z_inv_trunc`), and exact integer
-  division that stops at the first non-integral quotient;
+  division that stops at the first non-integral quotient and updates only
+  at the divisor's nonzero entries; `BiPoly` makes every product and exact
+  quotient one call of these on Kronecker images, mostly zero padding;
 * division over Q of integer polynomials, scaling by the divisor's
   leading coefficient only when a quotient is not integral;
 * Lagrange interpolation of several columns of values at shared nodes;
@@ -197,7 +199,8 @@ def _z_interpolate(nodes, values):
 def _z_exact_div(a, b):
     """The integer polynomial a / b, or None when b does not divide a in
     Z[x]; gives up at the first quotient coefficient that is not an integer.
-    b must be nonzero and trimmed."""
+    b must be nonzero and trimmed.  The updates run over the nonzero
+    entries of b alone, so the padding of a Kronecker image costs nothing."""
     nb = len(b)
     dq = len(a) - nb
     if dq < 0:
@@ -205,6 +208,7 @@ def _z_exact_div(a, b):
     if b[0] and a[0] % b[0]:
         return None
     lb = b[-1]
+    low = [(j, v) for j, v in enumerate(b[:-1]) if v]
     r = list(a)
     q = [0] * (dq + 1)
     for k in range(dq, -1, -1):
@@ -214,8 +218,8 @@ def _z_exact_div(a, b):
             if rem:
                 return None
             q[k] = c
-            for j in range(nb - 1):
-                r[k + j] -= c * b[j]
+            for j, v in low:
+                r[k + j] -= c * v
     if any(r[: nb - 1]):
         return None
     return q

@@ -29,10 +29,6 @@ from .polynomials import UniPoly, homogenize
 from .ratmaps import INF, RatMap, mobius, mobius_through
 
 
-def _point_key(v):
-    return "INF" if v is INF else v
-
-
 def mu_right_transports(f: RatMap, g: RatMap):
     """All degree-one mu over Q with f o mu = g, in canonical order."""
     if f.degree != g.degree or f.degree < 1:
@@ -47,7 +43,7 @@ def _maps_through(base, choices, verify):
     targets, the k-th drawn from choices[k], that pass verify; sorted."""
     found = set()
     for targets in itertools.product(*choices):
-        if len({_point_key(w) for w in targets}) < 3:
+        if len(set(targets)) < 3:
             continue
         try:
             mu = mobius_through(base, targets)
@@ -158,10 +154,7 @@ def _marked_points(f: RatMap):
     for p in pts:
         v1 = f(p)
         v2 = f(v1)
-        labels[_point_key(p)] = (
-            p,
-            (ldeg(p), ldeg(v1), ldeg(v2), _point_key(v1) == _point_key(p)),
-        )
+        labels[p] = (p, (ldeg(p), ldeg(v1), ldeg(v2), v1 == p))
     return labels
 
 
@@ -202,8 +195,7 @@ def _transporters_symbolic(a: RatMap, b: RatMap):
             t1 = bb(w)
             t2 = bb(t1) if t1 is not INF else bb.value_at_infinity()
             targets = [w, t1, t2]
-            keys = {_point_key(v) for v in targets}
-            if len(keys) != 3:
+            if len(set(targets)) != 3:
                 continue
             try:
                 nu = mobius_through([z0, z1, z2], targets)

@@ -207,11 +207,15 @@ class _Parser:
         raise NotImplementedError
 
     def int_power(self, base, e):
-        if e == 0:
-            return self.constant(1)
-        out = base
-        for _ in range(abs(e) - 1):
-            out = out * base
+        """base^e by repeated squaring."""
+        out = self.constant(1)
+        n = abs(e)
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
         if e < 0:
             out = self.divide(self.constant(1), out)
         return out

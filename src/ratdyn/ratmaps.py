@@ -4,7 +4,8 @@ Canonical scaling: the denominator is monic when nonconstant; when the
 denominator is constant the numerator is made monic instead (so the
 polynomial 3z^2 is stored as z^2 over 1/3).  Equality of maps is equality
 of canonical forms.  The point at infinity is handled by explicit case
-analysis throughout, never by projective coordinates.
+analysis, except in `mobius_through`, which works in homogeneous
+coordinates with INF = (1, 0).
 """
 
 from __future__ import annotations
@@ -239,7 +240,14 @@ class RatMap:
         return self.num.derivative() * self.den - self.num * self.den.derivative()
 
     def derivative(self) -> "RatMap":
-        return RatMap(self.wronskian(), self.den * self.den)
+        """wronskian / den^2, both divided first by their gcd, which for num
+        and den coprime is gcd(den, den'): a root of den of multiplicity e
+        is a root of the wronskian of multiplicity e - 1."""
+        w, den = self.wronskian(), self.den
+        g = den.gcd(den.derivative())
+        if g.degree >= 1:
+            w, den = w // g, den // g
+        return RatMap(w, den * self.den)
 
     def inverted_source(self) -> "RatMap":
         """The map z -> self(1/z); moves behaviour at infinity to zero."""
@@ -276,31 +284,24 @@ def mobius(a, b, c, d) -> RatMap:
 
 def mobius_through(sources, targets) -> RatMap:
     """The unique degree-one map sending three distinct sources to three
-    distinct targets; entries may be INF."""
+    distinct targets; entries may be INF.  In homogeneous coordinates it is
+    the adjugate of the target triple's matrix times the source triple's."""
     if len(sources) != 3 or len(targets) != 3:
         raise PreconditionError("need exactly three points on each side")
-    t_src = _to_zero_one_inf(sources)
-    t_dst = _to_zero_one_inf(targets)
-    return t_dst.mobius_inverse().compose(t_src)
+    (a, b), (c, d) = _cross_ratio_matrix(sources)
+    (e, f), (g, h) = _cross_ratio_matrix(targets)
+    return mobius(h * a - f * c, h * b - f * d, e * c - g * a, e * d - g * b)
 
 
-def _to_zero_one_inf(pts) -> RatMap:
-    """Degree-one map sending (p0, p1, p2) to (0, 1, INF)."""
-    p0, p1, p2 = (p if p is INF else qq(p) for p in pts)
-    if len({_pkey(p0), _pkey(p1), _pkey(p2)}) != 3:
+def _cross_ratio_matrix(pts):
+    """The matrix of the degree-one map sending (p0, p1, p2) to (0, 1, INF):
+    with det(P, Q) = P_x Q_w - P_w Q_x on points P = (p, 1) and INF = (1, 0),
+    it is Z -> det(Z, P0) det(P1, P2) / (det(Z, P2) det(P1, P0))."""
+    (x0, w0), (x1, w1), (x2, w2) = ((1, 0) if p is INF else (qq(p), 1) for p in pts)
+    s, t = x1 * w2 - w1 * x2, x1 * w0 - w1 * x0
+    if not s or not t or x0 * w2 == w0 * x2:
         raise PreconditionError("points must be pairwise distinct")
-    if p0 is INF:
-        # (p1 - p2) / (z - p2)
-        return mobius(0, p1 - p2, 1, -p2)
-    if p1 is INF:
-        return mobius(1, -p0, 1, -p2)
-    if p2 is INF:
-        return mobius(Fraction(1, 1) / (p1 - p0), -p0 / (p1 - p0), 0, 1)
-    return mobius(p1 - p2, -p0 * (p1 - p2), p1 - p0, -p2 * (p1 - p0))
-
-
-def _pkey(p):
-    return "INF" if p is INF else qq(p)
+    return (s * w0, -s * x0), (t * w2, -t * x2)
 
 
 def chebyshev(n: int) -> RatMap:

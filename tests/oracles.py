@@ -211,6 +211,28 @@ def prs_gcd_x(f: BiPoly, g: BiPoly) -> BiPoly:
         a, b = b, _pseudo_rem_x(a, b).primitive_part_x()
 
 
+def bi_exact_div(f: BiPoly, g: BiPoly):
+    """f / g over Q[x, y], or None: long division in x whose quotient rows
+    are exact divisions in Q[y]."""
+    a = f.coeffs_in_x()
+    b = g.coeffs_in_x()
+    db = len(b) - 1
+    q = [UniPoly.zero()] * max(len(a) - db, 0)
+    for k in range(len(q) - 1, -1, -1):
+        top = a[k + db]
+        if top.is_zero:
+            continue
+        qt, rt = divmod(top, b[-1])
+        if not rt.is_zero:
+            return None
+        q[k] = qt
+        for j in range(db):
+            a[k + j] = a[k + j] - qt * b[j]
+    if any(a[:db]):
+        return None
+    return BiPoly.from_coeffs_in_x(q)
+
+
 def sylvester_resultant(f: UniPoly, g: UniPoly) -> Fraction:
     """Determinant of the Sylvester matrix, by fraction-free-ish Gaussian
     elimination over exact rationals."""

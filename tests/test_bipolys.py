@@ -13,6 +13,7 @@ from ratdyn.ratmaps import RatMap
 from oracles import (
     bi_add,
     bi_coeffs_in_x,
+    bi_exact_div,
     bi_eval_x,
     bi_eval_y,
     bi_mul,
@@ -66,6 +67,21 @@ def test_exact_division():
     assert f.exact_div(X**2 + 1) == Y + 1
     assert f.exact_div(X + 1) is None
     assert BiPoly.zero().exact_div(d) == BiPoly.zero()
+    # a divisor with integer content: its images divide only once it is removed
+    assert (X + 2 * Y).exact_div(2 * X + 4 * Y) == BiPoly.constant(Fraction(1, 2))
+
+
+def test_exact_division_rejects_a_quotient_that_wraps():
+    # the images are (z^2 - z^3) / (1 - z) = z^2 with n = 3, an exact
+    # univariate quotient that lands in the y^2 slot, past deg_y 2 - 1
+    assert (Y**2 - X).exact_div(1 - Y) is None
+    assert bi_exact_div(Y**2 - X, 1 - Y) is None
+    assert (Y**2 - 1).exact_div(1 - Y) == -1 - Y
+
+
+def test_reflected_subtraction():
+    assert 1 - Y == BiPoly.constant(1) - Y == -(Y - 1)
+    assert Fraction(1, 2) - X * Y == BiPoly({(0, 0): Fraction(1, 2), (1, 1): -1})
 
 
 def test_divides():
@@ -294,3 +310,26 @@ unis = st.lists(rationals, max_size=4).map(UniPoly)
 def test_separated_matches_pointwise_values(fn, fd, gn, gd, a, b):
     got = bi_value(separated(fn, fd, gn, gd).terms, a, b)
     assert got == frac_eval(fn.c, a) * frac_eval(gd.c, b) - frac_eval(gn.c, b) * frac_eval(fd.c, a)
+
+
+@st.composite
+def unit_led(draw):
+    """+-x^(k+1) + h for an integer h of x-degree k: its packed leading entry
+    is +-1, so every quotient entry is an integer and a failing division
+    shows only in the remainder."""
+    h = BiPoly(draw(small_terms))
+    return draw(st.sampled_from([1, -1])) * X ** (h.deg_x + 1) + h
+
+
+@settings(max_examples=80, deadline=None)
+@given(bi_terms, st.one_of(bi_terms.map(BiPoly), unit_led()), st.sampled_from([1, 2, 6]), small_terms)
+def test_exact_division_matches_row_long_division(a, g, content, r):
+    f = BiPoly(a)
+    g = g * content
+    assume(g)
+    for dividend in (f, f * g, f * g + BiPoly(r)):
+        got = dividend.exact_div(g)
+        assert got == bi_exact_div(dividend, g)
+        if got is not None:
+            assert_normal_form(got)
+            assert got * g == dividend

@@ -6,10 +6,12 @@ from math import comb
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from ratdyn import factoring
 from ratdyn.bipolys import BiPoly
-from ratdyn.errors import PreconditionError
+from ratdyn.errors import Inconclusive, PreconditionError
 from ratdyn.factoring import (
     _bi_hensel,
+    _recombine,
     bi_is_irreducible,
     factor_bivariate,
     factor_univariate,
@@ -207,6 +209,31 @@ def test_zero_rejected():
         factor_bivariate(BiPoly.zero())
 
 
+def test_recombine_retries_the_size_after_a_split():
+    seen = []
+
+    def split(combo):
+        seen.append(combo)
+        return combo == (1, 3)
+
+    _recombine(6, split, "cap")
+    singles = [(i,) for i in range(6)]
+    pairs = [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3)]
+    # pairs again on the pool left after the split; triples would need six
+    rest = [(0, 2), (0, 4), (0, 5), (2, 4), (2, 5), (4, 5)]
+    assert seen == singles + pairs + rest
+
+
+def test_recombine_raises_past_the_subset_cap(monkeypatch):
+    monkeypatch.setattr(factoring, "SUBSET_CAP", 10)
+    seen = []
+    with pytest.raises(Inconclusive, match="over the cap"):
+        _recombine(8, lambda combo: seen.append(combo), "over the cap")
+    assert len(seen) == 10
+    # under the cap the same search finishes: 4 singles and 6 pairs
+    _recombine(4, lambda combo: False, "over the cap")
+
+
 # ----------------------------------------------------------------------
 # y-adic lifting and planted bivariate factors
 
@@ -250,7 +277,7 @@ def test_bi_hensel_lifts_to_the_planted_factors(parts, K):
     for h in hs:
         G = G * h
     ghat = [c.trunc(K) for c in G.coeffs_in_x()]
-    lifted = _bi_hensel(ghat, base, K)
+    lifted = [F_i.coeffs_in_x() for F_i in _bi_hensel(ghat, base, K)]
     # monic lifts of coprime residues are unique, so they are the planted factors
     for F_i, h, b in zip(lifted, hs, base):
         assert [c.trunc(K) for c in F_i] == [c.trunc(K) for c in h.coeffs_in_x()]

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from ratdyn.bipolys import BiPoly
 from ratdyn.errors import ParseError
 from ratdyn.parser import MAX_DEGREE, parse_curve, parse_map
 from ratdyn.polynomials import UniPoly
@@ -99,6 +100,21 @@ def test_parse_degree_budget():
     # the exponent guard bounds coefficient height and stays
     with pytest.raises(ParseError, match="exponent"):
         parse_map("(1/2)^513")
+
+
+def test_parse_powers_by_squaring():
+    t0 = time.perf_counter()
+    f = parse_map("((z+1)/(z-1))^512")
+    assert time.perf_counter() - t0 < 1.0
+    num, den = UniPoly.of(1, 1), UniPoly.of(-1, 1)
+    assert f == RatMap(num**512, den**512)
+    assert parse_map("((z+1)/(z-1))^-301") == RatMap(den**301, num**301)
+    assert parse_map("(2*z)^0") == RatMap.constant(1)
+    s = parse_curve("x+y+1")
+    want = BiPoly.constant(1)
+    for _ in range(40):
+        want = want * s
+    assert parse_curve("(x+y+1)^40") == want
 
 
 def test_parse_rejects_numbers_over_the_digit_limit():

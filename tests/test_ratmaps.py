@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -108,6 +109,28 @@ def test_mobius_inverse_and_through():
     assert nu(INF) == 2
 
 
+sphere_points = st.one_of(st.just(INF), points)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(sphere_points, min_size=3, max_size=3), st.lists(sphere_points, min_size=3, max_size=3))
+def test_mobius_through_sends_each_source_to_its_target(sources, targets):
+    if len(set(sources)) < 3 or len(set(targets)) < 3:
+        with pytest.raises(PreconditionError):
+            mobius_through(sources, targets)
+        return
+    mu = mobius_through(sources, targets)
+    assert mu.degree == 1
+    assert [mu(s) for s in sources] == targets
+
+
+def test_infinity_is_a_point_of_its_own():
+    assert Fraction(1) != INF and INF != Fraction(1) and INF == INF
+    assert len({INF, 0, INF}) == 2
+    with pytest.raises(PreconditionError):
+        mobius_through([0, INF, INF], [0, 1, 2])
+
+
 def test_conjugate():
     f = RatMap(UniPoly.of(1, 2, 1))  # (z+1)^2
     mu = RatMap(UniPoly.of(1, 1))  # z + 1
@@ -158,3 +181,20 @@ def test_compose_matches_pointwise_composition(f, g, t):
     assume(want is not None)
     h = f.compose(g)
     assert frac_ratio(h.num.c, h.den.c, t) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(maps(), points, st.integers(0, 3))
+def test_derivative_is_the_reduced_wronskian_quotient(f, c, m):
+    # multiplying the denominator by (z - c)^m draws poles of higher order
+    f = RatMap(f.num, f.den * UniPoly.of(-c, 1) ** m)
+    assert f.derivative() == RatMap(f.wronskian(), f.den**2)
+
+
+def test_derivative_of_a_high_power_within_budget():
+    # the normalising gcd is gcd(den, den') = (z+1)^255, not one of degree 510
+    f = RatMap(UniPoly.monomial(256), UniPoly.of(1, 1) ** 256)
+    t0 = time.perf_counter()
+    d = f.derivative()
+    assert time.perf_counter() - t0 < 0.4
+    assert d == RatMap(UniPoly.monomial(255) * 256, UniPoly.of(1, 1) ** 257)
