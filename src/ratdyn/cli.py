@@ -305,6 +305,8 @@ def _cmd_curve(args, out: _Output):
         C = BiCurve(parse_curve(args.a))
         A1 = parse_map(args.b)
         A2 = parse_map(args.c)
+        if not C.is_irreducible():
+            raise PreconditionError("orbits are defined for irreducible curves")
         orbit = [C]
         for _ in range(args.N):
             orbit.append(image_curve(orbit[-1], A1, A2))

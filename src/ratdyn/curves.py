@@ -4,11 +4,11 @@ Curves are primitive squarefree bivariate polynomials in canonical form.
 Two constructions carry every elimination here: `bipolys.separated`, the
 numerator of f(x) - g(y), gives separated curves Y1(x) = Y2(y) and the
 pencils num(x) - y den(x) of a map; `polynomials.homogenize` substitutes
-maps into a curve, numerator over numerator.  Images of parametrizations
-and of product endomorphisms come from iterated resultants against the
-pencils, with an exact certificate (vanishing on the parametrization, or
-dividing the pullback) for discarding extraneous factors; the genus of
-an irreducible separated curve comes from the fiber-pairing count
+maps into a curve, one variable at a time.  Images of parametrizations and
+of product endomorphisms come from iterated resultants against the pencils,
+with an exact certificate (vanishing on the parametrization, or dividing
+the pullback) for discarding extraneous factors; the genus of an
+irreducible separated curve comes from the fiber-pairing count
 2 - 2g = 2pq - sum(ab - gcd(a, b))."""
 
 from __future__ import annotations
@@ -85,27 +85,18 @@ def separated_curve(Y1: RatMap, Y2: RatMap) -> BiCurve:
     return BiCurve(separated(Y1.num, Y1.den, Y2.num, Y2.den))
 
 
-def _substitute(F: BiPoly, n1, d1, n2, d2):
-    """Numerator of F(n1/d1, n2/d2): each y-row of F substituted in x, then
-    the row results substituted in y."""
-    rows = homogenize([row.c for row in F.coeffs_in_y()], n1, d1, F.deg_x)
-    return homogenize([rows], n2, d2, F.deg_y)[0]
-
-
 def substitute_maps(F: BiPoly, A1: RatMap, A2: RatMap) -> BiPoly:
-    """Numerator of F(A1(x), A2(y))."""
-    return _substitute(
-        F,
-        BiPoly.from_unipoly(A1.num, "x"),
-        BiPoly.from_unipoly(A1.den, "x"),
-        BiPoly.from_unipoly(A2.num, "y"),
-        BiPoly.from_unipoly(A2.den, "y"),
-    )
+    """Numerator of F(A1(x), A2(y)): the coefficient in y of each power of
+    x substituted in y, then the coefficient in x of each power of y
+    substituted in x."""
+    G = BiPoly.from_coeffs_in_x(homogenize(F.coeffs_in_x(), A2.num, A2.den, F.deg_y)).swap()
+    return BiPoly.from_coeffs_in_x(homogenize(G.coeffs_in_x(), A1.num, A1.den, F.deg_x)).swap()
 
 
 def vanishes_on_parametrization(F: BiPoly, X1: RatMap, X2: RatMap) -> bool:
-    """Whether F(X1(t), X2(t)) is identically zero."""
-    return _substitute(F, X1.num, X1.den, X2.num, X2.den).is_zero
+    """Whether F(X1(t), X2(t)) is identically zero: whether x - y divides
+    the numerator of F(X1(x), X2(y))."""
+    return (BiPoly.var_x() - BiPoly.var_y()).divides(substitute_maps(F, X1, X2))
 
 
 def implicitize(par) -> BiCurve:
@@ -131,6 +122,8 @@ def image_curve(C: BiCurve, A1: RatMap, A2: RatMap) -> BiCurve:
     F = C.poly
     if F.deg_x < 1 or F.deg_y < 1:
         raise PreconditionError("lines are handled by fixed-point logic")
+    if A1.degree < 1 or A2.degree < 1:
+        raise PreconditionError("images need nonconstant maps")
     x, one = UniPoly.x(), UniPoly.one()
     r1 = resultant_x_mixed(F, separated(A1.num, A1.den, x, one))  # variables (y, u)
     r2 = resultant_x_mixed(r1, separated(A2.num, A2.den, x, one))  # variables (u, v)

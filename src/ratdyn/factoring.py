@@ -356,19 +356,23 @@ def factor_bivariate(F: BiPoly):
         _, cfacs = factor_univariate(cont)
         for g, m in cfacs:
             factors.append((BiPoly.from_unipoly(g, "y").canonical(), m))
-    sf = squarefree_reduction_x(prim).primitive_part_x().canonical()
-    for irr in _factor_squarefree_bi(sf):
-        mult = 0
-        probe = prim
-        while True:
-            q = probe.exact_div(irr)
-            if q is None:
-                break
-            mult += 1
-            probe = q
-        if mult == 0:
-            raise PreconditionError("squarefree factor does not divide the input")
-        factors.append((irr, mult))
+    sf = squarefree_reduction_x(prim)
+    irrs = _factor_squarefree_bi(sf.primitive_part_x().canonical())
+    if sf is prim:  # squarefree: every multiplicity is 1
+        factors += [(irr, 1) for irr in irrs]
+    else:
+        # divide the cofactor down, dividing by irr again only while the
+        # degrees leave room for it beside the factors still to come
+        rx, ry = sum(f.deg_x for f in irrs), sum(f.deg_y for f in irrs)
+        for irr in irrs:
+            rx, ry, mult, q = rx - irr.deg_x, ry - irr.deg_y, 0, prim.exact_div(irr)
+            while q is not None:
+                prim, mult = q, mult + 1
+                room = prim.deg_x - rx >= irr.deg_x and prim.deg_y - ry >= irr.deg_y
+                q = prim.exact_div(irr) if room else None
+            if mult == 0:
+                raise PreconditionError("squarefree factor does not divide the input")
+            factors.append((irr, mult))
     factors.sort(key=_bi_sort_key)
     return _unit_for(F, factors), factors
 

@@ -13,6 +13,9 @@ at the edges (constructors and the `.c` view).  Every operation is plain
   division that stops at the first non-integral quotient and updates only
   at the divisor's nonzero entries; `BiPoly` makes every product and exact
   quotient one call of these on Kronecker images, mostly zero padding;
+* homogenised substitution sum p[i] r^i s^(m-i), by Horner's rule in r
+  over one table of the powers of s (`_z_homogenize`), under map
+  composition and every other `UniPoly` substitution;
 * division over Q of integer polynomials, scaling by the divisor's
   leading coefficient only when a quotient is not integral;
 * Lagrange interpolation of several columns of values at shared nodes;
@@ -151,6 +154,28 @@ def _z_value(a, p, q=1):
         qk *= q
         acc = acc * p + v * qk
     return acc
+
+
+def _z_homogenize(rows, r, s, m):
+    """[sum_i p[i] r^i s^(m-i) for p in rows], for integer polynomials r, s
+    and trimmed rows p of degree at most m: Horner's rule in r on each row
+    homogenised to degree m, over one table of the powers of s."""
+    sp = [[1]]
+    for _ in range(m):
+        sp.append(_z_mul(sp[-1], s))
+    out = []
+    for p in rows:
+        d = len(p) - 1
+        acc = []
+        for i in range(d, -1, -1):
+            acc = _z_mul(acc, r)
+            if p[i]:
+                t = sp[d - i]
+                acc += [0] * (len(t) - len(acc))
+                for k, v in enumerate(t):
+                    acc[k] += p[i] * v
+        out.append(_trim(_z_mul(acc, sp[m - d]) if 0 <= d < m else acc))
+    return out
 
 
 def _z_interpolate(nodes, values):

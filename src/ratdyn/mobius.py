@@ -107,7 +107,7 @@ def _transporter_candidates(a: RatMap, b: RatMap):
     for t in range(a.degree + b.degree + 1):
         # left side mu_w(a(t)); right side b(mu_w(t))
         Ln, Ld = mu_w(a.num(t), a.den(t))
-        Rn, Rd = homogenize((b.num.c, b.den.c), *mu_w(t, 1), b.degree)
+        Rn, Rd = homogenize((b.num, b.den), *mu_w(t, 1), b.degree)
         g = g.gcd(Ln * Rd - Ld * Rn)
         if g.degree == 0:
             return z0, z1, z2, []

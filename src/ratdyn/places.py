@@ -181,7 +181,7 @@ def preimage_places(f: RatMap, q: Place):
             out.add(PLACE_INF)
     else:
         m = q.minpoly
-        (acc,) = homogenize([m.c], f.num, f.den, m.degree)
+        (acc,) = homogenize([m], f.num, f.den, m.degree)
         if acc.is_zero:
             raise TheoremViolation("degenerate preimage polynomial")
         if acc.degree >= 1:

@@ -11,7 +11,8 @@ degree -1.
 
 A truncated power series is a `UniPoly` read mod z^k: `trunc`,
 `mul_trunc`, `inv_trunc` and `compose_trunc` keep only the terms below z^k,
-so series arithmetic runs on the same integer kernel.
+so series arithmetic runs on the same integer kernel, and so does
+`homogenize`, the substitution s^m p(r/s) under every map composition.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .intpoly import (
     _q,
     _z_divmod,
     _z_gcd,
+    _z_homogenize,
     _z_interpolate,
     _z_inv_trunc,
     _z_mul,
@@ -468,28 +470,14 @@ def _fmt_q(v: Fraction) -> str:
     return f"{v.numerator}/{v.denominator}"
 
 
-def homogenize(coeff_lists, r, s, m: int) -> list:
-    """[sum_i p[i] r^i s^(m-i) for p in coeff_lists]: each coefficient list
-    homogenised to degree m >= len(p) - 1 and evaluated at (r, s), over one
-    shared table of the products r^i s^(m-i).  With r/s a map or a ratio,
-    this is s^m p(r/s), the numerator of p after the substitution.
-
-    Duck-typed: r and s may be `UniPoly`s or `BiPoly`s (anything with ring
-    arithmetic and `** 0`), and the coefficients scalars or ring elements."""
-    one = r**0
-    rp, sp = [one], [one]
-    for _ in range(m):
-        rp.append(rp[-1] * r)
-        sp.append(sp[-1] * s)
-    table = {}
-    out = []
-    for p in coeff_lists:
-        acc = None
-        for i, c in enumerate(p):
-            if c:
-                if i not in table:
-                    table[i] = rp[i] * sp[m - i]
-                term = table[i] * c
-                acc = term if acc is None else acc + term
-        out.append(one * 0 if acc is None else acc)
-    return out
+def homogenize(polys, r, s, m: int) -> list:
+    """[s^m p(r/s) for p in polys]: each `UniPoly` p homogenised to degree
+    m >= deg p and evaluated at the `UniPoly`s (r, s), the numerator of p
+    after the substitution r/s.  On the integer kernel: with r = R/e and
+    s = S/f it is `intpoly._z_homogenize` at (R f, S e) over (e f)^m."""
+    e, f = r.denom, s.denom
+    R = [v * f for v in r.nums] if f != 1 else r.nums
+    S = [v * e for v in s.nums] if e != 1 else s.nums
+    scale = (e * f) ** m
+    rows = _z_homogenize([p.nums for p in polys], R, S, m)
+    return [UniPoly._of(row, p.denom * scale) for p, row in zip(polys, rows)]

@@ -2,10 +2,12 @@
 
 Canonical scaling: the denominator is monic when nonconstant; when the
 denominator is constant the numerator is made monic instead (so the
-polynomial 3z^2 is stored as z^2 over 1/3).  Equality of maps is equality
-of canonical forms.  The point at infinity is handled by explicit case
-analysis, except in `mobius_through`, which works in homogeneous
-coordinates with INF = (1, 0).
+polynomial 3z^2 is stored as z^2 over 1/3), on integer numerators.
+Equality of maps is equality of canonical forms.  The constructor divides
+by gcd(num, den); composition, degree-one maps, their inverses and
+`inverted_source` make provably coprime pairs and skip it (`_coprime`).
+The point at infinity is handled by explicit case analysis, except in
+`mobius_through`, which works in integer homogeneous coordinates.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import PreconditionError
+from .intpoly import to_ints
 from .polynomials import UniPoly, homogenize, qq
 
 
@@ -54,14 +57,14 @@ class RatMap:
         g = num.gcd(den)
         if g.degree >= 1:
             num, den = num // g, den // g
-        if den.degree >= 1:
-            s = 1 / den.lc
-        elif not num.is_zero:
-            s = 1 / num.lc
-        else:
-            s = 1 / den.lc
-        self.num = num * s
-        self.den = den * s
+        self.num, self.den = _canonical(num, den)
+
+    @classmethod
+    def _coprime(cls, num: UniPoly, den: UniPoly) -> "RatMap":
+        """num / den for num, den != 0 proved coprime, with no gcd."""
+        f = object.__new__(cls)
+        f.num, f.den = _canonical(num, den)
+        return f
 
     # ------------------------------------------------------------------
 
@@ -197,7 +200,10 @@ class RatMap:
     # composition
 
     def compose(self, inner: "RatMap") -> "RatMap":
-        """Return self after inner: z -> self(inner(z))."""
+        """self after inner, s^m N(r/s) / s^m D(r/s) for self = N/D of degree
+        m and inner = r/s, with no gcd: a common root z0 would make the point
+        [r(z0) : s(z0)] a common zero of the coprime degree-m forms
+        Y^m N(X/Y) and Y^m D(X/Y)."""
         inner = self._co(inner)
         m = self.degree
         if m < 0:
@@ -208,8 +214,8 @@ class RatMap:
             if w is INF:
                 raise PreconditionError("composition degenerates to infinity")
             return RatMap.constant(w)
-        num, den = homogenize((self.num.c, self.den.c), inner.num, inner.den, m)
-        return RatMap(num, den)
+        num, den = homogenize((self.num, self.den), inner.num, inner.den, m)
+        return RatMap._coprime(num, den)
 
     def iterate(self, k: int) -> "RatMap":
         if k < 1:
@@ -226,11 +232,10 @@ class RatMap:
     def mobius_inverse(self) -> "RatMap":
         if self.degree != 1:
             raise PreconditionError("only degree-one maps are invertible")
-        a = self.num.coeff(1)
-        b = self.num.coeff(0)
-        c = self.den.coeff(1)
-        d = self.den.coeff(0)
-        return RatMap(UniPoly((-b, d)), UniPoly((a, -c)))
+        # self = (a z + b) e1 / ((c z + d) e) for numerators over denominators e, e1
+        (b, a), e = (self.num.nums + (0,))[:2], self.num.denom
+        (d, c), e1 = (self.den.nums + (0,))[:2], self.den.denom
+        return _from_matrix(e * d, -e1 * b, -e * c, e1 * a)
 
     # ------------------------------------------------------------------
     # derived data
@@ -252,7 +257,9 @@ class RatMap:
     def inverted_source(self) -> "RatMap":
         """The map z -> self(1/z); moves behaviour at infinity to zero."""
         d = self.degree
-        return RatMap(self.num.reversed_to(d), self.den.reversed_to(d))
+        # coprime: 0 is no common root (one side has degree d), and any other
+        # common root c of the reversals makes 1/c a common root of num, den
+        return RatMap._coprime(self.num.reversed_to(d), self.den.reversed_to(d))
 
     def conjugate_by_inversion(self) -> "RatMap":
         """(1/z) o self o (1/z); swaps the roles of zero and infinity."""
@@ -276,10 +283,16 @@ class RatMap:
 
 def mobius(a, b, c, d) -> RatMap:
     """(a z + b) / (c z + d)."""
-    m = RatMap(UniPoly((qq(b), qq(a))), UniPoly((qq(d), qq(c))))
-    if m.degree != 1:
+    nums, _ = to_ints([qq(a), qq(b), qq(c), qq(d)])
+    return _from_matrix(*nums)
+
+
+def _from_matrix(a: int, b: int, c: int, d: int) -> RatMap:
+    """(a z + b) / (c z + d) for integers; ad != bc, checked before any
+    polynomial work, makes the two sides coprime."""
+    if a * d == b * c:
         raise PreconditionError("degenerate coefficients for a degree-one map")
-    return m
+    return RatMap._coprime(UniPoly._of([b, a]), UniPoly._of([d, c]))
 
 
 def mobius_through(sources, targets) -> RatMap:
@@ -290,18 +303,28 @@ def mobius_through(sources, targets) -> RatMap:
         raise PreconditionError("need exactly three points on each side")
     (a, b), (c, d) = _cross_ratio_matrix(sources)
     (e, f), (g, h) = _cross_ratio_matrix(targets)
-    return mobius(h * a - f * c, h * b - f * d, e * c - g * a, e * d - g * b)
+    return _from_matrix(h * a - f * c, h * b - f * d, e * c - g * a, e * d - g * b)
 
 
 def _cross_ratio_matrix(pts):
     """The matrix of the degree-one map sending (p0, p1, p2) to (0, 1, INF):
-    with det(P, Q) = P_x Q_w - P_w Q_x on points P = (p, 1) and INF = (1, 0),
-    it is Z -> det(Z, P0) det(P1, P2) / (det(Z, P2) det(P1, P0))."""
-    (x0, w0), (x1, w1), (x2, w2) = ((1, 0) if p is INF else (qq(p), 1) for p in pts)
+    with det(P, Q) = P_x Q_w - P_w Q_x on integer points, P = (n, d) for
+    p = n/d and INF = (1, 0), it is
+    Z -> det(Z, P0) det(P1, P2) / (det(Z, P2) det(P1, P0))."""
+    (x0, w0), (x1, w1), (x2, w2) = ((1, 0) if p is INF else qq(p).as_integer_ratio() for p in pts)
     s, t = x1 * w2 - w1 * x2, x1 * w0 - w1 * x0
     if not s or not t or x0 * w2 == w0 * x2:
         raise PreconditionError("points must be pairwise distinct")
     return (s * w0, -s * x0), (t * w2, -t * x2)
+
+
+def _canonical(num: UniPoly, den: UniPoly):
+    """(num, den) over the leading coefficient of den, when den is
+    nonconstant or num zero, else of num: the other side is multiplied by
+    that coefficient's denominator over its numerator."""
+    lead, other = (den, num) if den.degree >= 1 or num.is_zero else (num, den)
+    scaled = UniPoly._of([v * lead.denom for v in other.nums], other.denom * lead.nums[-1])
+    return (scaled, den.monic()) if lead is den else (num.monic(), scaled)
 
 
 def chebyshev(n: int) -> RatMap:

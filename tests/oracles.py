@@ -22,7 +22,7 @@ from ratdyn.bipolys import BiPoly
 from ratdyn.factoring import factor_univariate
 from ratdyn.mobius import _orbit_base
 from ratdyn.numberfields import NumberField
-from ratdyn.polynomials import UniPoly, homogenize
+from ratdyn.polynomials import UniPoly
 from ratdyn.ratmaps import INF, RatMap
 from ratdyn.series import pade_reconstruct
 
@@ -109,6 +109,49 @@ def frac_ratio(num, den, t):
     """num(t) / den(t) for coefficient lists, or None where den(t) = 0."""
     d = frac_eval(den, t)
     return None if d == 0 else frac_eval(num, t) / d
+
+
+def compose_by_gcd(f: RatMap, g: RatMap) -> RatMap:
+    """f after g by the general constructor: the homogenised pair
+    sum c_i r^i s^(m-i) summed one Fraction product at a time, for g = r/s
+    and m = deg f, then reduced by the constructor's normalising gcd."""
+    m = f.degree
+    r, s = g.num.c, g.den.c
+    out = []
+    for p in (f.num.c, f.den.c):
+        acc = ()
+        for i, c in enumerate(p):
+            term = (c,)
+            for _ in range(i):
+                term = frac_mul(term, r)
+            for _ in range(m - i):
+                term = frac_mul(term, s)
+            acc = frac_add(acc, term)
+        out.append(UniPoly(acc))
+    return RatMap(*out)
+
+
+def mobius_by_cases(sources, targets) -> RatMap:
+    """The degree-one map through three point pairs, by the case analysis of
+    z -> (z - p0)(p1 - p2) / ((z - p2)(p1 - p0)) with INF among p0, p1, p2:
+    the target triple's map inverted by its adjugate, after the source
+    triple's, composed by `compose_by_gcd`."""
+
+    def to_zero_one_inf(p0, p1, p2):
+        if p0 is INF:
+            return 0, p1 - p2, 1, -p2
+        if p1 is INF:
+            return 1, -p0, 1, -p2
+        if p2 is INF:
+            return 1, -p0, 0, p1 - p0
+        return p1 - p2, -p0 * (p1 - p2), p1 - p0, -p2 * (p1 - p0)
+
+    def as_map(a, b, c, d):
+        return RatMap(UniPoly((Fraction(b), Fraction(a))), UniPoly((Fraction(d), Fraction(c))))
+
+    s = as_map(*to_zero_one_inf(*(p if p is INF else Fraction(p) for p in sources)))
+    a, b, c, d = to_zero_one_inf(*(p if p is INF else Fraction(p) for p in targets))
+    return compose_by_gcd(as_map(d, -b, -c, a), s)
 
 
 def ser_mul(a, b, k) -> list:
@@ -541,7 +584,11 @@ def bivariate_transporter_candidates(a: RatMap, b: RatMap):
     cda = BiPoly.from_unipoly((a.num - a.den * z2) * (z1 - z0), "x")
     Ln = wE1 * cda - cna * q2nE2
     Ld = E1w * cda - cna * q2dE2
-    Rn, Rd = homogenize((b.num.c, b.den.c), Mn, Md, b.degree)
+    # b(Mn / Md) homogenised, one BiPoly product at a time
+    Rn, Rd = (
+        sum((Mn**i * Md ** (b.degree - i) * c for i, c in enumerate(p.c)), BiPoly.zero())
+        for p in (b.num, b.den)
+    )
     E = Ln * Rd - Ld * Rn
     assert not E.is_zero
     g = E.content_x()

@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 from fractions import Fraction
 from math import comb
@@ -260,6 +261,51 @@ def test_factor_bivariate_returns_planted_linear_factors(ps):
     assert unit == 1
     assert sorted((f.to_str(), m) for f, m in facs) == sorted((x_minus(p).to_str(), 1) for p in ps)
 
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(y_polys, min_size=1, max_size=3, unique=True),
+    st.lists(st.integers(1, 3), min_size=3, max_size=3),
+    st.sampled_from([1, Fraction(-3, 2)]),
+)
+def test_factor_bivariate_counts_planted_multiplicities(ps, mults, unit):
+    F = BiPoly.constant(unit)
+    for p, m in zip(ps, mults):
+        F = F * x_minus(p) ** m
+    got_unit, facs = factor_bivariate(F)
+    assert got_unit == unit
+    want = sorted((x_minus(p).to_str(), m) for p, m in zip(ps, mults))
+    assert sorted((f.to_str(), m) for f, m in facs) == want
+
+
+def test_multiplicity_loop_makes_at_most_one_failed_division(monkeypatch):
+    # the cubic cap-4 probe: its multiplicities come from the squarefree
+    # test and from degree counts, not from divisions run until one fails
+    from ratdyn.memo import clear_caches
+    from ratdyn.ratmaps import RatMap
+    from ratdyn.search import SearchConfig, find_invariant_curves
+
+    exact_div = BiPoly.exact_div
+    failed = []
+
+    def counted(self, other):
+        q = exact_div(self, other)
+        if q is None and sys._getframe(1).f_code.co_name == "factor_bivariate":
+            failed.append(other)
+        return q
+
+    monkeypatch.setattr(BiPoly, "exact_div", counted)
+    clear_caches()
+    A = RatMap(UniPoly.of(1, -3, 0, 1))
+    report = find_invariant_curves(A, A, SearchConfig((3, 3), 4))
+    assert report.curves == [] and report.completeness == "complete_up_to_cap"
+    assert len(failed) <= 1
+    # a repeated factor: in either order the degrees alone stop each loop
+    del failed[:]
+    _, facs = factor_bivariate((X - Y) ** 2 * (X - Y**2))
+    assert sorted((f.to_str(), m) for f, m in facs) == [("x - y", 2), ("x - y^2", 1)]
+    assert failed == []
 
 # a monic x-polynomial with coefficients in Q[tau]: its lower x-coefficients
 monic_parts = st.lists(st.lists(small, min_size=1, max_size=3), min_size=1, max_size=2)

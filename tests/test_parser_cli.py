@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ratdyn.bipolys import BiPoly
 from ratdyn.errors import ParseError
@@ -361,3 +364,90 @@ def test_cli_degree_budget_is_fast():
     assert elapsed < 1.0
     proc = run_cli("classify", "z^" + "9" * 5000)
     assert proc.returncode == 2 and "Traceback" not in proc.stderr
+
+
+
+def test_cli_curve_images_refuse_constant_maps_and_reducible_curves():
+    # input errors, exit 2, not failed internal checks (exit 4)
+    proc = run_cli("curve", "invariant", "x - y", "2", "z^2")
+    assert proc.returncode == 2 and "nonconstant" in proc.stderr
+    proc = run_cli("curve", "orbit", "y^2 - x^2*y", "z", "z", "1")
+    assert proc.returncode == 2 and "irreducible" in proc.stderr
+
+# argv drawn from the command grammar under a small degree budget: maps of
+# degree at most 4, curves of bidegree at most (2, 2), small integers, and
+# some words that no command accepts
+_coeffs = st.sampled_from(["1", "-1", "2", "-3", "1/2"])
+_polys = st.lists(_coeffs, min_size=1, max_size=3).map(
+    lambda cs: " + ".join(f"({c})*z^{i}" for i, c in enumerate(cs))
+)
+_maps = st.one_of(
+    _polys,
+    st.tuples(_polys, _polys).map(lambda nd: f"({nd[0]}) / ({nd[1]})"),
+    st.sampled_from(
+        ["z^2", "T2", "-T3", "z^-2", "1/z", "(z+1)^2", "z^2 o z+1", "z^2^o2", "z", "0", "z^", "w"]
+    ),
+)
+_curves = st.sampled_from(
+    ["x - y", "x^2 - y", "x*y - 1", "x^2 + y^2 - 1", "x - 1", "x y", "y^2 - x^2*y"]
+)
+_points = st.sampled_from(["0", "1", "-1", "inf", "1/2", "z^2-2", "z^2-1", "z/(z+1)"])
+_orbifolds = st.lists(
+    st.tuples(_points, st.sampled_from(["1", "2", "3", "0", "x"])), max_size=4
+).map(lambda es: ", ".join(f"{p}:{v}" for p, v in es))
+_ints = st.integers(-1, 4).map(str)
+_words = st.sampled_from(["", "--cap", "-x", "--", "inf", "--lines", "-1"])
+
+
+def _command(name, *parts):
+    return st.tuples(*parts).map(lambda args: [*name.split(), *args])
+
+
+_argvs = st.tuples(
+    st.sampled_from([[], ["--format", "structured"]]),
+    st.one_of(
+        _command("analyze", _maps),
+        _command("classify", _maps),
+        _command("orbifold chi", _orbifolds),
+        _command("orbifold pullback", _maps, _orbifolds),
+        _command("orbifold check", _maps, _orbifolds, _orbifolds),
+        _command("semiconj verify", _maps, _maps, _maps),
+        _command("semiconj complete", _maps, _maps, _maps),
+        _command("decompose factors", _maps, _ints),
+        _command("decompose normalize", _maps, _maps, _maps, _ints),
+        _command("decompose chain", _maps, _maps, _ints),
+        _command("curve genus", _maps, _maps),
+        _command("curve implicitize", _maps, _maps),
+        _command("curve invariant", _curves, _maps, _maps),
+        _command("curve orbit", _curves, _maps, _maps, st.integers(0, 2).map(str)),
+        _command(
+            "search invariant",
+            _maps,
+            _maps,
+            st.sampled_from(["1", "2", "0"]),
+            st.sampled_from(["1", "0"]),
+            st.sampled_from(["--cap", "--lines"]),
+            st.sampled_from(["1", "0"]),
+        ),
+        _command("bounds phi", _ints, _ints),
+        _command("bounds psi", _ints, _ints),
+        _command("bounds kappa", _ints),
+        _command("bounds genus-gate", _ints, _ints, _ints),
+    ),
+    st.lists(_words, max_size=1),
+).map(lambda t: t[0] + t[1] + t[2])
+
+
+@settings(max_examples=120, deadline=None)
+@given(_argvs)
+def test_cli_argv_fuzz_keeps_the_exit_contract(argv):
+    from ratdyn.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses a usage error with 2
+            code = exc.code
+    assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

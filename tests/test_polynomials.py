@@ -5,8 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ratdyn.intpoly import PRIMES, _is_prime, _z_exact_div, _z_gcd, from_ints
-from ratdyn.bipolys import BiPoly
+from ratdyn.intpoly import PRIMES, _is_prime, _z_exact_div, _z_gcd, _z_homogenize, from_ints
 from ratdyn.polynomials import UniPoly, homogenize
 
 from oracles import (
@@ -324,24 +323,46 @@ def test_equality_and_hash_follow_the_coefficients(p, q):
 
 
 small_polys = st.lists(st.integers(-5, 5), max_size=4).map(UniPoly)
+# denominators in the bases exercise the kernel's scaling by (e f)^m
+scaled_polys = st.tuples(small_polys, st.sampled_from([1, -1, Fraction(1, 2), Fraction(-2, 3), 6])).map(
+    lambda pc: pc[0] * pc[1]
+)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(
-    st.lists(small_polys, max_size=3),
-    small_polys,
-    small_polys,
+    st.lists(scaled_polys, max_size=3),
+    scaled_polys,
+    scaled_polys,
     st.integers(0, 2),
     st.fractions(min_value=-5, max_value=5, max_denominator=4),
 )
 def test_homogenize_matches_pointwise_values(ps, r, s, extra, t):
     m = max((p.degree for p in ps), default=0) + extra
-    got = homogenize([p.c for p in ps], r, s, m)
+    got = homogenize(ps, r, s, m)
     assert len(got) == len(ps)
     at_r, at_s = frac_eval(r.c, t), frac_eval(s.c, t)
     for p, h in zip(ps, got):
         assert h(t) == sum((c * at_r**i * at_s ** (m - i) for i, c in enumerate(p.c)), Fraction(0))
-    # BiPoly arguments and ring-element coefficients: sum_i p_i(y) x^i
-    rows = [BiPoly.from_unipoly(p, "y") for p in ps]
-    (acc,) = homogenize([rows], BiPoly.var_x(), BiPoly.constant(1), len(rows) - 1)
-    assert acc == BiPoly.from_coeffs_in_x(ps)
+
+
+int_lists = st.lists(st.integers(-5, 5), max_size=4).map(
+    lambda c: c[: max((i + 1 for i, v in enumerate(c) if v), default=0)]
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(int_lists, max_size=3), int_lists, int_lists, st.integers(0, 2))
+def test_z_homogenize_matches_pointwise_values(rows, r, s, extra):
+    m = max((len(p) - 1 for p in rows), default=0) + extra
+    got = _z_homogenize(rows, r, s, m)
+    assert len(got) == len(rows)
+
+    def value(a, x):
+        return sum(c * x**i for i, c in enumerate(a))
+
+    for p, h in zip(rows, got):
+        assert not h or h[-1] != 0
+        for t in range(-2, 3 + len(h)):
+            at_r, at_s = value(r, t), value(s, t)
+            assert value(h, t) == sum(c * at_r**i * at_s ** (m - i) for i, c in enumerate(p))

@@ -9,7 +9,7 @@ from ratdyn.errors import PreconditionError
 from ratdyn.polynomials import UniPoly
 from ratdyn.ratmaps import INF, RatMap, chebyshev, mobius, mobius_through, power_map
 
-from oracles import frac_ratio
+from oracles import compose_by_gcd, frac_ratio, mobius_by_cases
 
 points = st.fractions(min_value=-6, max_value=6, max_denominator=5)
 
@@ -198,3 +198,127 @@ def test_derivative_of_a_high_power_within_budget():
     d = f.derivative()
     assert time.perf_counter() - t0 < 0.4
     assert d == RatMap(UniPoly.monomial(255) * 256, UniPoly.of(1, 1) ** 257)
+
+
+# differential tests: the gcd-free constructors against the general
+# constructor's gcd route and against Fraction values
+
+
+def assert_canonical(f):
+    assert f.num.gcd(f.den) == 1
+    if f.den.degree >= 1:
+        assert f.den.lc == 1
+    elif f.num:
+        assert f.num.lc == 1
+    else:
+        assert f.den == UniPoly.one()
+    assert RatMap(f.num, f.den) == f
+
+
+@st.composite
+def polynomial_maps(draw, max_degree=3):
+    """A polynomial map: constant denominator, any scale."""
+    num = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=max_degree + 1))
+    scale = draw(st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool))
+    return RatMap(UniPoly(num) * scale)
+
+
+@st.composite
+def unbalanced_maps(draw):
+    """num/den with deg num < deg den or the reverse, both nonzero."""
+    lo = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=2).filter(any))
+    hi = draw(st.lists(st.integers(-4, 4), min_size=3, max_size=4).filter(lambda c: c[-1] != 0))
+    lo, hi = UniPoly(lo), UniPoly(hi) * draw(st.sampled_from([1, Fraction(-2, 3)]))
+    return RatMap(lo, hi) if draw(st.booleans()) else RatMap(hi, lo)
+
+
+inner_maps = st.one_of(
+    maps(min_degree=1), polynomial_maps().filter(lambda f: f.degree >= 1), unbalanced_maps()
+)
+outer_maps = st.one_of(maps(), polynomial_maps(), unbalanced_maps())
+
+
+@settings(max_examples=200, deadline=None)
+@given(outer_maps, inner_maps, points)
+def test_compose_matches_the_gcd_route(f, g, t):
+    h = f.compose(g)
+    assert_canonical(h)
+    assert h == compose_by_gcd(f, g)
+    assert h.degree == f.degree * g.degree
+    inner = frac_ratio(g.num.c, g.den.c, t)
+    if inner is not None and frac_ratio(f.num.c, f.den.c, inner) is not None:
+        assert h(t) == f(inner)
+
+
+@settings(max_examples=150, deadline=None)
+@given(outer_maps, points, st.integers(-3, 3).filter(bool), points, st.booleans())
+def test_compose_with_a_mobius_inner_sending_a_root_to_infinity(f, rho, a, b, in_den):
+    # f gets a root at rho, in its numerator or denominator, and the inner
+    # map (a z + b) / (z - rho) sends rho to INF
+    lin = UniPoly.of(-rho, 1)
+    f = RatMap(f.num, f.den * lin) if in_den else RatMap(f.num * lin, f.den)
+    assume(a * -rho != b)
+    mu = mobius(a, b, 1, -rho)
+    assert mu(rho) is INF
+    h = f.compose(mu)
+    assert_canonical(h)
+    assert h == compose_by_gcd(f, mu)
+    assert h(rho) == f(INF)
+
+
+coefficients = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(coefficients, coefficients, coefficients, coefficients, points)
+def test_mobius_and_its_inverse_match_the_gcd_route(a, b, c, d, t):
+    if a * d == b * c:
+        with pytest.raises(PreconditionError):
+            mobius(a, b, c, d)
+        return
+    mu = mobius(a, b, c, d)
+    assert_canonical(mu)
+    assert mu == compose_by_gcd(RatMap(UniPoly((b, a)), UniPoly((d, c))), RatMap.identity())
+    assert mu(t) == (INF if c * t + d == 0 else (a * t + b) / (c * t + d))
+    inv = mu.mobius_inverse()
+    assert_canonical(inv)
+    assert inv == RatMap(UniPoly((-b, d)), UniPoly((a, -c)))
+    assert compose_by_gcd(inv, mu) == RatMap.identity() == mu.compose(inv)
+    assert inv(mu(t)) == t
+
+
+@settings(max_examples=100, deadline=None)
+@given(coefficients, coefficients, st.integers(-3, 3), coefficients.filter(bool))
+def test_degenerate_mobius_raises(a, b, k, scale):
+    # proportional rows, or a zero row, give ad == bc
+    for args in ((a, b, k * a, k * b), (k * a, k * b, a, b), (a, 0, b, 0), (0, a, 0, b)):
+        with pytest.raises(PreconditionError):
+            mobius(*(scale * v for v in args))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(sphere_points, min_size=3, max_size=3, unique=True),
+    st.lists(sphere_points, min_size=3, max_size=3, unique=True),
+)
+def test_mobius_through_matches_the_case_analysis(sources, targets):
+    mu = mobius_through(sources, targets)
+    assert_canonical(mu)
+    assert mu == mobius_by_cases(sources, targets)
+
+
+@settings(max_examples=150, deadline=None)
+@given(outer_maps)
+def test_inverted_source_and_inversion_are_canonical(f):
+    g = f.inverted_source()
+    assert_canonical(g)
+    d = f.degree
+    assert g == RatMap(f.num.reversed_to(d), f.den.reversed_to(d))
+    if f.num.is_zero:
+        # 1/0 is no map: the swapped denominator is zero
+        with pytest.raises(PreconditionError):
+            f.conjugate_by_inversion()
+        return
+    h = f.conjugate_by_inversion()
+    assert_canonical(h)
+    assert h == RatMap(g.den, g.num)
