@@ -476,8 +476,7 @@ def homogenize(polys, r, s, m: int) -> list:
     after the substitution r/s.  On the integer kernel: with r = R/e and
     s = S/f it is `intpoly._z_homogenize` at (R f, S e) over (e f)^m."""
     e, f = r.denom, s.denom
-    R = [v * f for v in r.nums] if f != 1 else r.nums
-    S = [v * e for v in s.nums] if e != 1 else s.nums
-    scale = (e * f) ** m
+    R, S = [v * f for v in r.nums], [v * e for v in s.nums]
     rows = _z_homogenize([p.nums for p in polys], R, S, m)
+    scale = (e * f) ** m
     return [UniPoly._of(row, p.denom * scale) for p, row in zip(polys, rows)]
