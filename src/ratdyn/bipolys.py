@@ -28,7 +28,7 @@ from math import gcd as _igcd, lcm as _lcm
 
 from .errors import PreconditionError, TheoremViolation
 from .intpoly import _q, _z_exact_div, _z_interpolate, _z_mul, _z_value, to_ints
-from .polynomials import UniPoly, qq
+from .polynomials import UniPoly, _centres, qq
 
 
 def _pack(rows, n):
@@ -390,12 +390,10 @@ def _images(*polys):
     """Yield (y0, [p.eval_y(y0) for p in polys]) at y0 = 0, 1, -1, 2, -2, ...,
     skipping every point at which an image drops in x-degree."""
     degs = [p.deg_x for p in polys]
-    y0 = Fraction(0)
-    while True:
+    for y0 in _centres():
         ims = [p.eval_y(y0) for p in polys]
         if all(u.degree == d for u, d in zip(ims, degs)):
             yield y0, ims
-        y0 = -y0 if y0 > 0 else -y0 + 1
 
 
 def _interpolate_in_y(images) -> BiPoly:

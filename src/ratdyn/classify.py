@@ -345,47 +345,28 @@ def _quadratic_point_within(m: UniPoly, c: Fraction, rho: Fraction) -> bool:
 def _basin_resolves(basins, p: Place) -> bool:
     """True when some point of the place is certified non-preperiodic by an
     attracting basin (enters the contraction ball below the landing gap)."""
+    if p.is_infinity:
+        return False
     for basin in basins:
         c, inverted = basin.c
         rho = basin.r if basin.landing is None else min(basin.r, basin.landing)
-        if p.degree > 2:
+        m = p.minpoly
+        if inverted:
+            if m.coeff(0) == 0:
+                continue
+            m = m.reversed_to(m.degree) * (1 / m.coeff(0))
+        val = m(c)
+        if val == 0:
+            continue
+        if p.degree == 2:
+            if _quadratic_point_within(m, c, rho):
+                return True
+        elif abs(val) < rho**m.degree:
             # the product of the distances from c to the conjugates is the
             # monic minimal polynomial evaluated there, so a small value
             # puts some conjugate strictly inside the ball and below the
             # landing gap, which certifies it non-preperiodic
-            m = p.minpoly
-            if inverted:
-                if m.coeff(0) == 0:
-                    continue
-                m = m.reversed_to(m.degree) * (1 / m.coeff(0))
-            val = m(c)
-            if val != 0 and abs(val) < rho**m.degree:
-                return True
-            continue
-        if p.degree == 1:
-            v = p.rational_value()
-            if v is INF:
-                continue
-            x = None
-            if inverted:
-                if v != 0:
-                    x = 1 / v
-            else:
-                x = v
-            if x is None or x == c:
-                continue
-            if abs(x - c) < rho:
-                return True
-        else:
-            m = p.minpoly
-            if inverted:
-                if m.coeff(0) == 0:
-                    continue
-                m = m.reversed_to(2) * (1 / m.coeff(0))
-            if m(c) == 0:
-                continue
-            if _quadratic_point_within(m, c, rho):
-                return True
+            return True
     return False
 
 

@@ -4,10 +4,13 @@ Curves are primitive squarefree bivariate polynomials in canonical form.
 Two constructions carry every elimination here: `bipolys.separated`, the
 numerator of f(x) - g(y), gives separated curves Y1(x) = Y2(y) and the
 pencils num(x) - y den(x) of a map; `polynomials.homogenize` substitutes
-maps into a curve, one variable at a time.  Images of parametrizations and
-of product endomorphisms come from iterated resultants against the pencils,
-with an exact certificate (vanishing on the parametrization, or dividing
-the pullback) for discarding extraneous factors; the genus of an
+maps into a curve, one variable at a time.  An irreducible curve F = 0
+that is not a line is carried into a curve G = 0 exactly when F divides
+the pullback of G, the numerator of G(A1(x), A2(y)); that one exact
+division answers invariance, periodicity and membership.  Where the image
+itself is the answer it comes from resultants against the pencils, and
+the same division picks its factor out of the eliminant (a
+parametrization is the image of the diagonal).  The genus of an
 irreducible separated curve comes from the fiber-pairing count
 2 - 2g = 2pq - sum(ab - gcd(a, b))."""
 
@@ -99,37 +102,17 @@ def vanishes_on_parametrization(F: BiPoly, X1: RatMap, X2: RatMap) -> bool:
     return (BiPoly.var_x() - BiPoly.var_y()).divides(substitute_maps(F, X1, X2))
 
 
-def implicitize(par) -> BiCurve:
-    """Closure of the image of t -> (X1(t), X2(t)): eliminate t, then keep
-    the unique irreducible factor vanishing on the parametrization."""
-    if not isinstance(par, ParamCurve):
-        par = ParamCurve(*par)
-    X1, X2 = par.X1, par.X2
-    x, one = UniPoly.x(), UniPoly.one()
-    r = resultant_x_mixed(separated(X1.num, X1.den, x, one), separated(X2.num, X2.den, x, one))
-    if r.is_zero:
-        raise TheoremViolation("elimination degenerated for a parametrization")
+def _pencil(A: RatMap) -> BiPoly:
+    """num(x) - y den(x): the graph of A, eliminated against in x."""
+    return separated(A.num, A.den, UniPoly.x(), UniPoly.one())
+
+
+def _image(r: BiPoly, F: BiPoly, A1: RatMap, A2: RatMap, failure: str) -> BiCurve:
+    """The image of the irreducible curve F = 0 under (A1, A2), from an
+    eliminant r vanishing on it: the one irreducible factor of r whose
+    pullback F divides; `failure` names the violation when there is not
+    exactly one."""
     _, facs = factor_bivariate(r)
-    keep = [F for F, _ in facs if vanishes_on_parametrization(F, X1, X2)]
-    if len(keep) != 1:
-        raise TheoremViolation("image of an irreducible curve was not irreducible")
-    return BiCurve(keep[0], normalize=False)
-
-
-def image_curve(C: BiCurve, A1: RatMap, A2: RatMap) -> BiCurve:
-    """Defining polynomial of the image of C under (A1, A2); C must be
-    irreducible and not a vertical or horizontal line."""
-    F = C.poly
-    if F.deg_x < 1 or F.deg_y < 1:
-        raise PreconditionError("lines are handled by fixed-point logic")
-    if A1.degree < 1 or A2.degree < 1:
-        raise PreconditionError("images need nonconstant maps")
-    x, one = UniPoly.x(), UniPoly.one()
-    r1 = resultant_x_mixed(F, separated(A1.num, A1.den, x, one))  # variables (y, u)
-    r2 = resultant_x_mixed(r1, separated(A2.num, A2.den, x, one))  # variables (u, v)
-    if r2.is_zero:
-        raise TheoremViolation("elimination degenerated for an image curve")
-    _, facs = factor_bivariate(r2)
     keep = []
     for G, _ in facs:
         pull = substitute_maps(G, A1, A2)
@@ -138,8 +121,41 @@ def image_curve(C: BiCurve, A1: RatMap, A2: RatMap) -> BiCurve:
         if F.divides(pull):
             keep.append(G)
     if len(keep) != 1:
-        raise TheoremViolation("image curve certificate did not isolate one factor")
+        raise TheoremViolation(failure)
     return BiCurve(keep[0], normalize=False)
+
+
+def implicitize(par) -> BiCurve:
+    """Closure of the image of t -> (X1(t), X2(t)), the image of the
+    diagonal x = y under (X1, X2): eliminate t between the two pencils."""
+    if not isinstance(par, ParamCurve):
+        par = ParamCurve(*par)
+    X1, X2 = par.X1, par.X2
+    r = resultant_x_mixed(_pencil(X1), _pencil(X2))
+    if r.is_zero:
+        raise TheoremViolation("elimination degenerated for a parametrization")
+    diagonal = BiPoly.var_x() - BiPoly.var_y()
+    return _image(r, diagonal, X1, X2, "image of an irreducible curve was not irreducible")
+
+
+def _check_image_data(F: BiPoly, A1: RatMap, A2: RatMap) -> None:
+    """Images are taken of curves that are not lines, under nonconstant maps."""
+    if F.deg_x < 1 or F.deg_y < 1:
+        raise PreconditionError("lines are handled by fixed-point logic")
+    if A1.degree < 1 or A2.degree < 1:
+        raise PreconditionError("images need nonconstant maps")
+
+
+def image_curve(C: BiCurve, A1: RatMap, A2: RatMap) -> BiCurve:
+    """Defining polynomial of the image of C under (A1, A2); C must be
+    irreducible and not a vertical or horizontal line."""
+    F = C.poly
+    _check_image_data(F, A1, A2)
+    r1 = resultant_x_mixed(F, _pencil(A1))  # variables (y, u)
+    r2 = resultant_x_mixed(r1, _pencil(A2))  # variables (u, v)
+    if r2.is_zero:
+        raise TheoremViolation("elimination degenerated for an image curve")
+    return _image(r2, F, A1, A2, "image curve certificate did not isolate one factor")
 
 
 @dataclass(frozen=True)
@@ -160,27 +176,36 @@ def line_is_invariant(line: Line, A1: RatMap, A2: RatMap) -> bool:
 
 
 def is_invariant(C, A1: RatMap, A2: RatMap) -> bool:
-    """Exact invariance test; accepts a BiCurve or a Line."""
+    """Exact invariance test; accepts a BiCurve or a Line.  An irreducible
+    C : F = 0 is carried into itself exactly when F divides its pullback,
+    the numerator of F(A1(x), A2(y)); for a line x = a that numerator is
+    num1 - a den1, divisible by x - a exactly when A1 fixes a."""
     if isinstance(C, Line):
         return line_is_invariant(C, A1, A2)
     if not C.is_irreducible():
         raise PreconditionError("invariance is defined for irreducible curves")
-    if C.poly.deg_x < 1 or C.poly.deg_y < 1:
-        axis = "x" if C.poly.deg_y < 1 else "y"
-        uni = C.poly.eval_y(0) if C.poly.deg_y < 1 else C.poly.eval_x(0)
-        if uni.degree != 1:
+    F = C.poly
+    if F.deg_x < 1 or F.deg_y < 1:
+        if max(F.deg_x, F.deg_y) != 1:
             raise PreconditionError("an irreducible line must have degree one")
-        value = -uni.coeff(0) / uni.lc
-        return line_is_invariant(Line(axis, value), A1, A2)
-    return image_curve(C, A1, A2) == C
+    elif A1.degree < 1 or A2.degree < 1:
+        raise PreconditionError("images need nonconstant maps")
+    return F.divides(substitute_maps(F, A1, A2))
 
 
 def periodicity(C: BiCurve, A1: RatMap, A2: RatMap, max_n: int):
-    """Least n with the n-th image equal to C, scanned up to max_n."""
-    cur = C
+    """Least n <= max_n with the n-th image equal to C: with C dividing its
+    pullback under (A1^n, A2^n).  C must be irreducible, since a reducible
+    curve can divide its pullback while being carried onto part of itself."""
+    F = C.poly
+    _check_image_data(F, A1, A2)
+    if not C.is_irreducible():
+        raise PreconditionError("periodicity is defined for irreducible curves")
+    B1, B2 = A1, A2
     for n in range(1, max_n + 1):
-        cur = image_curve(cur, A1, A2)
-        if cur == C:
+        if n > 1:
+            B1, B2 = B1.compose(A1), B2.compose(A2)
+        if F.divides(substitute_maps(F, B1, B2)):
             return n
     return None
 
@@ -280,8 +305,7 @@ def periodic_curve_certificate(X1, X2, Y1, Y2, A1, A2, n: int) -> IdentityReport
     report.conjugator = B
     C = implicitize(ParamCurve(X1, X2))
     report.curve = C
-    sep = separated_curve(Y1, Y2)
-    member = any(f == C for f, _ in sep.factor())
+    member = C.poly.divides(separated_curve(Y1, Y2).poly)
     checks.append(("parametrized curve is a component of the separated curve", member))
     report.ok = report.ok and member
     return report

@@ -23,7 +23,7 @@ from .bipolys import BiPoly, gcd_x, separated
 from .errors import ChainError, Inconclusive, PreconditionError, TheoremViolation
 from .factoring import SUBSET_CAP, bi_is_irreducible, factor_bivariate
 from .mobius import are_conjugate, mu_right_transports
-from .polynomials import UniPoly
+from .polynomials import UniPoly, _centres
 from .ratmaps import INF, RatMap, mobius
 from .series import newton_series_root, pade_reconstruct, ratmap_roots_over_function_field
 
@@ -80,10 +80,7 @@ def right_divide(F: RatMap, W: RatMap):
     n = F.degree // W.degree
     k = 2 * n + 1
     wr = W.wronskian()
-    t = Fraction(0)
-    for _ in range(100):
-        t0 = t
-        t = -t if t > 0 else -t + 1
+    for t0 in itertools.islice(_centres(), 100):
         if W.den(t0) == 0 or F.den(t0) == 0 or wr(t0) == 0:
             continue
         x0 = W(t0)
@@ -381,14 +378,6 @@ class Diagram:
     @property
     def length(self) -> int:
         return len(self.rungs)
-
-    @property
-    def m_d(self) -> int:
-        return self.base.degree
-
-    @property
-    def n_d(self) -> int:
-        return self.columns[0].degree
 
     def verify(self) -> bool:
         if len(self.columns) != len(self.rungs) + 1:

@@ -298,7 +298,3 @@ def parse_curve(text: str) -> BiPoly:
     if value.is_zero:
         raise ParseError("the zero polynomial defines no curve")
     return value
-
-
-def print_map(f: RatMap) -> str:
-    return f.to_str()

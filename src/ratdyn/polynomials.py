@@ -470,6 +470,15 @@ def _fmt_q(v: Fraction) -> str:
     return f"{v.numerator}/{v.denominator}"
 
 
+def _centres():
+    """0, 1, -1, 2, -2, ...: the rational points tried in turn wherever a
+    generic evaluation point or series centre is needed."""
+    t = Fraction(0)
+    while True:
+        yield t
+        t = -t if t > 0 else -t + 1
+
+
 def homogenize(polys, r, s, m: int) -> list:
     """[s^m p(r/s) for p in polys]: each `UniPoly` p homogenised to degree
     m >= deg p and evaluated at the `UniPoly`s (r, s), the numerator of p

@@ -4,7 +4,7 @@ Canonical scaling: the denominator is monic when nonconstant; when the
 denominator is constant the numerator is made monic instead (so the
 polynomial 3z^2 is stored as z^2 over 1/3), on integer numerators.
 Equality of maps is equality of canonical forms.  The constructor divides
-by gcd(num, den); composition, degree-one maps, their inverses and
+by gcd(num, den); composition, sums, degree-one maps, their inverses and
 `inverted_source` make provably coprime pairs and skip it (`_coprime`).
 The point at infinity is handled by explicit case analysis, except in
 `mobius_through`, which works in integer homogeneous coordinates.
@@ -92,10 +92,6 @@ class RatMap:
     def is_polynomial(self) -> bool:
         return self.den.is_constant
 
-    @property
-    def is_mobius(self) -> bool:
-        return self.degree == 1
-
     def __eq__(self, other):
         if not isinstance(other, RatMap):
             return NotImplemented
@@ -152,10 +148,21 @@ class RatMap:
         return None
 
     def __add__(self, other):
+        """Sum by Henrici's rule: over the denominators d1, d2 reduced by
+        their gcd g, the cross sum t is prime to d1 d2 (it is n1 d2 modulo
+        d1, with n1 prime to d1), so gcd(t, g) is all that can cancel."""
         o = self._co(other)
         if o is None:
             return NotImplemented
-        return RatMap(self.num * o.den + o.num * self.den, self.den * o.den)
+        g = self.den.gcd(o.den)
+        d1, d2 = (self.den // g, o.den // g) if g.degree >= 1 else (self.den, o.den)
+        t = self.num * d2 + o.num * d1
+        if t.is_zero:
+            return RatMap.constant(0)
+        h = t.gcd(g)
+        if h.degree >= 1:
+            t, g = t // h, g // h
+        return RatMap._coprime(t, g * d1 * d2)
 
     __radd__ = __add__
 

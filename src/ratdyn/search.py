@@ -6,10 +6,10 @@ iterates; a shared return map B must semiconjugate through both
 coordinates, so candidates for B come from functional division and the
 precomposition ambiguity is resolved by conjugacy transporters between
 the per-coordinate candidates.  Every emitted curve carries its
-parametrization and return map and is re-verified independently through
-the elimination-based invariance test.  Reports label their completeness
-honestly: the formal iterate bound is astronomically large, so the
-default is completeness up to the user-chosen cap.
+parametrization and return map and is re-verified independently: the
+curve must divide its pullback under the product map.  Reports label
+their completeness honestly: the formal iterate bound is astronomically
+large, so the default is completeness up to the user-chosen cap.
 """
 
 from __future__ import annotations

@@ -12,11 +12,11 @@ its [n/n] Pade approximant; each candidate is certified by X o R == F.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from itertools import islice
 
 from .errors import Inconclusive, PreconditionError
 from .factoring import rational_roots
-from .polynomials import UniPoly, qq
+from .polynomials import UniPoly, _centres, qq
 from .ratmaps import RatMap
 
 
@@ -84,23 +84,14 @@ def ratmap_roots_over_function_field(X: RatMap, F: RatMap):
     if F.degree % X.degree != 0:
         return []
     n = F.degree // X.degree
-    center = None
-    t = Fraction(0)
-    attempts = 0
-    while center is None:
-        attempts += 1
-        if attempts > 200:
-            raise Inconclusive("no generic center found for functional division")
-        t0 = t
-        t = -t if t > 0 else -t + 1
-        if F.den(t0) == 0:
+    for center in islice(_centres(), 200):
+        if F.den(center) == 0:
             continue
-        c = F(t0)
-        pencil = X.num - X.den * c
-        if pencil.degree != X.degree or not pencil.is_squarefree():
-            continue
-        center = t0
-    pencil = X.num - X.den * F(center)
+        pencil = X.num - X.den * F(center)
+        if pencil.degree == X.degree and pencil.is_squarefree():
+            break
+    else:
+        raise Inconclusive("no generic center found for functional division")
     candidates = rational_roots(pencil)
     prec = 2 * n + 1
     target = expand_ratmap(F, center, prec)

@@ -10,8 +10,8 @@ genus counts by the raw pairing formula, commuting maps by coordinate
 series at a superattracting fixed point, invariant graphs by the same
 series plus exact verification, fiber partitions by gcd chains over the
 number field of the target place, Chebyshev cubics by their
-centred-monic normal form, and transporter candidates by elimination in
-Q[z, w] and factoring.
+centred-monic normal form, transporter candidates by elimination in
+Q[z, w] and factoring, and curve periods by iterating elimination images.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ratdyn.bipolys import BiPoly
+from ratdyn.curves import image_curve
 from ratdyn.factoring import factor_univariate
 from ratdyn.mobius import _orbit_base
 from ratdyn.numberfields import NumberField
@@ -594,3 +595,14 @@ def bivariate_transporter_candidates(a: RatMap, b: RatMap):
     g = E.content_x()
     facs = factor_univariate(g)[1] if g.degree >= 1 else []
     return z0, z1, z2, sorted(-f.coeff(0) for f, _ in facs if f.degree == 1)
+
+
+def periodicity_by_images(C, A1: RatMap, A2: RatMap, max_n: int):
+    """Least n <= max_n with the n-th image of C equal to C, following the
+    forward orbit one eliminated image at a time."""
+    cur = C
+    for n in range(1, max_n + 1):
+        cur = image_curve(cur, A1, A2)
+        if cur == C:
+            return n
+    return None

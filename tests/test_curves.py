@@ -22,11 +22,11 @@ from ratdyn.curves import (
     substitute_maps,
     vanishes_on_parametrization,
 )
-from ratdyn.errors import ReducibleCurve
+from ratdyn.errors import PreconditionError, ReducibleCurve
 from ratdyn.polynomials import UniPoly
-from ratdyn.ratmaps import INF, RatMap, chebyshev, power_map
+from ratdyn.ratmaps import INF, RatMap, chebyshev, mobius, power_map
 
-from oracles import bi_value, brute_pairing_genus, frac_eval, frac_ratio
+from oracles import bi_value, brute_pairing_genus, frac_eval, frac_ratio, periodicity_by_images
 from test_ratmaps import maps, points, rand_map
 
 X = BiPoly.var_x()
@@ -88,6 +88,53 @@ def test_invariance_and_lines():
     assert is_invariant(vertical, power_map(2), power_map(2))
 
 
+Z2 = power_map(2)
+
+
+@pytest.mark.parametrize(
+    "poly, A1, A2, want",
+    [
+        (X, Z2, Z2 + 1, True),  # x = 0
+        (X - 1, Z2 + 1, RatMap.identity(), False),  # 1 -> 2
+        (X - 1, power_map(-1).compose(RatMap.identity() - 1), Z2, False),  # 1 -> INF
+        (2 * X - 1, 2 * Z2, Z2, True),  # x = 1/2
+        (Y - 1, RatMap.identity() + 5, power_map(3), True),
+        (Y + 2, Z2, Z2, False),  # -2 -> 4
+        (X - 2, RatMap.constant(2), Z2, True),
+        (X - 2, RatMap.constant(3), Z2, False),
+        (X - 2, Z2 - 2, RatMap.constant(7), True),
+        (Y, Z2, RatMap.constant(0), True),
+        (Y, Z2, RatMap.constant(1), False),
+    ],
+)
+def test_degree_one_lines_divide_their_pullback_when_fixed(poly, A1, A2, want):
+    # the pullback of x - a is num1 - a den1, divisible by x - a exactly
+    # when A1 fixes a, constant A1 included
+    C = BiCurve(poly)
+    axis = "x" if C.poly.deg_y < 1 else "y"
+    uni = C.poly.eval_y(0) if axis == "x" else C.poly.eval_x(0)
+    line = Line(axis, -uni.coeff(0) / uni.lc)
+    assert line_is_invariant(line, A1, A2) == want
+    assert is_invariant(C, A1, A2) == want
+
+
+def test_curve_questions_keep_their_refusals():
+    with pytest.raises(PreconditionError, match="an irreducible line must have degree one"):
+        is_invariant(BiCurve(X**2 - 2), Z2, Z2)
+    with pytest.raises(PreconditionError, match="invariance is defined for irreducible curves"):
+        is_invariant(BiCurve(X**2 - Y**2), Z2, Z2)
+    for question in (is_invariant, image_curve, lambda C, A1, A2: periodicity(C, A1, A2, 3)):
+        with pytest.raises(PreconditionError, match="images need nonconstant maps"):
+            question(DIAG, RatMap.constant(1), Z2)
+    for question in (image_curve, lambda C, A1, A2: periodicity(C, A1, A2, 3)):
+        with pytest.raises(PreconditionError, match="lines are handled by fixed-point logic"):
+            question(BiCurve(X), Z2, Z2)
+    # x^2 = y^2 is carried onto its component x = y by squaring: it divides
+    # its pullback without being periodic
+    with pytest.raises(PreconditionError, match="periodicity is defined for irreducible curves"):
+        periodicity(BiCurve(X**2 - Y**2), Z2, Z2, 3)
+
+
 def test_orbit_scans():
     anti = BiCurve(X + Y)
     assert periodicity(anti, power_map(2), power_map(2), 3) is None
@@ -99,6 +146,40 @@ def test_orbit_scans():
     assert periodicity(anti, Aneg, Apos, 4) == 1
     assert periodicity(DIAG, Aneg, Apos, 4) is None
     assert preperiodicity(DIAG, Aneg, Apos, 3, 3) == (1, 1)
+
+
+mobius_entries = st.tuples(*[st.integers(-2, 2)] * 4).filter(lambda t: t[0] * t[3] != t[1] * t[2])
+odd_cubics = st.integers(-3, 3).map(lambda a: RatMap(UniPoly.of(0, a, 0, 1)))
+
+
+@st.composite
+def curve_dynamics(draw):
+    """(C, A1, A2) with C irreducible and not a line: the graph of
+    mu o A1^j under (A1, mu A1 mu^-1), invariant; the graph of mu under
+    (A1, mu (-A1) mu^-1), of period two for odd A1; or a random curve and
+    random second map."""
+    A1 = draw(st.one_of(maps(min_degree=2, max_degree=2), odd_cubics))
+    mu = mobius(*draw(mobius_entries))
+    kind = draw(st.sampled_from(["graph", "twisted", "random"]))
+    if kind == "graph":
+        j = draw(st.integers(0, 1))
+        C = implicitize((RatMap.identity(), mu.compose(A1.iterate(j)) if j else mu))
+        return C, A1, A1.conjugate(mu)
+    if kind == "twisted":
+        return implicitize((RatMap.identity(), mu)), A1, (-A1).conjugate(mu)
+    F = BiPoly(draw(curve_terms))
+    assume(F.deg_x >= 1 and F.deg_y >= 1)
+    C = BiCurve(F)
+    assume(C.poly.deg_x >= 1 and C.poly.deg_y >= 1 and C.is_irreducible())
+    return C, A1, draw(maps(min_degree=2, max_degree=2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(curve_dynamics())
+def test_pullback_answers_match_the_image_orbit(data):
+    C, A1, A2 = data
+    assert is_invariant(C, A1, A2) == (image_curve(C, A1, A2) == C)
+    assert periodicity(C, A1, A2, 2) == periodicity_by_images(C, A1, A2, 2)
 
 
 def test_image_bidegree_bounds():
@@ -203,6 +284,23 @@ def test_periodic_certificate_full_identities():
     assert rep.curve is not None
     assert rep.curve.bidegree == (1, 2)
     assert is_invariant(rep.curve, A, A)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    maps(min_degree=2, max_degree=2),
+    st.sampled_from([(1, 1, 0, 2), (0, 2, 1, 1), (1, 1, 1, 1), (2, 0, 1, 1), (0, 2, 2, 0)]),
+)
+def test_certificate_membership_matches_the_factors(R, powers):
+    # X_i = R^a_i and Y_i = R^b_i with a_i + b_i = 2 satisfy every identity
+    # for A = R^2 at n = 1; the separated curve R^b1(x) = R^b2(y) is often
+    # reducible
+    X1, Y1, X2, Y2 = (R.iterate(k) if k else RatMap.identity() for k in powers)
+    A = R.iterate(2)
+    rep = periodic_curve_certificate(X1, X2, Y1, Y2, A, A, 1)
+    member = dict(rep.checks)["parametrized curve is a component of the separated curve"]
+    assert member == any(f == rep.curve for f, _ in separated_curve(Y1, Y2).factor())
+    assert rep.ok
 
 
 def test_periodic_certificate_reports_failures():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ratdyn.errors import PreconditionError
+from ratdyn.parser import parse_map
 from ratdyn.polynomials import UniPoly
 from ratdyn.ratmaps import INF, RatMap, chebyshev, mobius, mobius_through, power_map
 
@@ -144,6 +145,8 @@ def test_pointwise_field_ops():
     assert (f * g)(2) == 8
     assert (f / g)(5) == 5
     assert (f - 1)(2) == 3
+    # the cross sum z + 1 + z - 1 cancels the shared pole at 0
+    assert RatMap(1, UniPoly.of(0, -1, 1)) + RatMap(1, UniPoly.of(0, 1, 1)) == RatMap(2, UniPoly.of(-1, 0, 1))
 
 
 def test_wronskian_detects_critical_points():
@@ -305,6 +308,33 @@ def test_mobius_through_matches_the_case_analysis(sources, targets):
     mu = mobius_through(sources, targets)
     assert_canonical(mu)
     assert mu == mobius_by_cases(sources, targets)
+
+
+@settings(max_examples=200, deadline=None)
+@given(outer_maps, outer_maps, points, st.integers(0, 2), st.booleans())
+def test_sum_matches_the_constructor_route(a, b, c, m, negate):
+    # a shared pole (z - c)^m makes the gcd of the denominators nontrivial,
+    # and b = -a makes the sum zero
+    pole = UniPoly.of(-c, 1) ** m
+    a = RatMap(a.num, a.den * pole)
+    b = -a if negate else RatMap(b.num, b.den * pole)
+    s = a + b
+    assert_canonical(s)
+    assert s == RatMap(a.num * b.den + b.num * a.den, a.den * b.den)
+
+
+def test_long_sum_of_poles_within_budget():
+    # each partial sum has a numerator of growing degree, but only its gcd
+    # with the gcd of the denominators, here 1, is taken
+    n = 400
+    t0 = time.perf_counter()
+    f = parse_map(" + ".join(f"1/(z-{k})" for k in range(1, n + 1)))
+    assert time.perf_counter() - t0 < 4.0
+    den = UniPoly.one()
+    for k in range(1, n + 1):
+        den = den * UniPoly.of(-k, 1)
+    assert f.den == den
+    assert f(0) == -sum(Fraction(1, k) for k in range(1, n + 1))
 
 
 @settings(max_examples=150, deadline=None)
