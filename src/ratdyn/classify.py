@@ -535,6 +535,7 @@ def is_lattes(A: RatMap):
     return None
 
 
+@memo
 def classify(A: RatMap) -> SpecialClass:
     """Apply the detectors in order: power, Chebyshev, Lattes, then the
     maximal orbifold deciding generalized Lattes against plain maps."""

@@ -12,7 +12,8 @@ itself is the answer it comes from resultants against the pencils, and
 the same division picks its factor out of the eliminant (a
 parametrization is the image of the diagonal).  The genus of an
 irreducible separated curve comes from the fiber-pairing count
-2 - 2g = 2pq - sum(ab - gcd(a, b))."""
+2 - 2g = 2pq - sum(ab - gcd(a, b)); a count above 2 proves that the curve
+splits into conjugate components over an extension, and is refused."""
 
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ from math import gcd as _igcd
 from .bipolys import BiPoly, resultant_x_mixed, separated, squarefree_part_x
 from .errors import PreconditionError, ReducibleCurve, TheoremViolation
 from .factoring import factor_bivariate
+from .memo import memo
 from .places import critical_values, fiber_partition
 from .polynomials import UniPoly, homogenize
 from .ratmaps import INF, RatMap
@@ -96,12 +98,6 @@ def substitute_maps(F: BiPoly, A1: RatMap, A2: RatMap) -> BiPoly:
     return BiPoly.from_coeffs_in_x(homogenize(G.coeffs_in_x(), A1.num, A1.den, F.deg_x)).swap()
 
 
-def vanishes_on_parametrization(F: BiPoly, X1: RatMap, X2: RatMap) -> bool:
-    """Whether F(X1(t), X2(t)) is identically zero: whether x - y divides
-    the numerator of F(X1(x), X2(y))."""
-    return (BiPoly.var_x() - BiPoly.var_y()).divides(substitute_maps(F, X1, X2))
-
-
 def _pencil(A: RatMap) -> BiPoly:
     """num(x) - y den(x): the graph of A, eliminated against in x."""
     return separated(A.num, A.den, UniPoly.x(), UniPoly.one())
@@ -130,7 +126,11 @@ def implicitize(par) -> BiCurve:
     diagonal x = y under (X1, X2): eliminate t between the two pencils."""
     if not isinstance(par, ParamCurve):
         par = ParamCurve(*par)
-    X1, X2 = par.X1, par.X2
+    return _implicitize(par.X1, par.X2)
+
+
+@memo
+def _implicitize(X1: RatMap, X2: RatMap) -> BiCurve:
     r = resultant_x_mixed(_pencil(X1), _pencil(X2))
     if r.is_zero:
         raise TheoremViolation("elimination degenerated for a parametrization")
@@ -258,10 +258,12 @@ def genus_separated(Y1: RatMap, Y2: RatMap) -> int:
     two_minus_2g = 2 * p * q - total
     if two_minus_2g % 2 != 0:
         raise TheoremViolation("parity failure in the genus count")
-    g = (2 - two_minus_2g) // 2
-    if g < 0:
-        raise TheoremViolation("negative genus computed")
-    return g
+    if two_minus_2g > 2:
+        # k >= 2 conjugate components of genus g_c count k (2 - 2 g_c)
+        raise ReducibleCurve(
+            "the separated curve splits into conjugate components over an extension"
+        )
+    return (2 - two_minus_2g) // 2
 
 
 # ----------------------------------------------------------------------

@@ -6,6 +6,15 @@ process and concurrent callers share one thread-safe cache.  An outcome
 is a value or a library error: the error is stored as its type and
 message and raised afresh on every hit, so no traceback (and nothing it
 references) is kept alive.
+
+It sits on the kernels that places, orbifolds and transporters repeat
+(`factor_univariate`, the place routines, `conjugacy_transporters`,
+`maximal_orbifold`) and on the entry points that a curve search repeats
+across bidegrees, caps and routes: `classify`, and private helpers under
+`all_left_factors`, `left_divide` and `implicitize`.  Those helpers
+return tuples, and the public functions hand each caller a fresh list,
+so no caller can change a stored answer.  ``cache_stats`` reads the
+hits, misses and sizes of every cache.
 """
 
 from __future__ import annotations
@@ -16,7 +25,7 @@ from .errors import RatDynError
 
 MEMO_SIZE = 4096
 
-_caches = []
+_caches = []  # (module.qualname, lru_cache) in registration order
 
 
 def memo(fn):
@@ -37,11 +46,21 @@ def memo(fn):
         kind, message = value
         raise kind(message)
 
-    _caches.append(outcome)
+    _caches.append((f"{fn.__module__}.{fn.__qualname__}", outcome))
     return memoised
 
 
 def clear_caches() -> None:
     """Forget every memoised outcome."""
-    for cache in _caches:
+    for _, cache in _caches:
         cache.cache_clear()
+
+
+def cache_stats() -> dict:
+    """{"module.qualname": {"hits", "misses", "size"}} for every memoised
+    function (a name memoised twice reports its later definition)."""
+    stats = {}
+    for name, cache in _caches:
+        info = cache.cache_info()
+        stats[name] = {"hits": info.hits, "misses": info.misses, "size": info.currsize}
+    return stats

@@ -4,8 +4,9 @@ Canonical scaling: the denominator is monic when nonconstant; when the
 denominator is constant the numerator is made monic instead (so the
 polynomial 3z^2 is stored as z^2 over 1/3), on integer numerators.
 Equality of maps is equality of canonical forms.  The constructor divides
-by gcd(num, den); composition, sums, degree-one maps, their inverses and
-`inverted_source` make provably coprime pairs and skip it (`_coprime`).
+by gcd(num, den); composition, sums, products and quotients, degree-one
+maps, their inverses and `inverted_source` make provably coprime pairs
+and skip it (`_coprime`).
 The point at infinity is handled by explicit case analysis, except in
 `mobius_through`, which works in integer homogeneous coordinates.
 """
@@ -181,11 +182,26 @@ class RatMap:
             return NotImplemented
         return o + (-self)
 
+    @staticmethod
+    def _product(n1: UniPoly, d1: UniPoly, n2: UniPoly, d2: UniPoly) -> "RatMap":
+        """n1 n2 / (d1 d2) for coprime pairs n1/d1 and n2/d2 with d1, d2
+        nonzero, by cross gcds: once n1, d2 and n2, d1 are divided by their
+        gcds, every numerator factor is prime to every denominator factor.
+        A zero side is 0/1, and its gcd with the other denominator takes
+        all of it, so a zero product comes out as 0/1."""
+        g = n1.gcd(d2)
+        if g.degree >= 1:
+            n1, d2 = n1 // g, d2 // g
+        h = n2.gcd(d1)
+        if h.degree >= 1:
+            n2, d1 = n2 // h, d1 // h
+        return RatMap._coprime(n1 * n2, d1 * d2)
+
     def __mul__(self, other):
         o = self._co(other)
         if o is None:
             return NotImplemented
-        return RatMap(self.num * o.num, self.den * o.den)
+        return RatMap._product(self.num, self.den, o.num, o.den)
 
     __rmul__ = __mul__
 
@@ -195,7 +211,7 @@ class RatMap:
             return NotImplemented
         if o.num.is_zero:
             raise ZeroDivisionError("division by the zero map")
-        return RatMap(self.num * o.den, self.den * o.num)
+        return RatMap._product(self.num, self.den, o.den, o.num)
 
     def __rtruediv__(self, other):
         o = self._co(other)

@@ -10,6 +10,12 @@ parametrization and return map and is re-verified independently: the
 curve must divide its pullback under the product map.  Reports label
 their completeness honestly: the formal iterate bound is astronomically
 large, so the default is completeness up to the user-chosen cap.
+
+Left factors, left quotients, implicitizations and classifications are
+memoised (`ratdyn.memo`), so the questions a user asks of one pair, for
+several bidegrees and caps and by both routes, compute each of them once
+while it stays in the bounded memo.  The checks stay per call: the transported identity, the
+invariance of every emitted curve and the commuting route's compositions.
 """
 
 from __future__ import annotations

@@ -11,7 +11,8 @@ series at a superattracting fixed point, invariant graphs by the same
 series plus exact verification, fiber partitions by gcd chains over the
 number field of the target place, Chebyshev cubics by their
 centred-monic normal form, transporter candidates by elimination in
-Q[z, w] and factoring, and curve periods by iterating elimination images.
+Q[z, w] and factoring, curve periods by iterating elimination images,
+and membership of a parametrization by substituting it into the curve.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ratdyn.bipolys import BiPoly
-from ratdyn.curves import image_curve
+from ratdyn.curves import image_curve, substitute_maps
 from ratdyn.factoring import factor_univariate
 from ratdyn.mobius import _orbit_base
 from ratdyn.numberfields import NumberField
@@ -606,3 +607,9 @@ def periodicity_by_images(C, A1: RatMap, A2: RatMap, max_n: int):
         if cur == C:
             return n
     return None
+
+
+def vanishes_on_parametrization(F: BiPoly, X1: RatMap, X2: RatMap) -> bool:
+    """Whether F(X1(t), X2(t)) is identically zero: whether x - y divides
+    the numerator of F(X1(x), X2(y))."""
+    return (BiPoly.var_x() - BiPoly.var_y()).divides(substitute_maps(F, X1, X2))

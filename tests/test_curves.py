@@ -20,13 +20,19 @@ from ratdyn.curves import (
     preperiodicity,
     separated_curve,
     substitute_maps,
-    vanishes_on_parametrization,
 )
 from ratdyn.errors import PreconditionError, ReducibleCurve
 from ratdyn.polynomials import UniPoly
 from ratdyn.ratmaps import INF, RatMap, chebyshev, mobius, power_map
 
-from oracles import bi_value, brute_pairing_genus, frac_eval, frac_ratio, periodicity_by_images
+from oracles import (
+    bi_value,
+    brute_pairing_genus,
+    frac_eval,
+    frac_ratio,
+    periodicity_by_images,
+    vanishes_on_parametrization,
+)
 from test_ratmaps import maps, points, rand_map
 
 X = BiPoly.var_x()
@@ -199,6 +205,24 @@ def test_genus_fixtures():
     with pytest.raises(ReducibleCurve) as err:
         genus_separated(power_map(2), power_map(2))
     assert sorted(f.to_str() for f in err.value.factors) == ["x + y", "x - y"]
+
+
+@pytest.mark.parametrize(
+    "Y1, Y2",
+    [
+        # x^2 = 2 y^2 is irreducible over Q and two lines over Q(sqrt 2)
+        (power_map(2), RatMap(UniPoly.monomial(2, 2))),
+        (RatMap(UniPoly.of(1, 2, 1) * Fraction(1, 2)), RatMap(UniPoly.of(1, 2, 1))),
+        # (x^2 + x + 1)^2 = 2 (y^2 - 3y + 5)^2: two conics over Q(sqrt 2)
+        (RatMap(UniPoly.of(1, 1, 1) ** 2), RatMap(UniPoly.of(5, -3, 1) ** 2 * 2)),
+    ],
+)
+def test_genus_refuses_curves_split_over_an_extension(Y1, Y2):
+    # k >= 2 conjugate components count k (2 - 2 g_c), above 2 for g_c = 0
+    assert separated_curve(Y1, Y2).is_irreducible()
+    with pytest.raises(ReducibleCurve) as err:
+        genus_separated(Y1, Y2)
+    assert "conjugate components" in str(err.value)
 
 
 def test_genus_symmetry_and_graphs():

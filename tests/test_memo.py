@@ -1,8 +1,12 @@
 import pytest
 
-from ratdyn.classify import NU_CAP, maximal_orbifold
-from ratdyn.errors import NotDefined
-from ratdyn.memo import MEMO_SIZE, clear_caches, memo
+from ratdyn.classify import NU_CAP, classify, maximal_orbifold
+from ratdyn.curves import implicitize
+from ratdyn.decompose import all_left_factors, left_divide
+from ratdyn.errors import NotDefined, PreconditionError
+from ratdyn.memo import MEMO_SIZE, cache_stats, clear_caches, memo
+from ratdyn.polynomials import UniPoly
+from ratdyn.ratmaps import RatMap, power_map
 from test_classify import LATTES, O2222
 
 
@@ -60,3 +64,54 @@ def test_memo_keeps_keyword_calls_and_the_wrapped_metadata():
     assert calls == [(3, 1), (3, 0)]
     assert square.__name__ == "square" and square.__wrapped__ is not None
     assert maximal_orbifold(LATTES, place_cap=8) == maximal_orbifold(LATTES, NU_CAP, 8) == O2222
+
+
+def test_cache_stats_reads_hits_misses_and_size():
+    square, _ = counted()
+    square(2)
+    square(2)
+    square(3)
+    stats = cache_stats()
+    assert stats["test_memo.counted.<locals>.square"] == {"hits": 1, "misses": 2, "size": 2}
+    assert "ratdyn.classify.maximal_orbifold" in stats
+    clear_caches()
+    assert cache_stats()["test_memo.counted.<locals>.square"] == {"hits": 0, "misses": 0, "size": 0}
+
+
+# the entry points that a curve search repeats: each call, its helper's
+# cache, and one refusal with its parent's type and message
+A_SHIFT = RatMap(UniPoly.of(1, 2, 1))  # (z+1)^2
+CONSTANT = RatMap.constant(2)
+ENTRY_POINTS = [
+    (all_left_factors, (A_SHIFT.iterate(2), 2), "ratdyn.decompose._all_left_factors",
+     (CONSTANT, 2), PreconditionError, "left factors need a nonconstant map"),
+    (left_divide, (A_SHIFT.iterate(2), A_SHIFT), "ratdyn.decompose._left_divide",
+     (A_SHIFT, CONSTANT), PreconditionError, "functional division needs nonconstant maps"),
+    (implicitize, ((A_SHIFT, power_map(2)),), "ratdyn.curves._implicitize",
+     ((A_SHIFT, CONSTANT),), PreconditionError, "parametrizations need nonconstant coordinates"),
+    (classify, (LATTES,), "ratdyn.classify.classify",
+     (RatMap.identity(),), PreconditionError, "classification needs degree at least two"),
+]
+
+
+@pytest.mark.parametrize("fn, args, cache, bad, kind, message", ENTRY_POINTS,
+                         ids=[e[2] for e in ENTRY_POINTS])
+def test_entry_points_answer_from_their_cache(fn, args, cache, bad, kind, message):
+    first = fn(*args)
+    second = fn(*args)
+    assert first and first == second
+    if fn in (all_left_factors, left_divide):
+        # each caller owns its list: changing one changes no later answer
+        assert isinstance(first, list) and first is not second
+        kept = list(first)
+        first.clear()
+        second.append(CONSTANT)
+        assert fn(*args) == kept
+    stats = cache_stats()[cache]
+    assert stats["misses"] == 1 and stats["hits"] >= 1
+    for _ in range(2):
+        with pytest.raises(kind) as err:
+            fn(*bad)
+        assert type(err.value) is kind and str(err.value) == message
+    # a refusal is computed at most once
+    assert cache_stats()[cache]["misses"] <= 2

@@ -374,6 +374,17 @@ def test_cli_curve_images_refuse_constant_maps_and_reducible_curves():
     proc = run_cli("curve", "orbit", "y^2 - x^2*y", "z", "z", "1")
     assert proc.returncode == 2 and "irreducible" in proc.stderr
 
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_cli_genus_refuses_curves_split_over_an_extension(fmt):
+    # irreducible over Q, two conjugate lines over Q(sqrt 2): an input
+    # error (exit 2), not a failed internal check (exit 4)
+    for a, b in (("z^2", "2*z^2"), ("(z^2+2*z+1)/2", "(z+1)^2")):
+        proc = run_cli("--format", fmt, "curve", "genus", a, b)
+        assert proc.returncode == 2
+        assert "conjugate components" in proc.stderr and "Traceback" not in proc.stderr
+    assert "genus: 1" in run_cli("curve", "genus", "z^3-z", "z^2").stdout
+
 # argv drawn from the command grammar under a small degree budget: maps of
 # degree at most 4, curves of bidegree at most (2, 2), small integers, and
 # some words that no command accepts

@@ -337,6 +337,42 @@ def test_long_sum_of_poles_within_budget():
     assert f(0) == -sum(Fraction(1, k) for k in range(1, n + 1))
 
 
+@settings(max_examples=200, deadline=None)
+@given(outer_maps, outer_maps, points, st.integers(0, 2), st.integers(0, 2))
+def test_product_and_quotient_match_the_constructor_route(a, b, c, m, k):
+    # (z - c)^m in num a and den b, and (z - c)^k in num b and den a, make
+    # both cross gcds nontrivial; zero maps come from the strategies
+    root = UniPoly.of(-c, 1)
+    if a.num and b.num:
+        a = RatMap(a.num * root**m, a.den * root**k)
+        b = RatMap(b.num * root**k, b.den * root**m)
+    p = a * b
+    assert_canonical(p)
+    assert p == RatMap(a.num * b.num, a.den * b.den)
+    if b.num.is_zero:
+        with pytest.raises(ZeroDivisionError):
+            a / b
+        return
+    q = a / b
+    assert_canonical(q)
+    assert q == RatMap(a.num * b.den, a.den * b.num)
+
+
+def test_long_product_of_ratios_within_budget():
+    # each factor cancels nothing, so the cross gcds are constant-time and
+    # the growing product is never reduced as a whole
+    n = 200
+    t0 = time.perf_counter()
+    f = parse_map(" * ".join(f"(z+{k})/(z-{k})" for k in range(1, n + 1)))
+    g = parse_map(" / ".join(["1"] + [f"((z-{k})/(z+{k}))" for k in range(1, n + 1)]))
+    assert time.perf_counter() - t0 < 4.0
+    num, den = UniPoly.one(), UniPoly.one()
+    for k in range(1, n + 1):
+        num, den = num * UniPoly.of(k, 1), den * UniPoly.of(-k, 1)
+    assert f.num == num and f.den == den
+    assert g == f
+
+
 @settings(max_examples=150, deadline=None)
 @given(outer_maps)
 def test_inverted_source_and_inversion_are_canonical(f):

@@ -1,13 +1,15 @@
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ratdyn.bipolys import BiPoly
 from ratdyn.curves import is_invariant
 from ratdyn.decompose import right_divide
 from ratdyn.errors import NotDefined, PreconditionError
+from ratdyn.memo import cache_stats, clear_caches
 from ratdyn.polynomials import UniPoly
-from ratdyn.ratmaps import INF, RatMap, power_map
+from ratdyn.ratmaps import INF, RatMap, mobius, power_map
 from ratdyn.search import (
     SearchConfig,
     commuting_route,
@@ -302,3 +304,45 @@ def test_pair_candidates_computed_once_per_pair(monkeypatch):
         rep = find_invariant_curves(A, B, SearchConfig(bidegree=bideg, iterate_cap=2))
         assert curve_strs(rep) == want
         assert calls and len(calls) == len(set(calls))
+
+
+# the memoised entry points under a search: left factors, left division,
+# implicitization and classification are computed once per process
+NON_SPECIAL = [A_SHIFT, RatMap(UniPoly.of(3, -2, 1)), RatMap(UniPoly.of(0, 1, 1), UniPoly.of(2, 1))]
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    st.sampled_from(NON_SPECIAL),
+    st.tuples(*[st.integers(-3, 3)] * 4).filter(lambda m: m[0] * m[3] != m[1] * m[2]),
+    st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]),
+    st.integers(1, 2),
+)
+def test_search_reports_equal_with_warm_and_cold_memos(A, m, bidegree, cap):
+    mu = mobius(*m)
+    B = mu.mobius_inverse().compose(A).compose(mu)
+    cfg = SearchConfig(bidegree=bidegree, iterate_cap=cap)
+    first = find_invariant_curves(A, B, cfg)
+    assert find_invariant_curves(A, B, cfg) == first  # warm memos
+    clear_caches()
+    assert find_invariant_curves(A, B, cfg) == first  # cold memos
+    if bidegree == (1, 1):
+        # a conjugate pair keeps the graph of mu
+        assert any(c.curve.bidegree == (1, 1) for c in first.curves)
+
+
+def test_repeated_search_adds_hits_and_no_misses():
+    A = RatMap(UniPoly.of(3, -2, 1))
+    B = A.conjugate(mobius(1, 1, 0, 1))
+    for search in (
+        lambda: find_invariant_curves(A, B, SearchConfig(bidegree=(1, 2), iterate_cap=2)),
+        lambda: commuting_route(A, SearchConfig(bidegree=(1, 1), iterate_cap=2)),
+    ):
+        first = search()
+        before = cache_stats()
+        assert search() == first
+        after = cache_stats()
+        assert all(after[name]["misses"] == before[name]["misses"] for name in after)
+        for name in ("ratdyn.decompose._all_left_factors", "ratdyn.decompose._left_divide",
+                     "ratdyn.curves._implicitize", "ratdyn.classify.classify"):
+            assert after[name]["hits"] > before[name]["hits"]
