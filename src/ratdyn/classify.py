@@ -10,14 +10,18 @@ degrees along the cycle; and every supporting cycle passes through a
 critical value (otherwise the backward orbit would be infinite).  Cycles
 are therefore found by iterating critical values, values are propagated
 backward, and every candidate is verified as a pullback fixed point.
-Orbits that neither cycle nor certifiably escape within the caps make
-the verdict Inconclusive rather than guessed.
+A critical orbit is proved infinite once one of its places has height
+above log K / (d - 1), where log K bounds d h(P) - h(A(P)) (Call and
+Silverman): its canonical height is then positive.  Every infinite orbit
+passes that bound, so only an orbit still open at the place cap makes
+the verdict Inconclusive.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb as _comb
 from math import gcd as _igcd
 
 from .errors import (
@@ -232,164 +236,56 @@ def _chebyshev_over_pair(A: RatMap, anchor: Place, pair: Place):
 # postcritical orbit structure
 
 
-class _Basin:
-    """Certified contraction ball around an attracting rational fixed point.
+def _height_bound(A: RatMap):
+    """(K^2, d - 1) with d h(P) - h(A(P)) <= log K at every algebraic point P.
 
-    Inside |x - c| <= r distances to c strictly shrink, so a point entering
-    strictly within the landing gap (the least distance from c to any other
-    preimage of c) can never land on c nor return: it is non-preperiodic.
-    The inverted flag means the data lives in the 1/z chart (the fixed
-    point is at infinity)."""
-
-    __slots__ = ("mapped", "c", "r", "landing")
-
-    def __init__(self, mapped, c, r, landing):
-        self.mapped = mapped
-        self.c = c
-        self.r = r
-        self.landing = landing
-
-
-def _contraction_data(M: RatMap, c: Fraction):
-    """(r, kappa) certifying |M(c+h) - c| <= kappa |h| for |h| <= r, or None."""
-    if M.den(c) == 0:
-        return None
-    lam = M.derivative()(c)
-    if lam is INF or abs(lam) >= 1:
-        return None
-    num_s = M.num.taylor_shift(c)
-    den_s = M.den.taylor_shift(c)
-    # P(h) = num(c+h) - (c + lam h) den(c+h) has order >= 2 at h = 0
-    P = num_s - den_s * UniPoly((c,)) - (den_s * lam).shift_up(1)
-    if not (P.coeff(0) == 0 and P.coeff(1) == 0):
-        raise TheoremViolation("multiplier arithmetic is inconsistent")
-    q0 = abs(den_s.coeff(0))
-    r0 = Fraction(1, 2)
-    for _ in range(64):
-        tail = sum(abs(den_s.coeff(i)) * r0**i for i in range(1, den_s.degree + 1))
-        if tail <= q0 / 2:
-            break
-        r0 /= 2
-    else:
-        return None
-    qlow = q0 / 2
-    cbound = sum(abs(P.coeff(i)) * r0 ** (i - 2) for i in range(2, P.degree + 1)) / qlow
-    if cbound == 0:
-        return r0, abs(lam)
-    r = min(r0, (1 - abs(lam)) / (2 * cbound))
-    kappa = abs(lam) + cbound * r
-    if kappa >= 1:
-        return None
-    return r, kappa
+    Write A = F/G with F, G coprime integer binary forms of degree d.  The
+    cofactors of their Sylvester matrix give R X^(2d-1) and R Y^(2d-1) as
+    combinations of F and G with forms of degree d - 1, R the resultant;
+    by Hadamard each cofactor is at most ||F||_2^d ||G||_2^d.  At every
+    archimedean place that bounds max(|x|, |y|)^d |R| by
+    K max(|F(x, y)|, |G(x, y)|) with K = 2d ||F||_2^d ||G||_2^d, at every
+    other place by 1, and the product formula cancels R (Call and
+    Silverman, Compositio Math. 89, 1993)."""
+    d = A.degree
+    f, g = A.num, A.den
+    F = [v * g.denom for v in f.nums]
+    G = [v * f.denom for v in g.nums]
+    content = _igcd(*F, *G)
+    nf = sum((v // content) ** 2 for v in F)
+    ng = sum((v // content) ** 2 for v in G)
+    return 4 * d * d * nf**d * ng**d, d - 1
 
 
-def _min_root_distance_bound(g: UniPoly, c: Fraction) -> Fraction:
-    """A positive rational lower bound for |root - c| over the roots of g,
-    assuming g(c) is nonzero."""
-    shifted = g.taylor_shift(c)
-    c0 = abs(shifted.coeff(0))
-    height = max(abs(shifted.coeff(i)) for i in range(1, shifted.degree + 1))
-    return c0 / (c0 + height)
+def _escapes(bound, p: Place) -> bool:
+    """True when the canonical height of p is certified positive, so p is
+    not preperiodic (Northcott).
 
-
-def _attracting_basins(A: RatMap):
-    """Contraction certificates around attracting rational periodic points;
-    preperiodicity for an iterate is preperiodicity for the map, so basins
-    of low iterates certify just as well."""
-    from .factoring import factor_univariate, rational_roots
-
-    basins = []
-    configs = []
-    max_period = 3 if A.degree == 2 else (2 if A.degree <= 4 else 1)
-    for k in range(1, max_period + 1):
-        Ak = A if k == 1 else A.iterate(k)
-        fix = Ak.num - Ak.den * UniPoly.x()
-        if not fix.is_zero and fix.degree >= 1:
-            for c in rational_roots(fix):
-                configs.append((Ak, c, False))
-        if Ak.value_at_infinity() is INF:
-            configs.append((Ak.conjugate_by_inversion(), Fraction(0), True))
-    for M, c, inverted in configs:
-        data = _contraction_data(M, c)
-        if data is None:
-            continue
-        r, _ = data
-        # smallest distance from c to another preimage of c; orbits closer
-        # than this can never land on c
-        fiber = M.num - M.den * c
-        landing = None
-        if fiber.degree >= 1:
-            for g, _mult in factor_univariate(fiber)[1]:
-                if g == UniPoly((-c, 1)):
-                    continue
-                bound = _min_root_distance_bound(g, c)
-                landing = bound if landing is None else min(landing, bound)
-        basins.append(_Basin(M, (c, inverted), r, landing))
-    return basins
-
-
-def _quadratic_point_within(m: UniPoly, c: Fraction, rho: Fraction) -> bool:
-    """Whether some root of the monic quadratic m lies strictly within rho
-    of c (in the complex plane), decided exactly."""
-    disc = m.coeff(1) ** 2 - 4 * m.coeff(0)
-    if disc < 0:
-        # conjugate pair: m(c) is the squared distance
-        return m(c) < rho * rho
-    lo, hi = m(c - rho), m(c + rho)
-    if lo * hi < 0:
-        return True
-    vertex = -m.coeff(1) / 2
-    return lo > 0 and hi > 0 and abs(vertex - c) < rho and m(vertex) <= 0
-
-
-def _basin_resolves(basins, p: Place) -> bool:
-    """True when some point of the place is certified non-preperiodic by an
-    attracting basin (enters the contraction ball below the landing gap)."""
+    Telescoping the height bound gives hhat(P) >= h(P) - log K / (d - 1).
+    For a place with primitive integer minimal polynomial m of degree D,
+    h(P) = log M(m) / D and Mahler's ||m||_inf <= C(D, D // 2) M(m) make
+    ||m||_inf^(2(d-1)) > K^(2D) C(D, D // 2)^(2(d-1)) sufficient.  INF has
+    height 0 and never escapes."""
     if p.is_infinity:
         return False
-    for basin in basins:
-        c, inverted = basin.c
-        rho = basin.r if basin.landing is None else min(basin.r, basin.landing)
-        m = p.minpoly
-        if inverted:
-            if m.coeff(0) == 0:
-                continue
-            m = m.reversed_to(m.degree) * (1 / m.coeff(0))
-        val = m(c)
-        if val == 0:
-            continue
-        if p.degree == 2:
-            if _quadratic_point_within(m, c, rho):
-                return True
-        elif abs(val) < rho**m.degree:
-            # the product of the distances from c to the conjugates is the
-            # monic minimal polynomial evaluated there, so a small value
-            # puts some conjugate strictly inside the ball and below the
-            # landing gap, which certifies it non-preperiodic
-            return True
-    return False
-
-
-HEIGHT_CAP = 10**150
-
-
-def _place_height(p: Place) -> int:
-    if p.is_infinity:
-        return 1
-    h = 1
-    for c in p.minpoly.c:
-        h = max(h, abs(c.numerator), c.denominator)
-    return h
+    k2, e = bound
+    m = p.minpoly.nums
+    D = len(m) - 1
+    top = max(abs(v) for v in m) // _igcd(*m)
+    return top ** (2 * e) > k2**D * _comb(D, D // 2) ** (2 * e)
 
 
 def postcritical_data(A: RatMap, place_cap: int = PLACE_CAP):
     """(cycles, preperiodic, unresolved): cycles of places reachable from
     critical values, the set of certified preperiodic postcritical places,
-    and orbit heads that neither cycled nor certifiably escaped within the
-    step and height caps."""
+    and orbit heads that neither cycled nor escaped within the step cap.
+
+    An orbit is retired as non-preperiodic once a place on it passes the
+    height bound (`_escapes`); every wandering orbit does so after finitely
+    many steps, since its canonical height is positive."""
     if A.degree < 2:
         raise PreconditionError("postcritical data needs degree at least two")
-    basins = _attracting_basins(A)
+    bound = _height_bound(A)
     cycles = []
     seen_cycles = set()
     preperiodic: set[Place] = set()
@@ -405,11 +301,9 @@ def postcritical_data(A: RatMap, place_cap: int = PLACE_CAP):
                 preperiodic.update(orbit)
                 resolved = True
                 break
-            if head in dead or _basin_resolves(basins, head):
+            if head in dead or _escapes(bound, head):
                 dead.update(orbit)
                 resolved = True
-                break
-            if _place_height(head) > HEIGHT_CAP:
                 break
             w = image_place(A, head)
             if w in index:

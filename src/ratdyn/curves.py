@@ -21,9 +21,10 @@ from dataclasses import dataclass, field
 from math import gcd as _igcd
 
 from .bipolys import BiPoly, resultant_x_mixed, separated, squarefree_part_x
-from .errors import PreconditionError, ReducibleCurve, TheoremViolation
+from .errors import Inconclusive, PreconditionError, ReducibleCurve, TheoremViolation
 from .factoring import factor_bivariate
 from .memo import memo
+from .parser import MAX_DEGREE
 from .places import critical_values, fiber_partition
 from .polynomials import UniPoly, homogenize
 from .ratmaps import INF, RatMap
@@ -148,9 +149,14 @@ def _check_image_data(F: BiPoly, A1: RatMap, A2: RatMap) -> None:
 
 def image_curve(C: BiCurve, A1: RatMap, A2: RatMap) -> BiCurve:
     """Defining polynomial of the image of C under (A1, A2); C must be
-    irreducible and not a vertical or horizontal line."""
+    irreducible and not a vertical or horizontal line.  The eliminant has
+    bidegree at most (deg_x F deg A2, deg_y F deg A1); one past the
+    parser's curve budget raises Inconclusive before any elimination."""
     F = C.poly
     _check_image_data(F, A1, A2)
+    dx, dy = F.deg_x * A2.degree, F.deg_y * A1.degree
+    if (dx + 1) * (dy + 1) - 1 > MAX_DEGREE:
+        raise Inconclusive(f"image eliminant of bidegree ({dx}, {dy}) is over the curve budget")
     r1 = resultant_x_mixed(F, _pencil(A1))  # variables (y, u)
     r2 = resultant_x_mixed(r1, _pencil(A2))  # variables (u, v)
     if r2.is_zero:

@@ -12,7 +12,9 @@ series plus exact verification, fiber partitions by gcd chains over the
 number field of the target place, Chebyshev cubics by their
 centred-monic normal form, transporter candidates by elimination in
 Q[z, w] and factoring, curve periods by iterating elimination images,
-and membership of a parametrization by substituting it into the curve.
+membership of a parametrization by substituting it into the curve, and
+wandering critical orbits by contraction balls around attracting
+rational periodic points.
 """
 
 from __future__ import annotations
@@ -21,9 +23,10 @@ from fractions import Fraction
 
 from ratdyn.bipolys import BiPoly
 from ratdyn.curves import image_curve, substitute_maps
-from ratdyn.factoring import factor_univariate
+from ratdyn.factoring import factor_univariate, rational_roots
 from ratdyn.mobius import _orbit_base
 from ratdyn.numberfields import NumberField
+from ratdyn.places import critical_values, image_place
 from ratdyn.polynomials import UniPoly
 from ratdyn.ratmaps import INF, RatMap
 from ratdyn.series import pade_reconstruct
@@ -613,3 +616,137 @@ def vanishes_on_parametrization(F: BiPoly, X1: RatMap, X2: RatMap) -> bool:
     """Whether F(X1(t), X2(t)) is identically zero: whether x - y divides
     the numerator of F(X1(x), X2(y))."""
     return (BiPoly.var_x() - BiPoly.var_y()).divides(substitute_maps(F, X1, X2))
+
+
+def _contraction_data(M: RatMap, c: Fraction):
+    """(r, kappa) certifying |M(c+h) - c| <= kappa |h| for |h| <= r, or None."""
+    if M.den(c) == 0:
+        return None
+    lam = M.derivative()(c)
+    if lam is INF or abs(lam) >= 1:
+        return None
+    num_s = M.num.taylor_shift(c)
+    den_s = M.den.taylor_shift(c)
+    # P(h) = num(c+h) - (c + lam h) den(c+h) has order >= 2 at h = 0
+    P = num_s - den_s * UniPoly((c,)) - (den_s * lam).shift_up(1)
+    assert P.coeff(0) == 0 and P.coeff(1) == 0
+    q0 = abs(den_s.coeff(0))
+    r0 = Fraction(1, 2)
+    for _ in range(64):
+        tail = sum(abs(den_s.coeff(i)) * r0**i for i in range(1, den_s.degree + 1))
+        if tail <= q0 / 2:
+            break
+        r0 /= 2
+    else:
+        return None
+    cbound = sum(abs(P.coeff(i)) * r0 ** (i - 2) for i in range(2, P.degree + 1)) / (q0 / 2)
+    if cbound == 0:
+        return r0, abs(lam)
+    r = min(r0, (1 - abs(lam)) / (2 * cbound))
+    return (r, abs(lam) + cbound * r) if abs(lam) + cbound * r < 1 else None
+
+
+def _attracting_basins(A: RatMap):
+    """(M, c, inverted, rho): inside |x - c| < rho the iterate M contracts
+    towards its attracting rational fixed point c, and no other preimage of
+    c lies that close, so a point there never lands on c nor returns; it is
+    non-preperiodic.  `inverted` puts the data in the 1/z chart.  Periods
+    up to 3, since a basin of an iterate certifies for the map."""
+    configs = []
+    max_period = 3 if A.degree == 2 else (2 if A.degree <= 4 else 1)
+    for k in range(1, max_period + 1):
+        Ak = A.iterate(k)
+        fix = Ak.num - Ak.den * UniPoly.x()
+        if not fix.is_zero and fix.degree >= 1:
+            configs += [(Ak, c, False) for c in rational_roots(fix)]
+        if Ak.value_at_infinity() is INF:
+            configs.append((Ak.conjugate_by_inversion(), Fraction(0), True))
+    basins = []
+    for M, c, inverted in configs:
+        data = _contraction_data(M, c)
+        if data is None:
+            continue
+        rho = data[0]
+        fiber = M.num - M.den * c
+        if fiber.degree >= 1:
+            for g, _mult in factor_univariate(fiber)[1]:
+                if g != UniPoly((-c, 1)):
+                    # a lower bound for the distance from c to the roots of g
+                    shifted = g.taylor_shift(c)
+                    c0 = abs(shifted.coeff(0))
+                    height = max(abs(shifted.coeff(i)) for i in range(1, shifted.degree + 1))
+                    rho = min(rho, c0 / (c0 + height))
+        basins.append((c, inverted, rho))
+    return basins
+
+
+def _quadratic_point_within(m: UniPoly, c: Fraction, rho: Fraction) -> bool:
+    """Whether some root of the monic quadratic m lies strictly within rho
+    of c in the complex plane."""
+    if m.coeff(1) ** 2 - 4 * m.coeff(0) < 0:
+        # conjugate pair: m(c) is the squared distance
+        return m(c) < rho * rho
+    lo, hi = m(c - rho), m(c + rho)
+    if lo * hi < 0:
+        return True
+    vertex = -m.coeff(1) / 2
+    return lo > 0 and hi > 0 and abs(vertex - c) < rho and m(vertex) <= 0
+
+
+def _basin_resolves(basins, p) -> bool:
+    """Whether some point of the place p enters a certified basin ball."""
+    if p.is_infinity:
+        return False
+    for c, inverted, rho in basins:
+        m = p.minpoly
+        if inverted:
+            if m.coeff(0) == 0:
+                continue
+            m = m.reversed_to(m.degree) * (1 / m.coeff(0))
+        val = m(c)
+        if val == 0:
+            continue
+        if p.degree == 2:
+            if _quadratic_point_within(m, c, rho):
+                return True
+        elif abs(val) < rho**m.degree:
+            # m(c) is the product of the distances from c to the conjugates
+            return True
+    return False
+
+
+def basin_postcritical_data(A: RatMap, place_cap: int = 64, height_cap: int = 10**150):
+    """(cycles, preperiodic, unresolved) as `classify.postcritical_data`
+    returns them, with wandering orbits retired only by attracting-basin
+    balls; an orbit that reaches a place of naive height above height_cap
+    stays unresolved."""
+    basins = _attracting_basins(A)
+    cycles, seen, preperiodic, dead, unresolved = [], set(), set(), set(), []
+    for v in critical_values(A):
+        orbit, index = [v], {v: 0}
+        for _ in range(place_cap):
+            head = orbit[-1]
+            if head in preperiodic:
+                preperiodic.update(orbit)
+                break
+            if head in dead or _basin_resolves(basins, head):
+                dead.update(orbit)
+                break
+            if not head.is_infinity and max(
+                max(abs(c.numerator), c.denominator) for c in head.minpoly.c
+            ) > height_cap:
+                unresolved.append(v)
+                break
+            w = image_place(A, head)
+            if w in index:
+                cyc = tuple(orbit[index[w]:])
+                if frozenset(cyc) not in seen:
+                    seen.add(frozenset(cyc))
+                    cycles.append(cyc)
+                preperiodic.update(orbit)
+                break
+            index[w] = len(orbit)
+            orbit.append(w)
+        else:
+            unresolved.append(v)
+    return cycles, preperiodic, unresolved

@@ -1,6 +1,11 @@
+from fractions import Fraction
+from math import gcd
+
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ratdyn.classify import (
+    _height_bound,
     classify,
     detect_chebyshev_conjugacy,
     detect_power_conjugacy,
@@ -13,9 +18,9 @@ from ratdyn.errors import NotDefined, PreconditionError
 from ratdyn.orbifolds import Orbifold, chi, is_covering, is_min_holomorphic, o2_of, pullback
 from ratdyn.places import PLACE_INF, Place
 from ratdyn.polynomials import UniPoly
-from ratdyn.ratmaps import RatMap, chebyshev, mobius, power_map
+from ratdyn.ratmaps import INF, RatMap, chebyshev, mobius, power_map
 
-from oracles import chebyshev_cubic_sign
+from oracles import basin_postcritical_data, chebyshev_cubic_sign
 
 LATTES = RatMap(UniPoly.of(1, 0, 1) ** 2, UniPoly.monomial(1, 4) * UniPoly.of(-1, 0, 1))
 O2222 = Orbifold({0: 2, 1: 2, -1: 2, PLACE_INF: 2})
@@ -113,6 +118,72 @@ def test_postcritical_data_resolves_wandering_orbits():
     cycles, preperiodic, unresolved = postcritical_data(A)
     assert not unresolved
     assert [frozenset(c) for c in cycles] == [frozenset({PLACE_INF})]
+
+
+def _naive_height(v) -> int:
+    return 1 if v is INF else max(abs(v.numerator), v.denominator)
+
+
+_coeffs = st.lists(st.integers(-6, 6), min_size=1, max_size=5)
+
+
+def _map_of(num, den):
+    if not any(den):
+        return None
+    A = RatMap(UniPoly(num), UniPoly(den))
+    return A if 2 <= A.degree <= 4 else None
+
+
+@settings(max_examples=150, deadline=None)
+@given(_coeffs, _coeffs, st.integers(-10**6, 10**6), st.integers(1, 10**6))
+def test_height_bound_holds_at_rational_points(num, den, a, b):
+    # H(P)^d <= K H(A(P)), squared so that K^2 stays an integer
+    A = _map_of(num, den)
+    assume(A is not None)
+    k2, e = _height_bound(A)
+    assert e == A.degree - 1
+    for P in (Fraction(a, b), INF):
+        assert _naive_height(P) ** (2 * A.degree) <= k2 * _naive_height(A(P)) ** 2
+
+
+def test_the_quadratic_and_cubic_grid_is_decided():
+    # z^2 + c with c = a/b in lowest terms, |a| <= 12, b <= 4, and
+    # z^3 + a z + b with |a|, |b| <= 3; parabolic and irrational critical
+    # orbits included
+    grid = [
+        UniPoly([Fraction(a, b), 0, 1])
+        for b in range(1, 5)
+        for a in range(-12, 13)
+        if gcd(a, b) == 1
+    ]
+    grid += [UniPoly.of(b, a, 0, 1) for a in range(-3, 4) for b in range(-3, 4)]
+    assert len(grid) == 65 + 49
+    for poly in grid:
+        A = RatMap(poly)
+        assert not postcritical_data(A)[2], poly
+        classify(A)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_coeffs, _coeffs)
+def test_postcritical_data_agrees_with_the_basin_oracle(num, den):
+    A = _map_of(num, den)
+    assume(A is not None)
+    cycles, preperiodic, unresolved = postcritical_data(A)
+    assert not unresolved
+    want_cycles, want_pre, open_orbits = basin_postcritical_data(A)
+    if not open_orbits:
+        assert (cycles, preperiodic) == (want_cycles, want_pre)
+    # a cycle the oracle closes is closed here too
+    assert want_pre <= preperiodic
+    assert all(c in cycles for c in want_cycles)
+
+
+def test_basin_oracle_certifies_a_wandering_orbit():
+    # z^2 + 3/16 fixes 1/4 with multiplier 1/2, and its critical orbit
+    # wanders into that basin
+    A = RatMap(UniPoly([Fraction(3, 16), 0, 1]))
+    assert basin_postcritical_data(A) == postcritical_data(A) == ([(PLACE_INF,)], {PLACE_INF}, [])
 
 
 def test_maximal_orbifold_trivial_cases():
@@ -225,11 +296,9 @@ def test_lattes_search_oracle():
 
 
 def test_classify_fuzz_regression():
-    """Random small polynomials: every verdict is certified or honestly
-    inconclusive, and special witnesses re-verify exactly."""
+    """Random small polynomials: every map gets a verdict, and special
+    witnesses re-verify exactly."""
     import random
-    from fractions import Fraction
-    from ratdyn.errors import Inconclusive
     from ratdyn.ratmaps import power_map as _pm
 
     rng = random.Random(20240101)
@@ -240,10 +309,7 @@ def test_classify_fuzz_regression():
         if f.degree != deg:
             continue
         checked += 1
-        try:
-            cls = classify(f)
-        except Inconclusive:
-            continue
+        cls = classify(f)
         if cls.kind == "power" and cls.witness is not None:
             assert f.conjugate(cls.witness) == _pm(cls.sign * cls.n)
         elif cls.kind == "chebyshev" and cls.witness is not None:

@@ -5,6 +5,7 @@ from math import gcd
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from ratdyn import curves
 from ratdyn.bipolys import BiPoly
 from ratdyn.curves import (
     BiCurve,
@@ -21,7 +22,7 @@ from ratdyn.curves import (
     separated_curve,
     substitute_maps,
 )
-from ratdyn.errors import PreconditionError, ReducibleCurve
+from ratdyn.errors import Inconclusive, PreconditionError, ReducibleCurve
 from ratdyn.polynomials import UniPoly
 from ratdyn.ratmaps import INF, RatMap, chebyshev, mobius, power_map
 
@@ -81,6 +82,19 @@ def test_image_curve_examples():
     assert image_curve(hyp, power_map(2), power_map(2)) == hyp
     anti = BiCurve(X + Y)
     assert image_curve(anti, power_map(2), power_map(2)) == DIAG
+
+
+def test_image_curve_refuses_an_eliminant_over_the_budget(monkeypatch):
+    # bidegrees triple along the orbit of x^2 + y under two cubics; the
+    # fourth eliminant, (162, 81), is past the curve budget
+    A1, A2 = RatMap(UniPoly.of(1, -3, 0, 1)), RatMap(UniPoly.of(1, 1, 0, 1))
+    C = BiCurve(X**2 + Y)
+    for want in ((6, 3), (18, 9), (54, 27)):
+        C = image_curve(C, A1, A2)
+        assert C.bidegree == want
+    monkeypatch.setattr(curves, "resultant_x_mixed", None)  # nothing is eliminated
+    with pytest.raises(Inconclusive, match=r"\(162, 81\)"):
+        image_curve(C, A1, A2)
 
 
 def test_invariance_and_lines():

@@ -233,10 +233,14 @@ def test_cli_curve_commands():
 
 
 def test_cli_inconclusive_exit_code():
-    # wandering critical orbits with no attracting certificate stay honest
+    # the wandering critical orbit is retired by the height bound
     proc = run_cli("classify", "(z^2+z+1)/z^2")
+    assert proc.returncode == 0 and "non_special_non_gl" in proc.stdout
+    # the fourth image would need an eliminant of bidegree (162, 81)
+    proc = run_cli("curve", "orbit", "x^2 + y", "z^3-3*z+1", "z^3+z+1", "4")
     assert proc.returncode == 3
     assert "inconclusive" in proc.stderr.lower()
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_analyze():
@@ -314,7 +318,7 @@ def test_cli_bounds_small_values_unchanged():
     assert run_cli("bounds", "psi", "2", "3").stdout == "psi: 491528\n"
 
 
-def test_cli_batch_reports_every_line(tmp_path):
+def test_cli_batch_reports_every_line(tmp_path, monkeypatch):
     batch = tmp_path / "maps.txt"
     batch.write_text("z^2+1\nz^^\n(z+1)^2\n")
     proc = run_cli("classify", "--file", str(batch))
@@ -324,15 +328,30 @@ def test_cli_batch_reports_every_line(tmp_path):
     proc = run_cli("--format", "structured", "classify", "--file", str(batch))
     assert proc.returncode == 2
     assert proc.stdout.count('"kind": "non_special_non_gl"') == 2
-    # the batch exits with the largest code of its lines: 3 beats 2
+    # the batch exits with the largest code of its lines: 3 beats 2; line 4
+    # is made inconclusive in-process, since every map is now classified
+    from ratdyn import cli
+    from ratdyn.errors import Inconclusive
+
+    capped = parse_map("(z^2+z+1)/z^2")
+    real = cli.classify
+
+    def classify(f):
+        if f == capped:
+            raise Inconclusive("postcritical orbit unresolved within the cap")
+        return real(f)
+
+    monkeypatch.setattr(cli, "classify", classify)
     batch.write_text("z^^\n# a comment\n\n(z^2+z+1)/z^2\nz^5\n")
-    proc = run_cli("analyze", "--file", str(batch))
-    assert proc.returncode == 3
-    assert "degree: 5" in proc.stdout
-    lines = proc.stderr.splitlines()
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["analyze", "--file", str(batch)])
+    assert code == 3
+    assert "degree: 5" in out.getvalue()
+    lines = err.getvalue().splitlines()
     assert lines[0].startswith("error: line 1: ")
     assert lines[1].startswith("inconclusive: line 4: ")
-    assert "Traceback" not in proc.stderr
+    assert "Traceback" not in err.getvalue()
 
 
 def test_cli_positionals_that_begin_with_a_minus():

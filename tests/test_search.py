@@ -162,8 +162,6 @@ def test_commuting_route_agreement():
 
 
 def test_route_agreement_more_diagonal_pairs():
-    # z^2 + z is excluded: its parabolic fixed point (multiplier one) admits
-    # no contraction certificate, so its classification stays inconclusive
     for coeffs in ((-1, 0, 1), (1, 0, 1), (2, 0, 1), (3, 2, 1)):
         A = RatMap(UniPoly(list(coeffs)))
         for bd in ((1, 1), (1, 2), (2, 2)):
