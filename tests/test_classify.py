@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ratdyn.classify import (
+    _escapes,
     _height_bound,
     classify,
     detect_chebyshev_conjugacy,
@@ -144,6 +145,25 @@ def test_height_bound_holds_at_rational_points(num, den, a, b):
     assert e == A.degree - 1
     for P in (Fraction(a, b), INF):
         assert _naive_height(P) ** (2 * A.degree) <= k2 * _naive_height(A(P)) ** 2
+
+
+def test_escape_test_is_the_stated_inequality():
+    # A = (z^2 - 1)/(z + 2): F = X^2 - Y^2, G = XY + 2Y^2, so
+    # K^2 = 4 d^2 ||F||^(2d) ||G||^(2d) = 16 * 4 * 25 and K = 40
+    bound = _height_bound(RatMap(UniPoly.of(-1, 0, 1), UniPoly.of(2, 1)))
+    assert bound == (1600, 1)
+    # degree one: escape when the height exceeds K
+    assert not _escapes(bound, Place.of_rational(40))
+    assert _escapes(bound, Place.of_rational(-41))
+    assert _escapes(bound, Place.of_rational(Fraction(41, 2)))
+    assert not _escapes(bound, Place.of_rational(Fraction(3, 40)))
+    # degree two: ||m||_inf^2 > K^4 C(2, 1)^2, that is ||m||_inf > 3200
+    assert not _escapes(bound, Place(UniPoly.of(-3200, 0, 1)))
+    assert _escapes(bound, Place(UniPoly.of(-3201, 0, 1)))
+    # degree four: ||m||_inf^2 > K^8 C(4, 2)^2, that is ||m||_inf > 6 * 40^4
+    assert not _escapes(bound, Place(UniPoly.of(-15360000, 0, 0, 0, 1)))
+    assert _escapes(bound, Place(UniPoly.of(-15360001, 0, 0, 0, 1)))
+    assert not _escapes(bound, PLACE_INF)
 
 
 def test_the_quadratic_and_cubic_grid_is_decided():

@@ -95,6 +95,10 @@ def test_image_curve_refuses_an_eliminant_over_the_budget(monkeypatch):
     monkeypatch.setattr(curves, "resultant_x_mixed", None)  # nothing is eliminated
     with pytest.raises(Inconclusive, match=r"\(162, 81\)"):
         image_curve(C, A1, A2)
+    # the image of y = -x^64 under (x + 1, y^32) is v = (u - 1)^2048: 4098
+    # coefficients, one past the budget
+    with pytest.raises(Inconclusive, match=r"\(2048, 1\)"):
+        image_curve(BiCurve(X**64 + Y), RatMap(UniPoly.of(1, 1)), power_map(32))
 
 
 def test_invariance_and_lines():

@@ -328,8 +328,8 @@ def test_cli_batch_reports_every_line(tmp_path, monkeypatch):
     proc = run_cli("--format", "structured", "classify", "--file", str(batch))
     assert proc.returncode == 2
     assert proc.stdout.count('"kind": "non_special_non_gl"') == 2
-    # the batch exits with the largest code of its lines: 3 beats 2; line 4
-    # is made inconclusive in-process, since every map is now classified
+    # the batch exits with the largest code of its lines: 3 beats 2; no
+    # legal map leaves classify inconclusive, so line 4 is made so in-process
     from ratdyn import cli
     from ratdyn.errors import Inconclusive
 
