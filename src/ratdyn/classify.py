@@ -8,8 +8,15 @@ finite, so it consists of preperiodic places of the critical-value
 orbits; its periodic part carries a constant value coprime to the local
 degrees along the cycle; and every supporting cycle passes through a
 critical value (otherwise the backward orbit would be infinite).  Cycles
-are therefore found by iterating critical values, values are propagated
-backward, and every candidate is verified as a pullback fixed point.
+are therefore found by iterating critical values.  A value m on a cycle
+forces m / gcd(m, E(p)) at a place p behind it, E(p) the product of the
+local degrees on the path from p into the cycle, so the values that work
+are the divisors of one number: the gcd of E(q) over the boundary places
+q outside the preperiodic set, less the primes of the cycle's degrees.
+One backward walk finds it, so values have no cap.  A cycle with no
+boundary place is an exceptional point (the polynomial infinity, up to
+conjugacy); it only joins the two-point candidate that a bad join
+leaves.  Every orbifold found is verified as a pullback fixed point.
 A critical orbit is proved infinite once one of its places has height
 above log K / (d - 1), where log K bounds d h(P) - h(A(P)) (Call and
 Silverman): its canonical height is then positive.  Every infinite orbit
@@ -45,7 +52,6 @@ from .polynomials import UniPoly, qq
 from .ratmaps import INF, RatMap, chebyshev, mobius, mobius_through, power_map
 
 PLACE_CAP = 64
-NU_CAP = 60
 
 
 @dataclass(frozen=True)
@@ -275,7 +281,7 @@ def _escapes(bound, p: Place) -> bool:
     return top ** (2 * e) > k2**D * _comb(D, D // 2) ** (2 * e)
 
 
-def postcritical_data(A: RatMap, place_cap: int = PLACE_CAP):
+def postcritical_data(A: RatMap):
     """(cycles, preperiodic, unresolved): cycles of places reachable from
     critical values, the set of certified preperiodic postcritical places,
     and orbit heads that neither cycled nor escaped within the step cap.
@@ -295,7 +301,7 @@ def postcritical_data(A: RatMap, place_cap: int = PLACE_CAP):
         orbit = [v]
         index = {v: 0}
         resolved = False
-        for _ in range(place_cap):
+        for _ in range(PLACE_CAP):
             head = orbit[-1]
             if head in preperiodic:
                 preperiodic.update(orbit)
@@ -322,98 +328,84 @@ def postcritical_data(A: RatMap, place_cap: int = PLACE_CAP):
     return cycles, preperiodic, unresolved
 
 
-def _propagate_tree(A: RatMap, cycle, m: int, preperiodic, place_cap: int):
-    """Backward value propagation from a cycle carrying the constant m;
-    None when no finite solution over the certified preperiodic set exists."""
-    ram = {p: m for p in cycle}
-    queue = list(cycle)
+def _top_value(A: RatMap, seeds, allowed):
+    """(M, E) from one backward walk from the forward-invariant seeds
+    through the places in allowed.  E(p) is the product of the local
+    degrees on the forward path from p into seeds; M is the gcd of E(q)
+    over the boundary places q, preimages outside seeds and allowed, with
+    the primes of the seed degrees removed, or 0 when there is none.  The
+    values the seeds can carry are the divisors of M."""
+    E = {p: 1 for p in seeds}
+    queue = list(seeds)
+    top, seed_degrees = 0, 1
     while queue:
         w = queue.pop()
-        vw = ram[w]
         for p in preimage_places(A, w):
             e = local_degree(A, p)
-            forced = vw // _igcd(e, vw)
-            if forced == 1:
-                continue
-            if p in ram:
-                if ram[p] != forced:
-                    return None
-                continue
-            if p not in preperiodic:
-                return None
-            if len(ram) >= place_cap:
-                raise Inconclusive("orbifold support exceeded the place cap")
-            ram[p] = forced
-            queue.append(p)
-    return Orbifold(ram)
+            if p in seeds:
+                seed_degrees *= e
+            elif p in allowed:
+                E[p] = e * E[w]
+                queue.append(p)
+            else:
+                top = _igcd(top, e * E[w])
+    while top and (g := _igcd(top, seed_degrees)) > 1:
+        top //= g
+    return top, E
 
 
 @memo
-def maximal_orbifold(A: RatMap, nu_cap: int = NU_CAP, place_cap: int = PLACE_CAP):
+def maximal_orbifold(A: RatMap):
     """The largest orbifold carried into itself by A minimally
     holomorphically, or None when only the trivial one works.
 
     Raises NotDefined for maps conjugate to powers or Chebyshev maps (over
     any field), and Inconclusive when a postcritical orbit stays unsettled
-    within the caps."""
+    within the place cap."""
     if A.degree < 2:
         raise PreconditionError("the maximal orbifold needs degree at least two")
     if detect_power_conjugacy(A) is not None:
         raise NotDefined("maximal orbifold undefined for power-conjugate maps")
     if detect_chebyshev_conjugacy(A) is not None:
         raise NotDefined("maximal orbifold undefined for Chebyshev-conjugate maps")
-    cycles, preperiodic, unresolved = postcritical_data(A, place_cap)
+    cycles, preperiodic, unresolved = postcritical_data(A)
     if unresolved:
         raise Inconclusive("postcritical orbit unresolved within the cap")
-    trees = []
-    for cyc in cycles:
-        degs = [local_degree(A, p) for p in cyc]
-        for m in range(2, nu_cap + 1):
-            if any(_igcd(m, d) != 1 for d in degs):
-                continue
-            tree = _propagate_tree(A, cyc, m, preperiodic, place_cap)
-            if tree is None:
-                continue
-            if pullback(A, tree) == tree:
-                trees.append(tree)
-    if not trees:
-        return None
     join = Orbifold.trivial()
-    for t in trees:
-        join = join.join(t)
+    exceptional = []
+    for cyc in cycles:
+        top, E = _top_value(A, cyc, preperiodic)
+        if top == 0:
+            # no boundary place: a point that is its own only preimage
+            exceptional.extend(cyc)
+            continue
+        tree = Orbifold({p: top // _igcd(top, e) for p, e in E.items()})
+        if pullback(A, tree) != tree:
+            raise TheoremViolation("propagated tree is not a self-orbifold")
+        join = join.join(tree)
     if pullback(A, join) != join:
         raise TheoremViolation("join of self-orbifolds is not a self-orbifold")
-    if join.is_good():
-        return join
-    # the join has at most two geometric points here, so any good solution
-    # is supported on a two-point (equal-value) subset of it; scan directly
-    supp = join.support()
-    pairs = [(p,) for p in supp if p.degree == 2]
-    pairs += [
-        (p, q)
-        for i, p in enumerate(supp)
-        for q in supp[i + 1 :]
-        if p.degree + q.degree == 2
-    ]
-    best = None
-    for pair in pairs:
-        valid = []
-        for m in range(2, nu_cap + 1):
-            o = Orbifold({p: m for p in pair})
-            if pullback(A, o) == o:
-                valid.append(m)
-        if not valid:
-            continue
-        big = 1
-        for m in valid:
-            big = big * m // _igcd(big, m)
-        o = Orbifold({p: big for p in pair})
-        if not (o.is_good() and pullback(A, o) == o):
-            raise TheoremViolation("join of equal-support solutions failed")
-        if best is not None:
-            raise TheoremViolation("incomparable maximal orbifolds")
-        best = o
-    return best
+    if exceptional and join.geometric_point_count() >= 2:
+        # it would carry (2, 2, m) self-orbifolds for unbounded m, which
+        # only Chebyshev maps do
+        raise TheoremViolation("exceptional point beside a join of several points")
+    if not exceptional and join.is_good():
+        return None if join.is_trivial else join
+    # a bad join has at most two geometric points, and a good solution
+    # carries one value on two of them; with the exceptional points the
+    # whole support is therefore the only candidate
+    support = join.support() + exceptional
+    if sum(p.degree for p in support) != 2:
+        return None
+    top, _ = _top_value(A, support, ())
+    if top == 0:
+        raise TheoremViolation("totally invariant pair of a map that is not a power")
+    if top == 1:
+        return None
+    o = Orbifold({p: top for p in support})
+    if not (o.is_good() and pullback(A, o) == o):
+        raise TheoremViolation("two-point self-orbifold failed to verify")
+    return o
 
 
 def is_lattes(A: RatMap):

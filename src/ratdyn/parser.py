@@ -5,13 +5,17 @@ unary minus, powers.  The power operator also carries the iteration
 suffix: f^o3 (or with the ring operator symbol) is the third iterate.
 Whitespace is insignificant.  Chebyshev aliases T1 .. T12 are built in.
 
-Input size is bounded before any work: every product, quotient, power,
-composition and iterate, and the parsed result, must fit MAX_DEGREE.  A
-map fits when its degree is at most MAX_DEGREE; a curve of bidegree
-(dx, dy) when (dx + 1)(dy + 1) - 1 is, the degree of its Kronecker image
-x -> z, y -> z^(dx + 1), so both carry at most MAX_DEGREE + 1
-coefficients.  The bound on a result is taken from its operands' degrees
-before it is built.
+Input size is bounded before any work: every sum, product, quotient,
+power, composition and iterate, and the parsed result, must fit
+MAX_DEGREE.  A map fits when its degree is at most MAX_DEGREE; a curve of
+bidegree (dx, dy) when (dx + 1)(dy + 1) - 1 is, the degree of its
+Kronecker image x -> z, y -> z^(dx + 1), so both carry at most
+MAX_DEGREE + 1 coefficients.  The bound on a result is taken from its
+operands' degrees before it is built.  A sum's terms are all parsed
+first: over the product of their denominators, a sum of maps n_i / d_i
+has degree at most max(max_i(deg n_i + sum_{j != i} deg d_j), sum_j
+deg d_j), and a sum of curves the largest degree of its terms in each
+variable.
 """
 
 from __future__ import annotations
@@ -116,10 +120,16 @@ class _Parser:
         return value
 
     def additive(self):
+        # every term is parsed, and the sum's degree bounded, before any
+        # addition
         value = self.multiplicative()
+        terms = []
         while self.peek()[0] in ("+", "-"):
-            op = self.next()[0]
-            rhs = self.multiplicative()
+            op, _, at = self.next()
+            terms.append((op, at, self.multiplicative()))
+        if terms:
+            self.budget(self.sum_degrees([value] + [t for _, _, t in terms]), terms[0][1])
+        for op, _, rhs in terms:
             value = value + rhs if op == "+" else value - rhs
         return value
 
@@ -194,6 +204,10 @@ class _Parser:
     def degrees(self, value):
         raise NotImplementedError
 
+    def sum_degrees(self, terms):
+        """Degree bounds, one per variable, on the sum of the terms."""
+        raise NotImplementedError
+
     def constant(self, n):
         raise NotImplementedError
 
@@ -231,6 +245,12 @@ class _MapParser(_Parser):
     def degrees(self, value):
         return (value.degree,)
 
+    def sum_degrees(self, terms):
+        # over the product of the denominators, term i contributes
+        # deg n_i + sum of deg d_j over j != i to the numerator
+        dens = sum(t.den.degree for t in terms)
+        return (max(dens + max(t.num.degree - t.den.degree for t in terms), dens),)
+
     def constant(self, n):
         return RatMap.constant(n)
 
@@ -253,6 +273,9 @@ class _MapParser(_Parser):
 class _CurveParser(_Parser):
     def degrees(self, value):
         return value.bidegree()
+
+    def sum_degrees(self, terms):
+        return tuple(max(ds) for ds in zip(*(t.bidegree() for t in terms)))
 
     def constant(self, n):
         return BiPoly.constant(n)

@@ -12,21 +12,26 @@ series plus exact verification, fiber partitions by gcd chains over the
 number field of the target place, Chebyshev cubics by their
 centred-monic normal form, transporter candidates by elimination in
 Q[z, w] and factoring, curve periods by iterating elimination images,
-membership of a parametrization by substituting it into the curve, and
+membership of a parametrization by substituting it into the curve,
 wandering critical orbits by contraction balls around attracting
-rational periodic points.
+rational periodic points, and maximal orbifolds by propagating and
+pulling back every candidate value up to a cap.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from ratdyn.bipolys import BiPoly
+from ratdyn.classify import detect_chebyshev_conjugacy, detect_power_conjugacy, postcritical_data
 from ratdyn.curves import image_curve, substitute_maps
 from ratdyn.factoring import factor_univariate, rational_roots
 from ratdyn.mobius import _orbit_base
 from ratdyn.numberfields import NumberField
-from ratdyn.places import critical_values, image_place
+from ratdyn.errors import Inconclusive, NotDefined, TheoremViolation
+from ratdyn.orbifolds import Orbifold, pullback
+from ratdyn.places import critical_values, image_place, local_degree, preimage_places
 from ratdyn.polynomials import UniPoly
 from ratdyn.ratmaps import INF, RatMap
 from ratdyn.series import pade_reconstruct
@@ -750,3 +755,67 @@ def basin_postcritical_data(A: RatMap, place_cap: int = 64, height_cap: int = 10
         else:
             unresolved.append(v)
     return cycles, preperiodic, unresolved
+
+
+def _scan_tree(A: RatMap, cycle, m: int, preperiodic):
+    """Backward value propagation from a cycle carrying m; None when no
+    solution over the preperiodic set exists."""
+    ram = {p: m for p in cycle}
+    queue = list(cycle)
+    while queue:
+        w = queue.pop()
+        for p in preimage_places(A, w):
+            forced = ram[w] // gcd(local_degree(A, p), ram[w])
+            if forced == 1:
+                continue
+            if p in ram:
+                if ram[p] != forced:
+                    return None
+                continue
+            if p not in preperiodic:
+                return None
+            ram[p] = forced
+            queue.append(p)
+    return Orbifold(ram)
+
+
+def scan_maximal_orbifold(A: RatMap, nu_cap: int = 60):
+    """`classify.maximal_orbifold` by trying every value 2..nu_cap on each
+    cycle, keeping the propagated trees that pull back to themselves, and,
+    when their join is bad, every value on each two-point subset of it;
+    right whenever the maximal values are at most nu_cap."""
+    if detect_power_conjugacy(A) is not None:
+        raise NotDefined("maximal orbifold undefined for power-conjugate maps")
+    if detect_chebyshev_conjugacy(A) is not None:
+        raise NotDefined("maximal orbifold undefined for Chebyshev-conjugate maps")
+    cycles, preperiodic, unresolved = postcritical_data(A)
+    if unresolved:
+        raise Inconclusive("postcritical orbit unresolved within the cap")
+    join = Orbifold.trivial()
+    for cyc in cycles:
+        degs = [local_degree(A, p) for p in cyc]
+        for m in range(2, nu_cap + 1):
+            if any(gcd(m, d) != 1 for d in degs):
+                continue
+            tree = _scan_tree(A, cyc, m, preperiodic)
+            if tree is not None and pullback(A, tree) == tree:
+                join = join.join(tree)
+    if join.is_trivial:
+        return None
+    if join.is_good():
+        return join
+    supp = join.support()
+    pairs = [(p,) for p in supp if p.degree == 2]
+    pairs += [(p, q) for i, p in enumerate(supp) for q in supp[i + 1:] if p.degree + q.degree == 2]
+    best = None
+    for pair in pairs:
+        big = 1
+        for m in range(2, nu_cap + 1):
+            o = Orbifold({p: m for p in pair})
+            if pullback(A, o) == o:
+                big = big * m // gcd(big, m)
+        if big > 1:
+            if best is not None:
+                raise TheoremViolation("incomparable maximal orbifolds")
+            best = Orbifold({p: big for p in pair})
+    return best

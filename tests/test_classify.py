@@ -16,12 +16,14 @@ from ratdyn.classify import (
     theta,
 )
 from ratdyn.errors import NotDefined, PreconditionError
+from ratdyn.memo import clear_caches
 from ratdyn.orbifolds import Orbifold, chi, is_covering, is_min_holomorphic, o2_of, pullback
 from ratdyn.places import PLACE_INF, Place
+from ratdyn.parser import parse_map
 from ratdyn.polynomials import UniPoly
 from ratdyn.ratmaps import INF, RatMap, chebyshev, mobius, power_map
 
-from oracles import basin_postcritical_data, chebyshev_cubic_sign
+from oracles import basin_postcritical_data, chebyshev_cubic_sign, scan_maximal_orbifold
 
 LATTES = RatMap(UniPoly.of(1, 0, 1) ** 2, UniPoly.monomial(1, 4) * UniPoly.of(-1, 0, 1))
 O2222 = Orbifold({0: 2, 1: 2, -1: 2, PLACE_INF: 2})
@@ -166,19 +168,15 @@ def test_escape_test_is_the_stated_inequality():
     assert not _escapes(bound, PLACE_INF)
 
 
+# z^2 + c with c = a/b in lowest terms, |a| <= 12, b <= 4, and z^3 + a z + b
+# with |a|, |b| <= 3; parabolic and irrational critical orbits included
+GRID = [UniPoly([Fraction(a, b), 0, 1]) for b in range(1, 5) for a in range(-12, 13) if gcd(a, b) == 1]
+GRID += [UniPoly.of(b, a, 0, 1) for a in range(-3, 4) for b in range(-3, 4)]
+
+
 def test_the_quadratic_and_cubic_grid_is_decided():
-    # z^2 + c with c = a/b in lowest terms, |a| <= 12, b <= 4, and
-    # z^3 + a z + b with |a|, |b| <= 3; parabolic and irrational critical
-    # orbits included
-    grid = [
-        UniPoly([Fraction(a, b), 0, 1])
-        for b in range(1, 5)
-        for a in range(-12, 13)
-        if gcd(a, b) == 1
-    ]
-    grid += [UniPoly.of(b, a, 0, 1) for a in range(-3, 4) for b in range(-3, 4)]
-    assert len(grid) == 65 + 49
-    for poly in grid:
+    assert len(GRID) == 65 + 49
+    for poly in GRID:
         A = RatMap(poly)
         assert not postcritical_data(A)[2], poly
         classify(A)
@@ -238,6 +236,69 @@ def test_maximal_orbifold_iterate_invariance():
 def test_maximal_orbifold_cube_iterate_lattes():
     # degree 64: the factorizations behind the postcritical orbit are heavy
     assert maximal_orbifold(LATTES.iterate(3)) == O2222
+
+
+def _orbifold_outcome(fn, A):
+    clear_caches()
+    try:
+        return fn(A)
+    except NotDefined as exc:
+        return type(exc)
+
+
+# the bases of the orbifold benchmark, a generalized Lattes polynomial and
+# an iterate of the Lattes map
+ORBIFOLD_BASES = [
+    "(z^2+1)^2 / (4*z*(z^2-1))", "(4*z^3 + 16*z^2 + 37*z + 24) / (16*z^2 + 40*z + 25)",
+    "(z+1)^2", "z^2-2*z+3", "(z^2+z)/(z+2)", "z^3-3*z+1", "z^4+z+1", "z^3+z+1", "z^3-z+1",
+    "z^3+5*z+2", "z^2", "1/z^3", "T3", "-T4", "z*(z+2)^7", "((z^2+1)^2 / (4*z*(z^2-1)))^o2",
+]
+
+
+def test_maximal_orbifold_matches_the_value_scan():
+    maps = [RatMap(poly) for poly in GRID]
+    maps += [parse_map(text).conjugate(mu) for text in ORBIFOLD_BASES for mu in MOVES]
+    # z^a (z + b)^c and z^a / (z + b)^c: cyclic orbifolds {0: n, inf: n} of many n
+    for a in (1, 2, 3):
+        for b in (1, 2, -3):
+            maps += [RatMap(UniPoly.monomial(a) * UniPoly.of(b, 1) ** c) for c in range(1, 9)]
+            maps += [RatMap(UniPoly.monomial(a), UniPoly.of(b, 1) ** c) for c in range(1, 5)]
+    answers = set()
+    for A in maps:
+        if A.degree < 2:
+            continue
+        want = _orbifold_outcome(scan_maximal_orbifold, A)
+        assert _orbifold_outcome(maximal_orbifold, A) == want, A
+        answers.add(want if want in (None, NotDefined) else tuple(want.signature()))
+    assert {None, NotDefined, (2, 2, 2, 2), (2, 2, 2), (7, 7), (8, 8)} <= answers
+
+
+@settings(max_examples=80, deadline=None)
+@given(_coeffs, _coeffs, st.sampled_from(MOVES))
+def test_maximal_orbifold_matches_the_value_scan_on_random_maps(num, den, mu):
+    A = _map_of(num, den)
+    assume(A is not None)
+    A = A.conjugate(mu)
+    assert _orbifold_outcome(maximal_orbifold, A) == _orbifold_outcome(scan_maximal_orbifold, A)
+
+
+def test_maximal_orbifold_values_have_no_cap():
+    # z^k o B = A o z^k with B = z (z^k + 2), so A carries {0: k, inf: k};
+    # a scan of the values up to 60 finds 32 for k = 64 and nothing for 61
+    for k in (7, 61, 64):
+        A = RatMap(UniPoly.monomial(1) * UniPoly.of(2, 1) ** k)
+        assert maximal_orbifold(A) == Orbifold({0: k, PLACE_INF: k})
+    assert scan_maximal_orbifold(RatMap(UniPoly.monomial(1) * UniPoly.of(2, 1) ** 64)) == Orbifold(
+        {0: 32, PLACE_INF: 32}
+    )
+
+
+def test_classify_finds_a_generalized_lattes_map_past_the_old_cap():
+    A = parse_map("z*(z+2)^61")
+    cls = classify(A)
+    assert cls.kind == "generalized_lattes"
+    assert cls.orbifold == Orbifold({0: 61, PLACE_INF: 61})
+    assert is_min_holomorphic(A, cls.orbifold, cls.orbifold)
 
 
 def test_maximal_orbifold_local_maximality():

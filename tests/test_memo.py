@@ -1,13 +1,13 @@
 import pytest
 
-from ratdyn.classify import NU_CAP, classify, maximal_orbifold
+from ratdyn.classify import classify, maximal_orbifold
 from ratdyn.curves import implicitize
 from ratdyn.decompose import all_left_factors, left_divide
 from ratdyn.errors import NotDefined, PreconditionError
 from ratdyn.memo import MEMO_SIZE, cache_stats, clear_caches, memo
 from ratdyn.polynomials import UniPoly
 from ratdyn.ratmaps import RatMap, power_map
-from test_classify import LATTES, O2222
+from test_classify import LATTES
 
 
 def counted():
@@ -63,7 +63,6 @@ def test_memo_keeps_keyword_calls_and_the_wrapped_metadata():
     assert square(3) == 9
     assert calls == [(3, 1), (3, 0)]
     assert square.__name__ == "square" and square.__wrapped__ is not None
-    assert maximal_orbifold(LATTES, place_cap=8) == maximal_orbifold(LATTES, NU_CAP, 8) == O2222
 
 
 def test_cache_stats_reads_hits_misses_and_size():

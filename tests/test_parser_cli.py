@@ -105,6 +105,26 @@ def test_parse_degree_budget():
         parse_map("(1/2)^513")
 
 
+def test_parse_bounds_a_sum_before_adding():
+    # 4097 simple poles: the sum's denominator would have degree 4097
+    text = " + ".join(f"1/(z-{k})" for k in range(1, MAX_DEGREE + 2))
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="budget") as err:
+        parse_map(text)
+    assert time.perf_counter() - start < 1.0
+    assert err.value.position == text.index("+")
+    # polynomial terms bound the numerator by their largest degree
+    assert parse_map("(z^500)^6 + (z^500)^6") == RatMap(UniPoly.monomial(3000, 2))
+    assert parse_map("1/z^512 - (z^512)^7 + 1").degree == MAX_DEGREE
+    with pytest.raises(ParseError, match="budget"):
+        parse_map("1/z^512 - (z^512)^7 * z")
+    # curves: the largest degree in each variable
+    assert parse_curve("x^512 * x^8 + y^6 - x*y").bidegree() == (520, 6)
+    with pytest.raises(ParseError, match="budget") as err:
+        parse_curve("x^2 - (x^512)^8 + y")
+    assert err.value.position == 4
+
+
 def test_parse_powers_by_squaring():
     t0 = time.perf_counter()
     f = parse_map("((z+1)/(z-1))^512")
