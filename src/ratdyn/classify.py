@@ -389,8 +389,8 @@ def maximal_orbifold(A: RatMap):
         # it would carry (2, 2, m) self-orbifolds for unbounded m, which
         # only Chebyshev maps do
         raise TheoremViolation("exceptional point beside a join of several points")
-    if not exceptional and join.is_good():
-        return None if join.is_trivial else join
+    if join.is_good() and not join.is_trivial:
+        return join
     # a bad join has at most two geometric points, and a good solution
     # carries one value on two of them; with the exceptional points the
     # whole support is therefore the only candidate

@@ -120,16 +120,15 @@ class _Parser:
         return value
 
     def additive(self):
-        # every term is parsed, and the sum's degree bounded, before any
-        # addition
+        # the sum is bounded from all of its terms before any addition
         value = self.multiplicative()
+        at = self.peek()[2]
         terms = []
         while self.peek()[0] in ("+", "-"):
-            op, _, at = self.next()
-            terms.append((op, at, self.multiplicative()))
+            terms.append((self.next()[0], self.multiplicative()))
         if terms:
-            self.budget(self.sum_degrees([value] + [t for _, _, t in terms]), terms[0][1])
-        for op, _, rhs in terms:
+            self.budget(self.sum_degrees([value] + [t for _, t in terms]), at)
+        for op, rhs in terms:
             value = value + rhs if op == "+" else value - rhs
         return value
 

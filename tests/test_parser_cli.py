@@ -116,8 +116,9 @@ def test_parse_bounds_a_sum_before_adding():
     # polynomial terms bound the numerator by their largest degree
     assert parse_map("(z^500)^6 + (z^500)^6") == RatMap(UniPoly.monomial(3000, 2))
     assert parse_map("1/z^512 - (z^512)^7 + 1").degree == MAX_DEGREE
-    with pytest.raises(ParseError, match="budget"):
+    with pytest.raises(ParseError, match="budget") as err:
         parse_map("1/z^512 - (z^512)^7 * z")
+    assert err.value.position == 8
     # curves: the largest degree in each variable
     assert parse_curve("x^512 * x^8 + y^6 - x*y").bidegree() == (520, 6)
     with pytest.raises(ParseError, match="budget") as err:
