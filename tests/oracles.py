@@ -782,8 +782,10 @@ def _scan_tree(A: RatMap, cycle, m: int, preperiodic):
 def scan_maximal_orbifold(A: RatMap, nu_cap: int = 60):
     """`classify.maximal_orbifold` by trying every value 2..nu_cap on each
     cycle, keeping the propagated trees that pull back to themselves, and,
-    when their join is bad, every value on each two-point subset of it;
-    right whenever the maximal values are at most nu_cap."""
+    when their join is bad, every value on each two-point subset of it.
+    Values above nu_cap are missed, and an exceptional point (its own only
+    preimage) gets the lcm of the values up to nu_cap coprime to its local
+    degree."""
     if detect_power_conjugacy(A) is not None:
         raise NotDefined("maximal orbifold undefined for power-conjugate maps")
     if detect_chebyshev_conjugacy(A) is not None:

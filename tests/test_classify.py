@@ -18,8 +18,8 @@ from ratdyn.classify import (
 from ratdyn.errors import NotDefined, PreconditionError
 from ratdyn.memo import clear_caches
 from ratdyn.orbifolds import Orbifold, chi, is_covering, is_min_holomorphic, o2_of, pullback
-from ratdyn.places import PLACE_INF, Place
 from ratdyn.parser import parse_map
+from ratdyn.places import PLACE_INF, Place
 from ratdyn.polynomials import UniPoly
 from ratdyn.ratmaps import INF, RatMap, chebyshev, mobius, power_map
 
