@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
 from .classify import classify
-from .bipolys import BiPoly
 from .curves import (
     BiCurve,
     ParamCurve,
@@ -46,6 +46,7 @@ from .errors import (
     RatDynError,
     TheoremViolation,
 )
+from .factoring import factor_univariate
 from .orbifolds import Orbifold, chi, is_covering, is_min_holomorphic, o1_of, o2_of, pullback
 from .parser import parse_curve, parse_map
 from .places import PLACE_INF, Place, critical_values, fiber_partition
@@ -130,8 +131,6 @@ def parse_orbifold(text: str) -> Orbifold:
             if f.degree == 0:
                 place = Place.of_rational(f(0))
             elif f.is_polynomial:
-                from .factoring import factor_univariate
-
                 _, facs = factor_univariate(f.num)
                 if len(facs) != 1:
                     raise ParseError(f"orbifold point {point!r} is not irreducible")
@@ -170,6 +169,7 @@ class _Output:
         else:
             for line in self.lines:
                 print(line)
+        sys.stdout.flush()
 
 
 def _cmd_analyze(args, out: _Output):
@@ -336,7 +336,7 @@ def _cmd_search(args, out: _Output):
                 "identities": [
                     "X1 o B = A1 o X1",
                     "X2 o B = A2 o X2",
-                    "curve re-verified invariant by elimination",
+                    "curve divides its pullback under (A1, A2)",
                 ],
             }
         )
@@ -511,7 +511,12 @@ def _run(args, structured: bool, where: str = "") -> int:
         _DISPATCH[args.command](args, out)
     except (RatDynError, ZeroDivisionError) as exc:
         return _exit_code(exc, where)
-    out.emit()
+    try:
+        out.emit()
+    except BrokenPipeError:
+        # the reader has gone; what is left goes nowhere, and the exit
+        # flush meets no closed pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 

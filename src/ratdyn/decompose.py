@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bipolys import BiPoly, gcd_x, separated
+from .classify import classify
 from .errors import ChainError, Inconclusive, PreconditionError, TheoremViolation
 from .factoring import SUBSET_CAP, bi_is_irreducible, factor_bivariate
 from .memo import memo
@@ -304,8 +305,6 @@ def complete_semiconjugacy(A: RatMap, X: RatMap, B: RatMap):
     """Complete A o X = X o B to a dual pair: (Y, d) with Y o X the d-th
     iterate of B and X o Y the d-th iterate of A, by repeated extraction
     of common right factors of the pair (X, B)."""
-    from .classify import classify
-
     if not verify_semiconjugacy(A, X, B):
         raise PreconditionError("the semiconjugacy identity fails")
     if X.degree < 1:

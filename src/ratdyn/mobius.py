@@ -7,13 +7,16 @@ Two exact solvers cover every question asked of degree-one maps:
   be a rational point of a known fiber of f, so the search space is finite
   and every candidate is verified exactly.
 
-* conjugacy_transporters(a, b): all mu with mu o a = b o mu.  When each
-  map has three marked points, mu is pinned by their images as above.
-  Otherwise mu(a^k(z0)) = b^k(mu(z0)), so mu is a one-parameter family in
-  w = mu(z0); the commutation identity E(z, w) = 0 specialised at enough
+* conjugacy_transporters(a, b): all mu with mu o a = b o mu.  A transporter
+  sends the marked points of a (critical points, their images, fixed
+  points and their preimages) to marked points of b with equal labels.  Up
+  to three marks of a are sources, and label-matched marks of b are their
+  targets; with three there is nothing more to choose.  With fewer, the
+  sources are completed by the orbit z0, a(z0), ... of one further point
+  and the targets by w, b(w), ... with w = mu(z0), so mu is a matrix of
+  polynomials in w.  The identity mu o a = b o mu specialised at enough
   integers z = t gives univariate polynomials in w whose gcd pins down
-  finitely many rational candidates.  Conjugated reruns cover parameters
-  that escape to infinity.
+  finitely many rational candidates; w = INF is checked directly.
 """
 
 from __future__ import annotations
@@ -24,9 +27,9 @@ from fractions import Fraction
 from .errors import PreconditionError, TheoremViolation
 from .factoring import rational_roots
 from .memo import memo
-from .places import rational_points_in_fiber
+from .places import PLACE_INF, Place, local_degree, rational_fixed_points, rational_points_in_fiber
 from .polynomials import UniPoly, homogenize
-from .ratmaps import INF, RatMap, mobius, mobius_through
+from .ratmaps import INF, RatMap, _homogeneous, _matrix_through, mobius_through
 
 
 def mu_right_transports(f: RatMap, g: RatMap):
@@ -35,20 +38,17 @@ def mu_right_transports(f: RatMap, g: RatMap):
         return []
     base = [Fraction(0), Fraction(1), Fraction(2)]
     fibers = [rational_points_in_fiber(f, g(z)) for z in base]
-    return _maps_through(base, fibers, lambda mu: f.compose(mu) == g)
+    return _maps_through(base, itertools.product(*fibers), lambda mu: f.compose(mu) == g)
 
 
-def _maps_through(base, choices, verify):
-    """The degree-one maps sending the three base points to three distinct
-    targets, the k-th drawn from choices[k], that pass verify; sorted."""
+def _maps_through(base, target_triples, verify):
+    """The degree-one maps sending the three base points to one of the
+    target triples, pairwise distinct, that pass verify; sorted."""
     found = set()
-    for targets in itertools.product(*choices):
+    for targets in target_triples:
         if len(set(targets)) < 3:
             continue
-        try:
-            mu = mobius_through(base, targets)
-        except PreconditionError:
-            continue
+        mu = mobius_through(base, targets)
         if mu not in found and verify(mu):
             found.add(mu)
     return sorted(found, key=lambda m: m.sort_key())
@@ -63,72 +63,11 @@ def mu_equivalent(f: RatMap, g: RatMap) -> bool:
 # conjugacy transporters
 
 
-def _orbit_base(a: RatMap):
-    """A rational z0 with z0, a(z0), a(a(z0)) pairwise distinct and finite."""
-    t = Fraction(0)
-    for _ in range(200):
-        z0 = t
-        t += 1
-        v1 = a(z0)
-        if v1 is INF:
-            continue
-        v2 = a(v1)
-        if v2 is INF:
-            continue
-        if len({z0, v1, v2}) == 3:
-            return z0, v1, v2
-    raise PreconditionError("no usable base orbit found")
-
-
-def _transporter_candidates(a: RatMap, b: RatMap):
-    """Rational candidates w for mu(z0) solving mu o a = b o mu.
-
-    mu_w is the degree-one map through (z0, z1, z2) -> (w, b(w), b^2(w)),
-    and E(z, w) is the numerator of mu_w(a(z)) - b(mu_w(z)).  A transporter
-    makes E(z, w0) vanish identically in z, so w0 is a root of the content
-    of E in z.  Since deg_z E <= deg a + deg b, that content is the gcd of
-    the images E(t, w) at t = 0, 1, ..., deg a + deg b, each built from
-    univariate pieces in w; the running gcd stops once it is constant."""
-    z0, z1, z2 = _orbit_base(a)
-    w = UniPoly.x()
-    b2 = b.compose(b)
-    # q1 = b(w), q2 = b^2(w) as numerator over denominator in w;
-    # E1 = q1 - q2 over q1d q2d and E2 = q1 - w over q1d
-    E1 = b.num * b2.den - b2.num * b.den
-    E2 = b.num - w * b.den
-    wE1, q2nE2, q2dE2 = w * E1, b2.num * E2, b2.den * E2
-
-    def mu_w(n, d):
-        # mu_w at n/d, through the cross-ratio of (n/d, z0, z1, z2)
-        cn, cd = (n - z0 * d) * (z1 - z2), (n - z2 * d) * (z1 - z0)
-        return wE1 * cd - q2nE2 * cn, E1 * cd - q2dE2 * cn
-
-    g = UniPoly.zero()
-    for t in range(a.degree + b.degree + 1):
-        # left side mu_w(a(t)); right side b(mu_w(t))
-        Ln, Ld = mu_w(a.num(t), a.den(t))
-        Rn, Rd = homogenize((b.num, b.den), *mu_w(t, 1), b.degree)
-        g = g.gcd(Ln * Rd - Ld * Rn)
-        if g.degree == 0:
-            return z0, z1, z2, []
-    if g.is_zero:
-        raise TheoremViolation("transporter identity degenerated")
-    return z0, z1, z2, rational_roots(g)
-
-
 @memo
 def _marked_points(f: RatMap):
     """Rational points pinned by the dynamics, with conjugation-invariant
     labels: critical points, two steps of their images, fixed points, and
     one level of rational preimages of all of those."""
-    from .places import (
-        PLACE_INF,
-        Place,
-        local_degree,
-        rational_fixed_points,
-        rational_points_in_fiber,
-    )
-
     pts = set()
     w = f.wronskian()
     if w.degree >= 1:
@@ -141,7 +80,7 @@ def _marked_points(f: RatMap):
         pts.add(f(v))
     for p in rational_fixed_points(f):
         pts.add(p)
-    for p in sorted(pts, key=lambda v: (1, Fraction(0)) if v is INF else (0, v)):
+    for p in sorted(pts, key=_inf_last):
         if len(pts) > 40:
             break
         for q in rational_points_in_fiber(f, p):
@@ -154,8 +93,21 @@ def _marked_points(f: RatMap):
     for p in pts:
         v1 = f(p)
         v2 = f(v1)
-        labels[p] = (p, (ldeg(p), ldeg(v1), ldeg(v2), v1 == p))
+        labels[p] = (ldeg(p), ldeg(v1), ldeg(v2), v1 == p)
     return labels
+
+
+def _inf_last(v):
+    return (1, Fraction(0)) if v is INF else (0, v)
+
+
+def _orbit(f: RatMap, v, n: int):
+    """[v, f(v), ..., f^(n-1)(v)] on the sphere."""
+    out = []
+    for _ in range(n):
+        out.append(v)
+        v = f(v)
+    return out
 
 
 @memo
@@ -165,46 +117,61 @@ def conjugacy_transporters(a: RatMap, b: RatMap):
         return []
     if a.degree < 2:
         raise PreconditionError("transporters need degree at least two")
-    ma = _marked_points(a)
-    mb = _marked_points(b)
-    la = sorted(lab for _, lab in ma.values())
-    lb = sorted(lab for _, lab in mb.values())
-    if la != lb:
+    ma, mb = _marked_points(a), _marked_points(b)
+    if sorted(ma.values()) != sorted(mb.values()):
         return []
-    if len(ma) >= 3:
-        return _transporters_by_marks(a, b, ma, mb)
-    return _transporters_symbolic(a, b)
+    marks = sorted(ma, key=_inf_last)[:3]
+    choices = [[q for q, lab in mb.items() if lab == ma[p]] for p in marks]
+    # fewer than three marks: complete them by the orbit of the least
+    # z0 = 0, 1, ... that gives three distinct sources
+    sources, z0 = marks, 0
+    while len(set(sources)) < 3:
+        sources = marks + _orbit(a, Fraction(z0), 3 - len(marks))
+        z0 += 1
+    targets = _targets(a, b, sources, choices)
+    return _maps_through(sources, targets, lambda mu: mu.compose(a) == b.compose(mu))
 
 
-def _transporters_by_marks(a, b, ma, mb):
-    pool_a = sorted(ma.values(), key=lambda t: (1, 0) if t[0] is INF else (0, t[0]))
-    base = [pool_a[i][0] for i in range(3)]
-    choices = [[pt for pt, lab in mb.values() if lab == pool_a[i][1]] for i in range(3)]
-    return _maps_through(base, choices, lambda mu: mu.compose(a) == b.compose(mu))
+def _targets(a: RatMap, b: RatMap, sources, choices):
+    """Target triples for the sources: label-matched marks of b, completed
+    when there are fewer than three by w, b(w), ... for each candidate w
+    of `_parameters` and for w = INF."""
+    for marks in itertools.product(*choices):
+        if len(marks) == 3:
+            yield marks
+        elif len(set(marks)) == len(marks):
+            for w in _parameters(a, b, sources, marks) + [INF]:
+                yield [*marks, *_orbit(b, w, 3 - len(marks))]
 
 
-def _transporters_symbolic(a: RatMap, b: RatMap):
-    # reruns with b conjugated by z -> 1/(z - c) make w = mu(z0) finite
-    # when it is infinite in the plain run
-    found = set()
-    for ic in [RatMap.identity()] + [mobius(0, 1, 1, -c) for c in range(3)]:
-        back = ic.mobius_inverse()
-        bb = ic.compose(b).compose(back)
-        z0, z1, z2, cands = _transporter_candidates(a, bb)
-        for w in cands:
-            t1 = bb(w)
-            t2 = bb(t1) if t1 is not INF else bb.value_at_infinity()
-            targets = [w, t1, t2]
-            if len(set(targets)) != 3:
-                continue
-            try:
-                nu = mobius_through([z0, z1, z2], targets)
-            except PreconditionError:
-                continue
-            mu = back.compose(nu)
-            if mu.compose(a) == b.compose(mu):
-                found.add(mu)
-    return sorted(found, key=lambda m: m.sort_key())
+def _parameters(a: RatMap, b: RatMap, sources, marks):
+    """The rational w for which mu_w, the degree-one map sending the sources
+    to the marks followed by w, b(w), ..., can solve mu o a = b o mu.
+
+    In homogeneous coordinates the targets are polynomials in w, so the
+    matrix of mu_w is too, and E(z, w) is the numerator of
+    mu_w(a(z)) - b(mu_w(z)).  A transporter makes E(z, w0) vanish
+    identically in z, so w0 is a root of the content of E in z.  Since
+    deg_z E <= deg a + deg b, that content is the gcd of the images E(t, w)
+    at t = 0, 1, ..., deg a + deg b; the running gcd stops once it is
+    constant."""
+    S = [_homogeneous(p) for p in sources]
+    T = [tuple(map(UniPoly.constant, _homogeneous(q))) for q in marks]
+    T.append((UniPoly.x(), UniPoly.one()))
+    while len(T) < 3:
+        T.append(tuple(homogenize((b.num, b.den), *T[-1], b.degree)))
+    A, B, C, D = _matrix_through(S, T)
+    g = UniPoly.zero()
+    for t in range(a.degree + b.degree + 1):
+        # left side mu_w(a(t)); right side b(mu_w(t))
+        n, d = a.num(t), a.den(t)
+        Rn, Rd = homogenize((b.num, b.den), A * t + B, C * t + D, b.degree)
+        g = g.gcd((A * n + B * d) * Rd - (C * n + D * d) * Rn)
+        if g.degree == 0:
+            return []
+    if g.is_zero:
+        raise TheoremViolation("transporter identity degenerated")
+    return rational_roots(g)
 
 
 def are_conjugate(a: RatMap, b: RatMap) -> bool:

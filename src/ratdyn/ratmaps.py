@@ -320,24 +320,40 @@ def _from_matrix(a: int, b: int, c: int, d: int) -> RatMap:
 
 def mobius_through(sources, targets) -> RatMap:
     """The unique degree-one map sending three distinct sources to three
-    distinct targets; entries may be INF.  In homogeneous coordinates it is
-    the adjugate of the target triple's matrix times the source triple's."""
+    distinct targets; entries may be INF.  It is built in integer
+    homogeneous coordinates by `_matrix_through`."""
     if len(sources) != 3 or len(targets) != 3:
         raise PreconditionError("need exactly three points on each side")
-    (a, b), (c, d) = _cross_ratio_matrix(sources)
-    (e, f), (g, h) = _cross_ratio_matrix(targets)
-    return _from_matrix(h * a - f * c, h * b - f * d, e * c - g * a, e * d - g * b)
+    S, T = [_homogeneous(p) for p in sources], [_homogeneous(p) for p in targets]
+    for (x0, w0), (x1, w1), (x2, w2) in (S, T):
+        if x0 * w1 == w0 * x1 or x1 * w2 == w1 * x2 or x0 * w2 == w0 * x2:
+            raise PreconditionError("points must be pairwise distinct")
+    return _from_matrix(*_matrix_through(S, T))
+
+
+def _homogeneous(p):
+    """The integer pair (x, w) in lowest terms with p = x/w; INF = (1, 0)."""
+    return (1, 0) if p is INF else qq(p).as_integer_ratio()
+
+
+def _matrix_through(S, T):
+    """The entries (a, b, c, d) of a matrix of the degree-one map sending
+    the three points S to the three points T, both given as homogeneous
+    pairs (x, w) for x/w, INF = (1, 0), in any commutative ring: the
+    adjugate of T's cross-ratio matrix times S's.  Its determinant is the
+    product of the pairwise determinants of both triples, so it vanishes
+    exactly when two points of one triple coincide."""
+    (a, b), (c, d) = _cross_ratio_matrix(S)
+    (e, f), (g, h) = _cross_ratio_matrix(T)
+    return h * a - f * c, h * b - f * d, e * c - g * a, e * d - g * b
 
 
 def _cross_ratio_matrix(pts):
     """The matrix of the degree-one map sending (p0, p1, p2) to (0, 1, INF):
-    with det(P, Q) = P_x Q_w - P_w Q_x on integer points, P = (n, d) for
-    p = n/d and INF = (1, 0), it is
+    with det(P, Q) = P_x Q_w - P_w Q_x on homogeneous pairs P = (x, w), it is
     Z -> det(Z, P0) det(P1, P2) / (det(Z, P2) det(P1, P0))."""
-    (x0, w0), (x1, w1), (x2, w2) = ((1, 0) if p is INF else qq(p).as_integer_ratio() for p in pts)
+    (x0, w0), (x1, w1), (x2, w2) = pts
     s, t = x1 * w2 - w1 * x2, x1 * w0 - w1 * x0
-    if not s or not t or x0 * w2 == w0 * x2:
-        raise PreconditionError("points must be pairwise distinct")
     return (s * w0, -s * x0), (t * w2, -t * x2)
 
 

@@ -41,7 +41,7 @@ from .errors import (
     PreconditionError,
     TheoremViolation,
 )
-from .mobius import conjugacy_transporters
+from .mobius import conjugacy_transporters, mobius_commutant
 from .orbifolds import chi
 from .places import rational_fixed_points
 from .ratmaps import RatMap
@@ -142,7 +142,7 @@ def find_invariant_curves(A1: RatMap, A2: RatMap, cfg: SearchConfig) -> SearchRe
         for X1 in X1s:
             for b1 in pair_candidates(A1, X1):
                 for b2 in S2:
-                    for mu in _return_map_transporters(b2, b1):
+                    for mu in conjugacy_transporters(b2, b1):
                         X1m = X1.compose(mu)
                         if X1m.compose(b2) != A1.compose(X1m):
                             raise TheoremViolation("transported pair lost the identity")
@@ -154,15 +154,6 @@ def find_invariant_curves(A1: RatMap, A2: RatMap, cfg: SearchConfig) -> SearchRe
                         found[C] = CurveCertificate(curve=C, X1=X1m, X2=X2, B=b2)
     report.curves = sorted(found.values(), key=lambda c: c.curve.sort_key())
     return report
-
-
-def _return_map_transporters(b2: RatMap, b1: RatMap):
-    """All mu with mu o b2 = b1 o mu (so a pair twisted by mu shares b2)."""
-    if b1.degree != b2.degree:
-        return []
-    if b2.degree < 2:
-        return []
-    return conjugacy_transporters(b2, b1)
 
 
 def find_periodic_curves(A1: RatMap, A2: RatMap, cfg: SearchConfig, period_cap: int) -> SearchReport:
@@ -323,8 +314,6 @@ def _commuting_factors(A: RatMap, F: RatMap, k: int):
     seen = set()
     for U0 in all_left_factors(F, k):
         if k == 1:
-            from .mobius import mobius_commutant
-
             candidates = list(mobius_commutant(A))
         else:
             candidates = []

@@ -11,8 +11,9 @@ series at a superattracting fixed point, invariant graphs by the same
 series plus exact verification, fiber partitions by gcd chains over the
 number field of the target place, Chebyshev cubics by their
 centred-monic normal form, transporter candidates by elimination in
-Q[z, w] and factoring, curve periods by iterating elimination images,
-membership of a parametrization by substituting it into the curve,
+Q[z, w] and factoring, conjugacy transporters through one base orbit
+and conjugated reruns with no marked points, curve periods by iterating
+elimination images, membership of a parametrization by substituting it into the curve,
 wandering critical orbits by contraction balls around attracting
 rational periodic points, and maximal orbifolds by propagating and
 pulling back every candidate value up to a cap.
@@ -27,13 +28,12 @@ from ratdyn.bipolys import BiPoly
 from ratdyn.classify import detect_chebyshev_conjugacy, detect_power_conjugacy, postcritical_data
 from ratdyn.curves import image_curve, substitute_maps
 from ratdyn.factoring import factor_univariate, rational_roots
-from ratdyn.mobius import _orbit_base
 from ratdyn.numberfields import NumberField
-from ratdyn.errors import Inconclusive, NotDefined, TheoremViolation
+from ratdyn.errors import Inconclusive, NotDefined, PreconditionError, TheoremViolation
 from ratdyn.orbifolds import Orbifold, pullback
 from ratdyn.places import critical_values, image_place, local_degree, preimage_places
-from ratdyn.polynomials import UniPoly
-from ratdyn.ratmaps import INF, RatMap
+from ratdyn.polynomials import UniPoly, homogenize
+from ratdyn.ratmaps import INF, RatMap, mobius, mobius_through
 from ratdyn.series import pade_reconstruct
 
 
@@ -573,37 +573,132 @@ def chebyshev_cubic_sign(A: RatMap):
     return {Fraction(-3): 1, Fraction(3): -1}.get(p, 0)
 
 
-def bivariate_transporter_candidates(a: RatMap, b: RatMap):
-    """(z0, z1, z2, rational candidates w) for mu o a = b o mu, by the
+def bivariate_transporter_candidates(a: RatMap, b: RatMap, sources, marks):
+    """The rational w for which the degree-one map sending the sources to
+    the marks followed by w, b(w), ... can solve mu o a = b o mu, by the
     transporter identity E(z, w) built in Q[z, w] with `BiPoly` arithmetic
-    and the linear factors of its content in z."""
-    z0, z1, z2 = _orbit_base(a)
-    w_poly = UniPoly.x()
-    b2 = b.compose(b)
-    E1 = b.num * b2.den - b2.num * b.den
-    E2 = b.num - w_poly * b.den
-    wE1 = BiPoly.from_unipoly(w_poly * E1, "y")
-    E1w = BiPoly.from_unipoly(E1, "y")
-    q2nE2 = BiPoly.from_unipoly(b2.num * E2, "y")
-    q2dE2 = BiPoly.from_unipoly(b2.den * E2, "y")
-    Cn_b = BiPoly.from_unipoly(UniPoly((-z0, 1)) * (z1 - z2), "x")
-    Cd_b = BiPoly.from_unipoly(UniPoly((-z2, 1)) * (z1 - z0), "x")
-    Mn = wE1 * Cd_b - Cn_b * q2nE2
-    Md = E1w * Cd_b - Cn_b * q2dE2
-    cna = BiPoly.from_unipoly((a.num - a.den * z0) * (z1 - z2), "x")
-    cda = BiPoly.from_unipoly((a.num - a.den * z2) * (z1 - z0), "x")
-    Ln = wE1 * cda - cna * q2nE2
-    Ld = E1w * cda - cna * q2dE2
-    # b(Mn / Md) homogenised, one BiPoly product at a time
-    Rn, Rd = (
-        sum((Mn**i * Md ** (b.degree - i) * c for i, c in enumerate(p.c)), BiPoly.zero())
-        for p in (b.num, b.den)
-    )
+    and the linear factors of its content in z.  The map is applied through
+    its cross-ratio equation: M = mu(Z) solves
+    det(M, T0) det(T1, T2) rd = det(M, T2) det(T1, T0) rn
+    for rn / rd = det(Z, S0) det(S1, S2) / (det(Z, S2) det(S1, S0))."""
+
+    def point(v):
+        if v is INF:
+            return BiPoly.constant(1), BiPoly.zero()
+        return BiPoly.constant(v), BiPoly.constant(1)
+
+    def apply(f, P):
+        # f at the homogeneous point P, one BiPoly product at a time
+        return [
+            sum((P[0] ** i * P[1] ** (f.degree - i) * c for i, c in enumerate(p.c)), BiPoly.zero())
+            for p in (f.num, f.den)
+        ]
+
+    def det(P, Q):
+        return P[0] * Q[1] - P[1] * Q[0]
+
+    S = [point(v) for v in sources]
+    T = [point(v) for v in marks] + [(BiPoly.var_y(), BiPoly.constant(1))]
+    while len(T) < 3:
+        T.append(apply(b, T[-1]))
+
+    def mu(Z):
+        k1 = det(T[1], T[2]) * det(Z, S[2]) * det(S[1], S[0])
+        k2 = det(T[1], T[0]) * det(Z, S[0]) * det(S[1], S[2])
+        return T[0][0] * k1 - T[2][0] * k2, T[0][1] * k1 - T[2][1] * k2
+
+    Ln, Ld = mu(apply(a, (BiPoly.var_x(), BiPoly.constant(1))))
+    Rn, Rd = apply(b, mu((BiPoly.var_x(), BiPoly.constant(1))))
     E = Ln * Rd - Ld * Rn
     assert not E.is_zero
     g = E.content_x()
     facs = factor_univariate(g)[1] if g.degree >= 1 else []
-    return z0, z1, z2, sorted(-f.coeff(0) for f, _ in facs if f.degree == 1)
+    return sorted(-f.coeff(0) for f, _ in facs if f.degree == 1)
+
+
+# ----------------------------------------------------------------------
+# conjugacy transporters through the orbit of one base point, with no
+# marked points: the reference for `mobius.conjugacy_transporters`
+
+
+def _orbit_base(a: RatMap):
+    """A rational z0 with z0, a(z0), a(a(z0)) pairwise distinct and finite."""
+    t = Fraction(0)
+    for _ in range(200):
+        z0 = t
+        t += 1
+        v1 = a(z0)
+        if v1 is INF:
+            continue
+        v2 = a(v1)
+        if v2 is INF:
+            continue
+        if len({z0, v1, v2}) == 3:
+            return z0, v1, v2
+    raise PreconditionError("no usable base orbit found")
+
+
+def _symbolic_transporter_candidates(a: RatMap, b: RatMap):
+    """Rational candidates w for mu(z0) solving mu o a = b o mu.
+
+    mu_w is the degree-one map through (z0, z1, z2) -> (w, b(w), b^2(w)),
+    and E(z, w) is the numerator of mu_w(a(z)) - b(mu_w(z)).  A transporter
+    makes E(z, w0) vanish identically in z, so w0 is a root of the content
+    of E in z.  Since deg_z E <= deg a + deg b, that content is the gcd of
+    the images E(t, w) at t = 0, 1, ..., deg a + deg b, each built from
+    univariate pieces in w; the running gcd stops once it is constant."""
+    z0, z1, z2 = _orbit_base(a)
+    w = UniPoly.x()
+    b2 = b.compose(b)
+    # q1 = b(w), q2 = b^2(w) as numerator over denominator in w;
+    # E1 = q1 - q2 over q1d q2d and E2 = q1 - w over q1d
+    E1 = b.num * b2.den - b2.num * b.den
+    E2 = b.num - w * b.den
+    wE1, q2nE2, q2dE2 = w * E1, b2.num * E2, b2.den * E2
+
+    def mu_w(n, d):
+        # mu_w at n/d, through the cross-ratio of (n/d, z0, z1, z2)
+        cn, cd = (n - z0 * d) * (z1 - z2), (n - z2 * d) * (z1 - z0)
+        return wE1 * cd - q2nE2 * cn, E1 * cd - q2dE2 * cn
+
+    g = UniPoly.zero()
+    for t in range(a.degree + b.degree + 1):
+        # left side mu_w(a(t)); right side b(mu_w(t))
+        Ln, Ld = mu_w(a.num(t), a.den(t))
+        Rn, Rd = homogenize((b.num, b.den), *mu_w(t, 1), b.degree)
+        g = g.gcd(Ln * Rd - Ld * Rn)
+        if g.degree == 0:
+            return z0, z1, z2, []
+    if g.is_zero:
+        raise TheoremViolation("transporter identity degenerated")
+    return z0, z1, z2, rational_roots(g)
+
+
+def symbolic_transporters(a: RatMap, b: RatMap):
+    """All degree-one mu with mu o a = b o mu, through the orbit
+    (z0, a(z0), a^2(z0)) -> (w, b(w), b^2(w)) alone.  w = mu(z0) is finite
+    in the plain run, or else in the rerun with b conjugated by
+    z -> 1/(z - c), which sends it to 1/(w - c); three values of c leave
+    spares."""
+    found = set()
+    for ic in [RatMap.identity()] + [mobius(0, 1, 1, -c) for c in range(3)]:
+        back = ic.mobius_inverse()
+        bb = ic.compose(b).compose(back)
+        z0, z1, z2, cands = _symbolic_transporter_candidates(a, bb)
+        for w in cands:
+            t1 = bb(w)
+            t2 = bb(t1) if t1 is not INF else bb.value_at_infinity()
+            targets = [w, t1, t2]
+            if len(set(targets)) != 3:
+                continue
+            try:
+                nu = mobius_through([z0, z1, z2], targets)
+            except PreconditionError:
+                continue
+            mu = back.compose(nu)
+            if mu.compose(a) == b.compose(mu):
+                found.add(mu)
+    return sorted(found, key=lambda m: m.sort_key())
 
 
 def periodicity_by_images(C, A1: RatMap, A2: RatMap, max_n: int):

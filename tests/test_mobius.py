@@ -1,9 +1,11 @@
+from fractions import Fraction
+
 from hypothesis import assume, given, settings, strategies as st
 
-from ratdyn.errors import PreconditionError
 from ratdyn.mobius import (
-    _orbit_base,
-    _transporter_candidates,
+    _marked_points,
+    _orbit,
+    _parameters,
     are_conjugate,
     conjugacy_transporters,
     mobius_commutant,
@@ -11,10 +13,11 @@ from ratdyn.mobius import (
     mu_equivalent,
     mu_right_transports,
 )
+from ratdyn.parser import parse_map
 from ratdyn.polynomials import UniPoly
 from ratdyn.ratmaps import INF, RatMap, chebyshev, mobius, power_map
 
-from oracles import bivariate_transporter_candidates
+from oracles import bivariate_transporter_candidates, symbolic_transporters
 from test_ratmaps import maps
 
 HALF_SYM = RatMap(UniPoly.of(1, 0, 0, 0, 1), UniPoly.monomial(2, 2))  # (z^4+1)/(2 z^2)
@@ -96,25 +99,35 @@ mobius_maps = (
     .map(lambda c: mobius(*c))
 )
 
+sphere_points = st.one_of(st.just(INF), st.integers(-3, 3).map(Fraction))
 
-def candidates_match_elimination(a, b):
-    try:
-        _orbit_base(a)
-    except PreconditionError:
-        assume(False)
-    got = _transporter_candidates(a, b)
-    assert got == bivariate_transporter_candidates(a, b)
+
+@st.composite
+def completed_sources(draw, a):
+    """(sources, points): k = 0, 1 or 2 points followed by the orbit
+    z0, a(z0), ... of one more, three pairwise distinct sources in all."""
+    points = draw(st.lists(sphere_points, min_size=0, max_size=2, unique=True))
+    sources = points + _orbit(a, draw(sphere_points), 3 - len(points))
+    assume(len(set(sources)) == 3)
+    return sources, points
+
+
+def candidates_match_elimination(a, b, sources, marks):
+    got = _parameters(a, b, sources, marks)
+    assert got == bivariate_transporter_candidates(a, b, sources, marks)
     return got
 
 
 @settings(max_examples=25, deadline=None)
-@given(maps(min_degree=2, max_degree=3), mobius_maps)
-def test_transporter_candidates_on_conjugate_pairs(a, mu):
-    # nu = mu^-1 carries a to b: nu o a = b o nu
+@given(maps(min_degree=2, max_degree=3), mobius_maps, st.data())
+def test_transporter_candidates_on_conjugate_pairs(a, mu, data):
+    # nu = mu^-1 carries a to b, nu o a = b o nu, and the points to their
+    # images, so w0 = nu(z0) is a candidate unless it is INF
     nu = mu.mobius_inverse()
     b = nu.compose(a).compose(mu)
-    z0, _, _, cands = candidates_match_elimination(a, b)
-    w0 = nu(z0)
+    sources, points = data.draw(completed_sources(a))
+    cands = candidates_match_elimination(a, b, sources, [nu(p) for p in points])
+    w0 = nu(sources[len(points)])
     assert w0 is INF or w0 in cands
 
 
@@ -133,6 +146,73 @@ def maps_of_degree(draw, d):
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(2, 3).flatmap(lambda d: st.tuples(maps_of_degree(d), maps_of_degree(d))))
-def test_transporter_candidates_on_unrelated_pairs(pair):
-    candidates_match_elimination(*pair)
+@given(st.integers(2, 3).flatmap(lambda d: st.tuples(maps_of_degree(d), maps_of_degree(d))), st.data())
+def test_transporter_candidates_on_unrelated_pairs(pair, data):
+    a, b = pair
+    sources, points = data.draw(completed_sources(a))
+    marks = data.draw(st.lists(sphere_points, min_size=len(points), max_size=len(points), unique=True))
+    candidates_match_elimination(a, b, sources, marks)
+
+
+# ----------------------------------------------------------------------
+# the transporter route against the symbolic route with no marks
+
+# maps with 0, 1 and 2 rational marked points, and with more
+BY_MARKS = {
+    0: ["(z^2 - 3) / (z^2 - z + 1)", "(-z + 3) / (2*z^2 - z - 3)", "(-z^2 + z + 1) / (z^2 - 1)"],
+    1: ["-z^3 - z - 1", "(3*z^3 + z^2 + z + 2) / 3"],
+    2: ["(3*z^2 - z + 2) / (z - 3)", "(-z^2 + 2*z + 2) / (2*z - 2)", "(3*z^3 + 2*z^2 - z + 3) / z"],
+    3: ["z^2 + z + 3", "(-2*z^2 - z + 3) / (z - 3)", "z^2", "(z^4 + 1) / (2*z^2)"],
+}
+
+
+def assert_matches_symbolic_route(a, b):
+    got = conjugacy_transporters(a, b)
+    assert got == symbolic_transporters(a, b)
+    return got
+
+
+def test_transporters_match_the_symbolic_route_for_each_mark_count():
+    for k, texts in BY_MARKS.items():
+        fs = [parse_map(t) for t in texts]
+        for f in fs:
+            assert min(len(_marked_points(f)), 3) == k
+            assert RatMap.identity() in assert_matches_symbolic_route(f, f)
+            for mu in (mobius(1, 1, 0, 1), mobius(0, 1, 1, -1), mobius(2, -1, 1, 1)):
+                g = mu.compose(f).compose(mu.mobius_inverse())
+                assert mu in assert_matches_symbolic_route(f, g)
+            for g in fs:
+                if g.degree == f.degree:
+                    assert_matches_symbolic_route(f, g)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(2, 3).flatmap(lambda d: st.tuples(maps_of_degree(d), maps_of_degree(d))),
+    mobius_maps,
+    st.sampled_from(["conjugate", "self", "unrelated"]),
+)
+def test_transporters_match_the_symbolic_route(pair, mu, kind):
+    a, other = pair
+    b = {"conjugate": mu.compose(a).compose(mu.mobius_inverse()), "self": a, "unrelated": other}[kind]
+    got = assert_matches_symbolic_route(a, b)
+    if kind != "unrelated":
+        assert (mu if kind == "conjugate" else RatMap.identity()) in got
+
+
+def test_transporter_sending_the_base_point_to_infinity():
+    # the marks of a are 0 and INF, so the sources are completed by z0 = 1;
+    # nu sends z0 to INF, the parameter that no root of the gcd gives
+    a = RatMap(-(UniPoly.of(0, 1, 0, 1) ** 2))  # -(z^3 + z)^2
+    assert set(_marked_points(a)) == {0, INF}
+    nu = mobius(0, 1, 1, -1)  # 1/(z - 1)
+    b = nu.compose(a).compose(nu.mobius_inverse())
+    assert nu(1) is INF
+    assert conjugacy_transporters(a, b) == [nu]
+    # with the one mark INF the sources are INF, z0 = 0 and a(0) = -1
+    a = parse_map("-z^3 - z - 1")
+    assert set(_marked_points(a)) == {INF}
+    nu = mobius(1, 1, 1, 0)  # (z + 1) / z
+    b = nu.compose(a).compose(nu.mobius_inverse())
+    assert nu(0) is INF
+    assert nu in assert_matches_symbolic_route(a, b)

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -200,6 +201,26 @@ def test_cli_search_structured():
     entry = data["curves"][0]
     assert entry["curve"]["terms"] == [[0, 1, "-1"], [1, 0, "1"]]
     assert entry["parametrization"][0]["num"] == ["0", "1"]
+    assert entry["identities"][2] == "curve divides its pullback under (A1, A2)"
+
+
+@pytest.mark.parametrize("fmt", [[], ["--format", "structured"]])
+def test_cli_closed_pipe_stops_without_a_traceback(fmt):
+    # the read end is closed before the child starts, so its first write
+    # meets a broken pipe
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ratdyn.cli", *fmt, "bounds", "phi", "3", "2"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
 
 
 def test_cli_exit_codes():

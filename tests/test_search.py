@@ -77,14 +77,17 @@ def test_invariant_search_cubic_at_cap_3():
 def test_invariant_search_planted_separated_curve():
     # A1 = P o Q and A2 = S o R with Q o P = R o S for P = z^3 + z, Q = z^2,
     # R = z (z+1)^2, S = z^2: the curve Q(x) = R(y) is invariant.  The
-    # return maps here have fewer than three marked points, so their
-    # transporters come from `mobius._transporters_symbolic`.
+    # return maps here have two marked points, 0 and INF, so each
+    # transporter is pinned through one further point and a parameter w.
     A1 = RatMap(UniPoly.of(0, 0, 1, 0, 0, 0, 1))  # z^6 + z^2
     A2 = RatMap(UniPoly.monomial(2) * UniPoly.of(1, 1) ** 4)  # z^2 (z+1)^4
+    start = time.perf_counter()
     rep = find_invariant_curves(A1, A2, SearchConfig(bidegree=(2, 3), iterate_cap=1))
+    elapsed = time.perf_counter() - start
     assert curve_strs(rep) == ["x^2 - y^3 - 2*y^2 - y"]
     assert rep.completeness == "complete_up_to_cap"
     assert is_invariant(rep.curves[0].curve, A1, A2)
+    assert elapsed < 1.0
 
 
 def test_invariant_search_special_stress():
