@@ -18,6 +18,7 @@ import sys
 from fractions import Fraction
 
 from .classify import classify
+from .bipolys import BiPoly
 from .curves import (
     BiCurve,
     ParamCurve,

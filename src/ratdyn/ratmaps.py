@@ -321,13 +321,11 @@ def _from_matrix(a: int, b: int, c: int, d: int) -> RatMap:
 def mobius_through(sources, targets) -> RatMap:
     """The unique degree-one map sending three distinct sources to three
     distinct targets; entries may be INF.  It is built in integer
-    homogeneous coordinates by `_matrix_through`."""
+    homogeneous coordinates by `_matrix_through`, whose matrix is singular,
+    and refused by `_from_matrix`, when a triple repeats a point."""
     if len(sources) != 3 or len(targets) != 3:
         raise PreconditionError("need exactly three points on each side")
-    S, T = [_homogeneous(p) for p in sources], [_homogeneous(p) for p in targets]
-    for (x0, w0), (x1, w1), (x2, w2) in (S, T):
-        if x0 * w1 == w0 * x1 or x1 * w2 == w1 * x2 or x0 * w2 == w0 * x2:
-            raise PreconditionError("points must be pairwise distinct")
+    S, T = ([_homogeneous(p) for p in pts] for pts in (sources, targets))
     return _from_matrix(*_matrix_through(S, T))
 
 

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 from hypothesis import assume, given, settings, strategies as st
@@ -19,6 +20,9 @@ from ratdyn.ratmaps import INF, RatMap, chebyshev, mobius, power_map
 
 from oracles import bivariate_transporter_candidates, symbolic_transporters
 from test_ratmaps import maps
+
+# the module, which the package's `mobius` function shadows as an attribute
+mobius_module = sys.modules["ratdyn.mobius"]
 
 HALF_SYM = RatMap(UniPoly.of(1, 0, 0, 0, 1), UniPoly.monomial(2, 2))  # (z^4+1)/(2 z^2)
 
@@ -157,11 +161,19 @@ def test_transporter_candidates_on_unrelated_pairs(pair, data):
 # ----------------------------------------------------------------------
 # the transporter route against the symbolic route with no marks
 
-# maps with 0, 1 and 2 rational marked points, and with more
+# maps with 0, 1 and 2 rational marked points, and with more; the last two
+# with two marks have two fixed marks of one label, so both may go to
+# either, and both to one would make the transporter identity vanish
 BY_MARKS = {
     0: ["(z^2 - 3) / (z^2 - z + 1)", "(-z + 3) / (2*z^2 - z - 3)", "(-z^2 + z + 1) / (z^2 - 1)"],
     1: ["-z^3 - z - 1", "(3*z^3 + z^2 + z + 2) / 3"],
-    2: ["(3*z^2 - z + 2) / (z - 3)", "(-z^2 + 2*z + 2) / (2*z - 2)", "(3*z^3 + 2*z^2 - z + 3) / z"],
+    2: [
+        "(3*z^2 - z + 2) / (z - 3)",
+        "(-z^2 + 2*z + 2) / (2*z - 2)",
+        "(3*z^3 + 2*z^2 - z + 3) / z",
+        "(z^3 + 2*z) / (z^2 - 2)",
+        "-z^3 / 2",
+    ],
     3: ["z^2 + z + 3", "(-2*z^2 - z + 3) / (z - 3)", "z^2", "(z^4 + 1) / (2*z^2)"],
 }
 
@@ -198,6 +210,19 @@ def test_transporters_match_the_symbolic_route(pair, mu, kind):
     got = assert_matches_symbolic_route(a, b)
     if kind != "unrelated":
         assert (mu if kind == "conjugate" else RatMap.identity()) in got
+
+
+def test_three_marks_need_no_parameter(monkeypatch):
+    # with three marks there is no orbit to follow and no parameter to find
+    def refuse(*args):
+        raise AssertionError("an orbit or a parameter was sought with three marks")
+
+    for name in ("_orbit", "_parameters"):
+        monkeypatch.setattr(mobius_module, name, refuse)
+    for text in BY_MARKS[3]:
+        f = parse_map(text)
+        g = mobius(2, -1, 1, 1).compose(f).compose(mobius(2, -1, 1, 1).mobius_inverse())
+        assert conjugacy_transporters(f, g) == symbolic_transporters(f, g)
 
 
 def test_transporter_sending_the_base_point_to_infinity():
