@@ -321,8 +321,8 @@ def _from_matrix(a: int, b: int, c: int, d: int) -> RatMap:
 def mobius_through(sources, targets) -> RatMap:
     """The unique degree-one map sending three distinct sources to three
     distinct targets; entries may be INF.  It is built in integer
-    homogeneous coordinates by `_matrix_through`, whose matrix is singular,
-    and refused by `_from_matrix`, when a triple repeats a point."""
+    homogeneous coordinates by `_matrix_through`; a triple that repeats a
+    point makes that matrix singular, and `_from_matrix` refuses it."""
     if len(sources) != 3 or len(targets) != 3:
         raise PreconditionError("need exactly three points on each side")
     S, T = ([_homogeneous(p) for p in pts] for pts in (sources, targets))
