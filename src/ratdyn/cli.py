@@ -12,6 +12,7 @@ problems, 3 a cap-limited search, 4 an internal consistency failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -382,6 +383,9 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the whole command tree on every call.  ``main``
+    builds one on its first call and reuses it for every later command of
+    the process."""
     ap = _ArgumentParser(
         prog="ratdyn",
         description="Exact dynamics of rational self-maps: orbifolds, "
@@ -478,6 +482,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser that main shares across calls, built on the first one
+    and not at import.  Sharing is safe because parse_args leaves a parser
+    as it found it: every default is immutable and _parse_optional keeps no
+    state."""
+    return build_parser()
+
+
 _DISPATCH = {
     "analyze": _cmd_analyze,
     "classify": _cmd_classify,
@@ -517,12 +530,18 @@ def _run(args, structured: bool, where: str = "") -> int:
     except BrokenPipeError:
         # the reader has gone; what is left goes nowhere, and the exit
         # flush meets no closed pipe
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 0
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command line (sys.argv[1:] when argv is None) and return its
+    exit code.  A usage error, or --help, raises SystemExit (code 2, or 0)
+    as argparse does.  main may be called any number of times in one
+    process; the parser is built on the first call and shared."""
+    args = _parser().parse_args(argv)
     structured = args.format == "structured"
     if not getattr(args, "file", None):
         return _run(args, structured)

@@ -1,14 +1,19 @@
+import argparse
 import contextlib
 import io
+import itertools
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ratdyn import cli
 from ratdyn.bipolys import BiPoly
 from ratdyn.errors import ParseError
 from ratdyn.parser import MAX_DEGREE, parse_curve, parse_map
@@ -510,16 +515,150 @@ _argvs = st.tuples(
 ).map(lambda t: t[0] + t[1] + t[2])
 
 
-@settings(max_examples=120, deadline=None)
-@given(_argvs)
-def test_cli_argv_fuzz_keeps_the_exit_contract(argv):
-    from ratdyn.cli import main
+# One parser per process: main parses with a parser built on its first call
+# and shared by every later call, and build_parser stays the oracle.
 
+_README_LINES = [
+    line
+    for line in (Path(__file__).resolve().parents[1] / "README.md")
+    .read_text()
+    .split("## Command line", 1)[1]
+    .split("```")[1]
+    .splitlines()
+    if line.startswith("ratdyn ")
+]
+
+# argv that argparse refuses with exit 2 or answers with --help and exit 0
+_USAGE = [
+    ["--help"],
+    ["search", "invariant", "-h"],
+    ["bogus"],
+    ["bounds", "kappa"],
+    ["--format", "json", "classify", "z^2"],
+    ["search", "invariant", "z^2", "z^2", "1", "1", "--cap"],
+    ["classify", "z^2", "-x"],
+]
+
+
+def _captured(call):
+    """(exit code, stdout, stderr) of call() in process; a SystemExit from
+    argparse gives its code."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse refuses a usage error with 2
+            code = call()
+        except SystemExit as exc:
             code = exc.code
-    assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
-    assert "Traceback" not in err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def _fresh(argv):
+    """What main does with a parser built for this argv alone."""
+    args = cli.build_parser().parse_args(argv)
+    return cli._run(args, args.format == "structured")
+
+
+def _same_as_fresh(argv):
+    shared = _captured(lambda: cli.main(list(argv)))
+    assert shared == _captured(lambda: _fresh(list(argv))), argv
+    return shared
+
+
+def _parser_tree(parser):
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            # an alias maps to the parser of its command
+            for sub in dict.fromkeys(action.choices.values()):
+                yield from _parser_tree(sub)
+
+
+def _snapshot(parser):
+    return [(repr(vars(p)), [repr(vars(a)) for a in p._actions]) for p in _parser_tree(parser)]
+
+
+def test_cli_readme_lines_match_a_fresh_parser():
+    assert len(_README_LINES) >= 10
+    usage = itertools.cycle(_USAGE)
+    for line in _README_LINES:
+        for fmt in ([], ["--format", "structured"]):
+            code, out, err = _same_as_fresh([*fmt, *shlex.split(line)[1:]])
+            assert code == 0 and out and err == "", line
+            code, out, err = _same_as_fresh(next(usage))
+            assert code in (0, 2) and "Traceback" not in err
+
+
+
+
+def test_cli_defaults_return_after_explicit_options():
+    argv = ["search", "invariant", "z^2", "z^2", "1", "1"]
+    code, out, _ = _captured(lambda: cli.main([*argv, "--cap", "1", "--lines"]))
+    assert code == 0 and "(cap 1)" in out and "lines: " in out
+    code, out, _ = _captured(lambda: cli.main(argv))
+    assert code == 0 and "(cap 2)" in out and "lines: " not in out
+
+
+def test_cli_parse_args_leaves_the_parser_unchanged():
+    parser = cli.build_parser()
+    assert parser is not cli.build_parser()
+    # immutable defaults: no parse can change one in place
+    for p in _parser_tree(parser):
+        for action in p._actions:
+            assert action.default is None or type(action.default) in (str, int, bool), action
+    before = _snapshot(parser)
+    argvs = [shlex.split(line)[1:] for line in _README_LINES] + _USAGE
+    argvs += [["classify", "-T3"], ["orbifold", "chi", "-1:2,inf:2"], ["bounds", "m2", "2", "2", "5"]]
+    for argv in argvs:
+        _captured(lambda: parser.parse_args(argv))
+    assert _snapshot(parser) == before
+
+
+def test_cli_main_builds_its_parser_once(monkeypatch):
+    built = []
+    real = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    for argv in (["bounds", "kappa", "2"], ["bogus"], ["classify", "z^2"]):
+        _captured(lambda: cli.main(argv))
+    assert built == [1]
+    # importing the module builds nothing
+    proc = subprocess.run(
+        [sys.executable, "-c", "import ratdyn.cli as c; print(c._parser.cache_info().currsize)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.stdout == "0\n"
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd to count descriptors")
+def test_cli_closed_pipe_leaks_no_descriptor():
+    def closed_pipe_run():
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        # the handler points the descriptor at the null device, so closing
+        # the stream flushes what is left there
+        with open(write_end, "w") as stream, contextlib.redirect_stdout(stream):
+            return cli.main(["bounds", "phi", "3", "2"])
+
+    assert closed_pipe_run() == 0
+    before = len(os.listdir("/dev/fd"))
+    for _ in range(4):
+        assert closed_pipe_run() == 0
+    assert len(os.listdir("/dev/fd")) == before
+
+
+@settings(max_examples=120, deadline=None)
+@given(_argvs, st.sampled_from(_USAGE))
+def test_cli_argv_fuzz_keeps_the_exit_contract(argv, usage):
+    # the examples share one parser in this process, and each answers as a
+    # fresh parser does, also after a usage error or --help
+    code, _, err = _same_as_fresh(argv)
+    assert code in (0, 2, 3, 4), (argv, code, err)
+    assert "Traceback" not in err
+    code, _, err = _same_as_fresh(usage)
+    assert code in (0, 2) and "Traceback" not in err
