@@ -13,7 +13,11 @@ the same division picks its factor out of the eliminant (a
 parametrization is the image of the diagonal).  The genus of an
 irreducible separated curve comes from the fiber-pairing count
 2 - 2g = 2pq - sum(ab - gcd(a, b)); a count above 2 proves that the curve
-splits into conjugate components over an extension, and is refused."""
+splits into conjugate components over an extension, and is refused.  A
+genus is returned only when the curve is certified irreducible over the
+algebraic closure, by a rational point of its smooth model or by a fibre
+whose residue degrees have gcd 1; without a certificate the answer is
+Inconclusive."""
 
 from __future__ import annotations
 
@@ -22,10 +26,10 @@ from math import gcd as _igcd
 
 from .bipolys import BiPoly, resultant_x_mixed, separated, squarefree_part_x
 from .errors import Inconclusive, PreconditionError, ReducibleCurve, TheoremViolation
-from .factoring import factor_bivariate
+from .factoring import factor_bivariate, factor_univariate
 from .memo import memo
 from .parser import MAX_DEGREE
-from .places import critical_values, fiber_partition
+from .places import Place, critical_values, fiber_partition, local_degree, rational_points_in_fiber
 from .polynomials import UniPoly, homogenize
 from .ratmaps import INF, RatMap
 
@@ -235,9 +239,19 @@ def preperiodicity(C: BiCurve, A1: RatMap, A2: RatMap, max_l: int, max_n: int):
 # genus of separated curves
 
 
+# the points x0 and y0 whose values Y1(x0) and Y2(y0) are searched for a
+# rational point of the smooth model, and the y0 whose fibres F(x, y0) are
+# tried for residue degrees with gcd 1
+_TRIAL_POINTS = (INF, 0) + tuple(v for k in range(1, 12) for v in (k, -k))
+_TRIAL_FIBERS = (0,) + tuple(v for k in range(1, 8) for v in (k, -k))
+
+
 def genus_separated(Y1: RatMap, Y2: RatMap) -> int:
     """Genus of the smooth model of Y1(x) = Y2(y), which must be
-    irreducible; 2 - 2g = 2pq - sum over shared values of ab - gcd(a, b)."""
+    irreducible; 2 - 2g = 2pq - sum over shared values of ab - gcd(a, b).
+    The count holds only on a geometrically irreducible curve, so a genus
+    is returned only with a certificate of that (`_geometrically_irreducible`);
+    without one the answer is Inconclusive."""
     if Y1.degree < 1 or Y2.degree < 1:
         raise PreconditionError("separated curves need nonconstant maps")
     curve = separated_curve(Y1, Y2)
@@ -269,7 +283,60 @@ def genus_separated(Y1: RatMap, Y2: RatMap) -> int:
         raise ReducibleCurve(
             "the separated curve splits into conjugate components over an extension"
         )
+    if not _geometrically_irreducible(curve.poly, Y1, Y2):
+        raise Inconclusive(
+            "no certificate that the separated curve is geometrically irreducible:"
+            " it may split into conjugate components over an extension"
+        )
     return (2 - two_minus_2g) // 2
+
+
+def _geometrically_irreducible(F: BiPoly, Y1: RatMap, Y2: RatMap) -> bool:
+    """True when one of two certificates proves that the Q-irreducible curve
+    F : Y1(x) = Y2(y) stays irreducible over the algebraic closure.  Its
+    k components over Q-bar are conjugate, and k divides the degree of every
+    closed point of its smooth model, whose residue field contains the
+    field that a component is defined over.  So k = 1 follows from
+    - a rational point of the smooth model.  Over a rational point (x0, y0)
+      with local degrees a = e_Y1(x0) and b = e_Y2(y0) the curve has
+      gcd(a, b) branches, as in the genus count; when gcd(a, b) = 1 the one
+      branch is rational.  With a = 1 or b = 1 this is a smooth rational
+      point.  The values tried are the rational critical values of Y2, then
+      of Y1, then Y1 and Y2 at the small points in _TRIAL_POINTS;
+    - or a squarefree fibre F(x, y0) of full degree whose irreducible
+      factors have degrees with gcd 1: its points are smooth, so each
+      factor is a closed point of the smooth model.
+    False means neither was found, not that the curve splits."""
+    values = []
+    if Y2.degree >= 2:
+        values += [c.rational_value() for c in critical_values(Y2)]
+    if Y1.degree >= 2:
+        values += [c.rational_value() for c in critical_values(Y1)]
+    values += [Y1(x0) for x0 in _TRIAL_POINTS] + [Y2(y0) for y0 in _TRIAL_POINTS]
+    seen = set()
+    for v in values:
+        if v is None or v in seen:
+            continue
+        seen.add(v)
+        if _rational_branch_over(v, Y1, Y2):
+            return True
+    for y0 in _TRIAL_FIBERS:
+        fibre = F.eval_y(y0)
+        if fibre.degree == F.deg_x and fibre.is_squarefree():
+            degrees = [g.degree for g, _ in factor_univariate(fibre)[1]]
+            if _igcd(*degrees) == 1:
+                return True
+    return False
+
+
+def _rational_branch_over(v, Y1: RatMap, Y2: RatMap) -> bool:
+    """Whether the curve Y1(x) = Y2(y) has a rational point (x0, y0) with
+    Y1(x0) = Y2(y0) = v and gcd(e_Y1(x0), e_Y2(y0)) = 1."""
+    xs = rational_points_in_fiber(Y1, v)
+    ys = rational_points_in_fiber(Y2, v) if xs else []
+    a = {local_degree(Y1, Place.of_rational(x)) for x in xs}
+    b = {local_degree(Y2, Place.of_rational(y)) for y in ys}
+    return any(_igcd(i, j) == 1 for i in a for j in b)
 
 
 # ----------------------------------------------------------------------

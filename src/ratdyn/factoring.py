@@ -1,11 +1,17 @@
 """Exact polynomial factorization over the rationals.
 
 Univariate: Yun squarefree decomposition, then Zassenhaus on each
-squarefree primitive integer polynomial (factor modulo a good odd prime
-with distinct-degree / equal-degree splitting, Hensel lift past twice the
-Mignotte bound, recombine by subset search).  Rational roots need no
-factoring: the roots mod one good prime are Newton-lifted p-adically and
-certified by exact integer evaluation.
+squarefree primitive integer polynomial.  A quadratic is decided by its
+discriminant: a non-square proves it irreducible, and a square gives a
+rational root whose linear factor is certified by exact division.  Higher
+degrees are factored modulo one good odd prime: up to four primes are
+compared by their distinct-degree factorizations alone, which give the
+number and degrees of the modular factors, and only the prime kept is split
+by equal-degree factorization (Cantor and Zassenhaus, Math. Comp. 1981);
+then Hensel lifting past twice the Mignotte bound and recombination by
+subset search.  Rational roots need no factoring: the roots mod one good
+prime are Newton-lifted p-adically and certified by exact integer
+evaluation.
 
 Bivariate: content/primitive split in x, squarefree reduction over Q(y),
 then specialization at the smallest good integer y0, lifting the
@@ -28,7 +34,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .bipolys import BiPoly, squarefree_reduction_x
-from .errors import Inconclusive, PreconditionError
+from .errors import Inconclusive, PreconditionError, TheoremViolation
 from .intpoly import (
     _centered,
     _m_add,
@@ -57,10 +63,10 @@ SUBSET_CAP = 1 << 16
 # factorization over GF(p), p odd
 
 
-def _gf_factor_squarefree(f, p, rng):
-    n = len(f) - 1
-    if n == 1:
-        return [f]
+def _gf_ddf(f, p):
+    """Distinct-degree factorization of a monic squarefree f over GF(p):
+    [(g, d)] with g the product of the irreducible factors of degree d,
+    so g holds deg g / d of them."""
     pieces = []
     h = [0, 1]
     v = list(f)
@@ -75,11 +81,7 @@ def _gf_factor_squarefree(f, p, rng):
             h = _m_divmod(h, v, p)[1]
     if len(v) > 1:
         pieces.append((v, len(v) - 1))
-    out = []
-    for g, d in pieces:
-        out.extend(_gf_edf(g, d, p, rng))
-    out.sort(key=lambda c: (len(c), c))
-    return out
+    return pieces
 
 
 def _gf_edf(f, d, p, rng):
@@ -172,21 +174,47 @@ def _good_primes(f):
 
 
 def _pick_modular(f):
-    """(p, modular factors, possible factor degrees) for a good odd prime;
-    the degree set is intersected over the primes tried, so a {0, n} result
-    certifies irreducibility without any lifting."""
+    """(p, modular factors, possible factor degrees) for a good odd prime.
+    Primes are compared by their distinct-degree factorizations alone,
+    which give the number and degrees of the modular factors; the degree
+    set is intersected over the primes tried, so a {0, n} result certifies
+    irreducibility without any lifting.  Only the kept prime, the first
+    with strictly fewest factors, is split by equal-degree factorization."""
     n = len(f) - 1
-    rng = random.Random(20240801)
     best = None
     possible = None
     for tried, (p, fp) in enumerate(_good_primes(f), 1):
-        facs = _gf_factor_squarefree(fp, p, rng)
-        sums = _degree_subset_sums([len(g) - 1 for g in facs], n)
+        pieces = _gf_ddf(fp, p)
+        degrees = [d for g, d in pieces for _ in range((len(g) - 1) // d)]
+        sums = _degree_subset_sums(degrees, n)
         possible = sums if possible is None else (possible & sums)
-        if best is None or len(facs) < len(best[1]):
-            best = (p, facs)
-        if len(facs) == 1 or possible <= {0, n} or tried == 4:
-            return best[0], best[1], possible
+        if best is None or len(degrees) < best[0]:
+            best = (len(degrees), p, pieces)
+        if len(degrees) == 1 or possible <= {0, n} or tried == 4:
+            break
+    _, p, pieces = best
+    rng = random.Random(20240801)
+    modular = [fac for g, d in pieces for fac in _gf_edf(g, d, p, rng)]
+    modular.sort(key=lambda c: (len(c), c))
+    return p, modular, possible
+
+
+def _split_quadratic(f):
+    """The factors of a squarefree primitive integer quadratic, decided by
+    its discriminant: a non-square proves it irreducible; a square gives a
+    rational root, whose linear factor divides f exactly."""
+    c, b, a = f
+    disc = b * b - 4 * a * c
+    s = isqrt(disc) if disc > 0 else -1
+    if s * s != disc:
+        return [list(f)]
+    # the root (s - b) / 2a: the linear factor 2a z + b - s, made primitive
+    # with a positive leading coefficient
+    g = _z_primitive([b - s, 2 * a] if a > 0 else [s - b, -2 * a])
+    q = _z_exact_div(f, g)
+    if q is None:
+        raise TheoremViolation("a rational root's linear factor did not divide the quadratic")
+    return [g, q if q[-1] > 0 else [-v for v in q]]
 
 
 def _zassenhaus(f):
@@ -195,6 +223,8 @@ def _zassenhaus(f):
     n = len(f) - 1
     if n == 1:
         return [list(f)]
+    if n == 2:
+        return _split_quadratic(f)
     p, modular, possible = _pick_modular(f)
     if len(modular) == 1 or possible <= {0, n}:
         return [list(f)]

@@ -6,6 +6,7 @@ library code under test: uni- and bivariate ring arithmetic, evaluation
 composition, interpolation, division and gcds by schoolbook `Fraction`
 arithmetic on coefficient lists and dicts and Euclid's algorithm over Q,
 resultants by Sylvester determinants with plain Gaussian elimination,
+the Zassenhaus prime by splitting every prime tried completely,
 genus counts by the raw pairing formula, commuting maps by coordinate
 series at a superattracting fixed point, invariant graphs by the same
 series plus exact verification, fiber partitions by gcd chains over the
@@ -21,13 +22,21 @@ pulling back every candidate value up to a cap.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from math import gcd
 
 from ratdyn.bipolys import BiPoly
 from ratdyn.classify import detect_chebyshev_conjugacy, detect_power_conjugacy, postcritical_data
 from ratdyn.curves import image_curve, substitute_maps
-from ratdyn.factoring import factor_univariate, rational_roots
+from ratdyn.factoring import (
+    _degree_subset_sums,
+    _gf_edf,
+    _good_primes,
+    factor_univariate,
+    rational_roots,
+)
+from ratdyn.intpoly import _m_divmod, _m_gcd, _m_pow_mod, _m_sub
 from ratdyn.numberfields import NumberField
 from ratdyn.errors import Inconclusive, NotDefined, PreconditionError, TheoremViolation
 from ratdyn.orbifolds import Orbifold, pullback
@@ -284,6 +293,49 @@ def bi_exact_div(f: BiPoly, g: BiPoly):
     if any(a[:db]):
         return None
     return BiPoly.from_coeffs_in_x(q)
+
+
+def gf_factor_squarefree(f, p, rng):
+    """The monic irreducible factors of a monic squarefree f over GF(p),
+    sorted: every distinct-degree piece split by equal-degree
+    factorization as soon as it is found."""
+    if len(f) == 2:
+        return [f]
+    out = []
+    h = [0, 1]
+    v = list(f)
+    d = 0
+    while len(v) - 1 >= 2 * (d + 1):
+        d += 1
+        h = _m_pow_mod(h, p, v, p)
+        g = _m_gcd(_m_sub(h, [0, 1], p), v, p)
+        if len(g) > 1:
+            out.extend(_gf_edf(g, d, p, rng))
+            v = _m_divmod(v, g, p)[0]
+            h = _m_divmod(h, v, p)[1]
+    if len(v) > 1:
+        out.append(v)
+    out.sort(key=lambda c: (len(c), c))
+    return out
+
+
+def full_split_pick_modular(f):
+    """(p, modular factors, possible factor degrees) as `_pick_modular`
+    defines them, from a complete split over every prime tried: the first
+    of up to four good primes with strictly fewest factors, stopping at one
+    factor or at a degree set of {0, n}."""
+    n = len(f) - 1
+    rng = random.Random(20240801)
+    best = None
+    possible = None
+    for tried, (p, fp) in enumerate(_good_primes(f), 1):
+        facs = gf_factor_squarefree(fp, p, rng)
+        sums = _degree_subset_sums([len(g) - 1 for g in facs], n)
+        possible = sums if possible is None else (possible & sums)
+        if best is None or len(facs) < len(best[1]):
+            best = (p, facs)
+        if len(facs) == 1 or possible <= {0, n} or tried == 4:
+            return best[0], best[1], possible
 
 
 def sylvester_resultant(f: UniPoly, g: UniPoly) -> Fraction:

@@ -243,6 +243,86 @@ def test_genus_refuses_curves_split_over_an_extension(Y1, Y2):
     assert "conjugate components" in str(err.value)
 
 
+# (z^3 + z + 1)^2 = 2 (z^3 - z + 3)^2: irreducible over Q, and two curves of
+# genus 1 over Q(sqrt 2); the pairing count alone reads genus 1
+SPLIT_CUBICS = (RatMap(UniPoly.of(1, 1, 0, 1) ** 2), RatMap(UniPoly.of(3, -1, 0, 1) ** 2 * 2))
+
+
+def test_genus_needs_a_certificate_of_geometric_irreducibility():
+    Y1, Y2 = SPLIT_CUBICS
+    assert separated_curve(Y1, Y2).is_irreducible()
+    assert brute_pairing_genus(Y1, Y2) == 1
+    with pytest.raises(Inconclusive, match="geometrically irreducible"):
+        genus_separated(Y1, Y2)
+
+
+def test_genus_certified_by_fibre_degrees_alone():
+    # no rational point of the smooth model over any value tried, but the
+    # fibre over y = 0 is (x^2 - 2)(x^3 - 3), with degrees of gcd 1
+    Y1 = RatMap(UniPoly.of(-2, 0, 1) * UniPoly.of(-3, 0, 0, 1))
+    Y2 = RatMap(UniPoly.of(0, -3, 0, 3, 0, -1))
+    values = [Y1(v) for v in curves._TRIAL_POINTS] + [Y2(v) for v in curves._TRIAL_POINTS]
+    assert not any(curves._rational_branch_over(v, Y1, Y2) for v in values)
+    assert genus_separated(Y1, Y2) == brute_pairing_genus(Y1, Y2) == 6
+
+
+def test_genus_certified_at_a_branch_point_of_the_other_map():
+    # the benchmark's shape: distinct rational roots against z^2, certified
+    # at (root, 0) over the critical value 0 of z^2
+    Y1 = RatMap(UniPoly.of(3, 1) * UniPoly.of(-1, 1) * UniPoly.of(-4, 1) * UniPoly.of(5, 1))
+    assert curves._rational_branch_over(0, Y1, power_map(2))
+    assert genus_separated(Y1, power_map(2)) == 1
+    # (INF, INF) with local degrees 5 and 2 carries one branch
+    Y1 = RatMap(UniPoly.of(-2, 0, 1) * UniPoly.of(-3, 0, 0, 1))
+    assert curves._rational_branch_over(INF, Y1, RatMap(UniPoly.of(7, 0, 1)))
+    # (0, 0) with local degrees 2 and 2 carries two, conjugate over Q(i)
+    assert not curves._rational_branch_over(0, power_map(2), RatMap(UniPoly.monomial(-1, 2)))
+
+
+def small_poly(draw):
+    """A polynomial with small coefficients and degree 1-3."""
+    c = draw(st.lists(st.integers(-3, 3), min_size=2, max_size=4).filter(lambda c: c[-1] != 0))
+    return UniPoly(c)
+
+
+non_squares = st.sampled_from([2, 3, 5, 6, -1, -2, -3, Fraction(1, 2), Fraction(2, 3), Fraction(-4, 9)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), non_squares)
+def test_genus_refused_on_planted_splits(data, c):
+    # U o P = V o Q with U = z^2 and V = c z^2, c not a square: the curve
+    # P(x)^2 = c Q(y)^2 is (P(x) - sqrt(c) Q(y)) (P(x) + sqrt(c) Q(y)) over
+    # Q(sqrt c), so no genus may be reported, and no check may fail
+    P, Q = small_poly(data.draw), small_poly(data.draw)
+    Y1, Y2 = RatMap(P * P), RatMap(Q * Q * c)
+    with pytest.raises((ReducibleCurve, Inconclusive)):
+        genus_separated(Y1, Y2)
+
+
+def test_genus_refused_where_a_fibre_is_not_squarefree():
+    # (x^3 - x)^2 = 2 (y^3 + 2y - 3)^2 splits over Q(sqrt 2); its fibre over
+    # y = 1 is x^2 (x - 1)^2 (x + 1)^2, whose factors have degree 1, and
+    # only the squarefree condition keeps that fibre from certifying
+    Y1 = RatMap(UniPoly.of(0, -1, 0, 1) ** 2)
+    Y2 = RatMap(UniPoly.of(-3, 2, 0, 1) ** 2 * 2)
+    assert separated_curve(Y1, Y2).is_irreducible()
+    assert brute_pairing_genus(Y1, Y2) == 1
+    with pytest.raises(Inconclusive):
+        genus_separated(Y1, Y2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_genus_of_coprime_degree_polynomials_is_certified(data):
+    # Y1(x) = Y2(y) with deg Y1, deg Y2 coprime has one branch over
+    # (INF, INF), a rational point of the smooth model
+    Y1 = RatMap(small_poly(data.draw))
+    Y2 = RatMap(small_poly(data.draw))
+    assume(gcd(Y1.degree, Y2.degree) == 1)
+    assert genus_separated(Y1, Y2) == brute_pairing_genus(Y1, Y2)
+
+
 def test_genus_symmetry_and_graphs():
     pairs = [
         (power_map(3), power_map(2)),

@@ -2,7 +2,7 @@ import random
 import sys
 import time
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -12,7 +12,10 @@ from ratdyn.bipolys import BiPoly
 from ratdyn.errors import Inconclusive, PreconditionError
 from ratdyn.factoring import (
     _bi_hensel,
+    _gf_ddf,
+    _pick_modular,
     _recombine,
+    _zassenhaus,
     bi_is_irreducible,
     factor_bivariate,
     factor_univariate,
@@ -20,8 +23,11 @@ from ratdyn.factoring import (
     rational_roots,
 )
 from ratdyn.polynomials import UniPoly
+from ratdyn.ratmaps import RatMap
 
-from oracles import ser_mul
+from ratdyn.intpoly import _m_deriv, _m_gcd, _m_monic, _m_mul, _z_mul
+
+from oracles import full_split_pick_modular, gf_factor_squarefree, ser_mul
 
 X = BiPoly.var_x()
 Y = BiPoly.var_y()
@@ -283,7 +289,6 @@ def test_multiplicity_loop_makes_at_most_one_failed_division(monkeypatch):
     # the cubic cap-4 probe: its multiplicities come from the squarefree
     # test and from degree counts, not from divisions run until one fails
     from ratdyn.memo import clear_caches
-    from ratdyn.ratmaps import RatMap
     from ratdyn.search import SearchConfig, find_invariant_curves
 
     exact_div = BiPoly.exact_div
@@ -338,3 +343,183 @@ def test_bi_hensel_lifts_to_the_planted_factors(parts, K):
                     out[i + j][t] += v
         prod = out
     assert prod == [padded(c, K) for c in ghat]
+
+
+# ----------------------------------------------------------------------
+# the Zassenhaus prime: distinct-degree data on every prime tried, and an
+# equal-degree split of the kept prime alone
+
+L = RatMap(UniPoly.of(1, 0, 1) ** 2, UniPoly.monomial(1, 4) * UniPoly.of(-1, 0, 1))
+
+
+def zz_part(p: UniPoly):
+    """The squarefree primitive integer part of p, as a coefficient list."""
+    return list(p.squarefree_part().content_and_primitive()[1].nums)
+
+
+FIXED = {
+    # split modulo every prime
+    "x^4+1": [1, 0, 0, 0, 1],
+    "x^4-10x^2+1": [1, 0, -10, 0, 1],
+    "x^8+1": [1, 0, 0, 0, 0, 0, 0, 0, 1],
+    # the Wronskian of L o L: factors of degree 2, 2, 2, 8, 8, 8
+    "wronskian(L o L)": zz_part(L.iterate(2).wronskian()),
+    # irreducible, [4, 4] or [2, 2, 2, 2] modulo each of 3, 5, 7 and 11
+    "octic mod 3": [1249, -11968, 50784, -123904, 188288, -180224, 104448, -32768, 4096],
+    # irreducible, one split [4, 4] among three [2, 2, 2, 2] modulo 5, 7, 11, 13
+    "octic mod 11": [1201, -5456, 4672, 19072, 10624, -72704, 53248, -8192, 4096],
+}
+
+
+def zz_product(factors):
+    out = [1]
+    for g in factors:
+        out = _z_mul(out, g)
+    return out
+
+
+def same_up_to_sign(a, b):
+    return a == b or a == [-v for v in b]
+
+
+@pytest.mark.parametrize("name", sorted(FIXED))
+def test_pick_modular_matches_the_full_split(name):
+    f = FIXED[name]
+    assert _pick_modular(f) == full_split_pick_modular(f)
+
+
+def test_fixed_inputs_factor_as_known():
+    counts = {name: len(_zassenhaus(f)) for name, f in FIXED.items()}
+    assert counts == {
+        "x^4+1": 1,
+        "x^4-10x^2+1": 1,
+        "x^8+1": 1,
+        "wronskian(L o L)": 6,
+        "octic mod 3": 1,
+        "octic mod 11": 1,
+    }
+    facs = _zassenhaus(FIXED["wronskian(L o L)"])
+    assert sorted(len(g) - 1 for g in facs) == [2, 2, 2, 8, 8, 8]
+    assert same_up_to_sign(zz_product(facs), FIXED["wronskian(L o L)"])
+
+
+planted_factors = st.lists(
+    st.lists(st.integers(-9, 9), min_size=3, max_size=13).filter(lambda c: c[-1] != 0),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(planted_factors)
+def test_pick_modular_matches_the_full_split_on_planted_products(parts):
+    f = zz_product(parts)
+    p = UniPoly(f)
+    assume(p.is_squarefree() and gcd(*f) == 1 and p.degree >= 3)
+    assert _pick_modular(f) == full_split_pick_modular(f)
+    facs = _zassenhaus(f)
+    assert same_up_to_sign(zz_product(facs), f)
+    # every planted part splits the same way on its own
+    assert len(facs) == sum(len(factor_univariate(UniPoly(c))[1]) for c in parts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([3, 5, 7]),
+    st.lists(st.integers(0, 6), min_size=2, max_size=16),
+)
+def test_gf_ddf_gives_the_degrees_of_the_full_split(p, low):
+    f = _m_monic([v % p for v in low] + [1], p)
+    assume(len(_m_gcd(f, _m_deriv(f, p), p)) == 1)
+    facs = gf_factor_squarefree(f, p, random.Random(3))
+    pieces = _gf_ddf(f, p)
+    # each piece is the product of the factors of its degree
+    degrees = sorted(d for g, d in pieces for _ in range((len(g) - 1) // d))
+    assert degrees == sorted(len(g) - 1 for g in facs)
+    for g, d in pieces:
+        want = [1]
+        for c in facs:
+            if len(c) - 1 == d:
+                want = _m_mul(want, c, p)
+        assert g == want
+
+
+def test_equal_degree_splitting_runs_on_the_kept_prime_only(monkeypatch):
+    # answers alone cannot tell this from a split of every prime tried
+    tried, split = [], []
+    ddf, edf = factoring._gf_ddf, factoring._gf_edf
+    monkeypatch.setattr(factoring, "_gf_ddf", lambda f, p: tried.append(p) or ddf(f, p))
+    monkeypatch.setattr(factoring, "_gf_edf", lambda f, d, p, rng: split.append(p) or edf(f, d, p, rng))
+    kept = {}
+    for name, f in FIXED.items():
+        del tried[:], split[:]
+        p = _pick_modular(f)[0]
+        kept[name] = (p, tuple(tried))
+        assert set(split) == {p}
+        del tried[:], split[:]
+        _zassenhaus(f)
+        assert set(split) <= {p} and p in tried
+    assert kept["x^4+1"] == (3, (3, 5, 7, 11))
+    assert kept["octic mod 11"] == (11, (5, 7, 11, 13))
+    # a quadratic is decided by its discriminant, with no prime at all
+    del tried[:], split[:]
+    assert _zassenhaus([-2, 0, 1]) == [[-2, 0, 1]]
+    assert _zassenhaus([-6, 1, 1]) == [[-2, 1], [3, 1]]
+    assert tried == split == []
+
+
+def primitive_positive(c):
+    c = [v // gcd(*c) for v in c]
+    return c if c[-1] > 0 else [-v for v in c]
+
+
+QUADRATICS = [
+    [5, 1, 3],  # discriminant -59
+    [1, 0, 1],  # -4
+    [-5, 1, -3],  # -59, negative leading coefficient
+    [-2, 0, 1],  # 8, not a square
+    [11, 3, -7],  # 317, not a square
+    [-6, 1, 1],  # 25: (z + 3)(z - 2)
+    [2, -7, -15],  # 169: -(5z + 1)(3z - 2)
+    _z_mul([1, 4], [1, 2**300]),  # 300 bits: (4z + 1)(2^300 z + 1)
+    _z_mul([5, -2], [-(3**190), 7 * 5**130]),  # (5 - 2z)(7 5^130 z - 3^190)
+    [1 + 2**301, 2**300 - 1, 2**299],  # 300-bit, not a square
+]
+
+
+@pytest.mark.parametrize("f", QUADRATICS, ids=range(len(QUADRATICS)))
+def test_quadratics_are_decided_by_the_discriminant(f):
+    facs = _zassenhaus(f)
+    roots = rational_roots(UniPoly(f))  # p-adic lifting, with no Zassenhaus
+    if not roots:
+        assert facs == [f]
+        return
+    assert len(facs) == 2 and all(len(g) == 2 for g in facs)
+    assert sorted(Fraction(-g[0], g[1]) for g in facs) == roots
+    assert same_up_to_sign(zz_product(facs), f)
+    assert all(gcd(*g) == 1 for g in facs)
+
+
+wide = st.integers(-(2**300), 2**300)
+
+
+@settings(max_examples=80, deadline=None)
+@given(wide.filter(bool), wide, wide.filter(bool), wide)
+def test_planted_quadratics_split_into_their_linear_factors(a1, b1, a2, b2):
+    lin = [primitive_positive([b1, a1]), primitive_positive([b2, a2])]
+    assume(lin[0] != lin[1])
+    f = primitive_positive(_z_mul(lin[0], lin[1]))
+    assert sorted(primitive_positive(g) for g in _zassenhaus(f)) == sorted(lin)
+
+
+@settings(max_examples=80, deadline=None)
+@given(wide.filter(bool), wide, wide.filter(bool))
+def test_wide_quadratics_match_their_rational_roots(a, b, c):
+    assume(b * b != 4 * a * c)
+    f = primitive_positive([c, b, a])
+    facs = _zassenhaus(f)
+    roots = rational_roots(UniPoly(f))
+    assert len(facs) == (2 if roots else 1)
+    assert same_up_to_sign(zz_product(facs), f)
+    if roots:
+        assert sorted(Fraction(-g[0], g[1]) for g in facs) == roots

@@ -451,6 +451,29 @@ def test_cli_genus_refuses_curves_split_over_an_extension(fmt):
         assert "conjugate components" in proc.stderr and "Traceback" not in proc.stderr
     assert "genus: 1" in run_cli("curve", "genus", "z^3-z", "z^2").stdout
 
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_cli_genus_without_a_certificate_is_inconclusive(fmt):
+    # two genus-1 curves conjugate over Q(sqrt 2): the pairing count reads
+    # genus 1, and without a certificate of geometric irreducibility the
+    # answer is exit 3 with nothing on stdout
+    proc = run_cli("--format", fmt, "curve", "genus", "(z^3+z+1)^2", "2*(z^3-z+3)^2")
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("inconclusive:") and "geometrically irreducible" in proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
+def test_cli_genus_on_planted_splits_never_answers_or_fails_a_check():
+    # P(x)^2 = c Q(y)^2 with c not a square: exit 2 or 3, never a genus
+    # and never exit 4
+    polys = ["z^3-z", "z^3+2*z-3", "z^2+1", "2*z-1", "z^3+z+1"]
+    for (P, Q), c in itertools.product(itertools.product(polys, repeat=2), ["2", "-1", "3/2"]):
+        for fmt in ("text", "structured"):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.main(["--format", fmt, "curve", "genus", f"({P})^2", f"{c}*({Q})^2"])
+            assert code in (2, 3), (P, Q, c, err.getvalue())
+
+
 # argv drawn from the command grammar under a small degree budget: maps of
 # degree at most 4, curves of bidegree at most (2, 2), small integers, and
 # some words that no command accepts
