@@ -303,9 +303,10 @@ def _geometrically_irreducible(F: BiPoly, Y1: RatMap, Y2: RatMap) -> bool:
       branch is rational.  With a = 1 or b = 1 this is a smooth rational
       point.  The values tried are the rational critical values of Y2, then
       of Y1, then Y1 and Y2 at the small points in _TRIAL_POINTS;
-    - or a squarefree fibre F(x, y0) of full degree whose irreducible
-      factors have degrees with gcd 1: its points are smooth, so each
-      factor is a closed point of the smooth model.
+    - or a squarefree fibre F(x, y0) whose irreducible factors have
+      degrees with gcd 1: the line y = y0 meets the curve transversally at
+      each of its points, so they are smooth, and each factor is a closed
+      point of the smooth model.
     False means neither was found, not that the curve splits."""
     values = []
     if Y2.degree >= 2:
@@ -322,7 +323,7 @@ def _geometrically_irreducible(F: BiPoly, Y1: RatMap, Y2: RatMap) -> bool:
             return True
     for y0 in _TRIAL_FIBERS:
         fibre = F.eval_y(y0)
-        if fibre.degree == F.deg_x and fibre.is_squarefree():
+        if fibre.degree >= 1 and fibre.is_squarefree():
             degrees = [g.degree for g, _ in factor_univariate(fibre)[1]]
             if _igcd(*degrees) == 1:
                 return True

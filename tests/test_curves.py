@@ -266,12 +266,16 @@ def test_genus_certified_by_fibre_degrees_alone():
     assert genus_separated(Y1, Y2) == brute_pairing_genus(Y1, Y2) == 6
 
 
-def test_genus_certified_at_a_branch_point_of_the_other_map():
+def test_genus_certified_at_a_branch_point_of_the_other_map(monkeypatch):
     # the benchmark's shape: distinct rational roots against z^2, certified
-    # at (root, 0) over the critical value 0 of z^2
+    # at (root, 0) over the critical value 0 of z^2, the first value tried
     Y1 = RatMap(UniPoly.of(3, 1) * UniPoly.of(-1, 1) * UniPoly.of(-4, 1) * UniPoly.of(5, 1))
-    assert curves._rational_branch_over(0, Y1, power_map(2))
+    tried = []
+    branch = curves._rational_branch_over
+    monkeypatch.setattr(curves, "_rational_branch_over", lambda v, *maps: tried.append(v) or branch(v, *maps))
     assert genus_separated(Y1, power_map(2)) == 1
+    assert tried == [0]
+    monkeypatch.undo()
     # (INF, INF) with local degrees 5 and 2 carries one branch
     Y1 = RatMap(UniPoly.of(-2, 0, 1) * UniPoly.of(-3, 0, 0, 1))
     assert curves._rational_branch_over(INF, Y1, RatMap(UniPoly.of(7, 0, 1)))
