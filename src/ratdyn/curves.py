@@ -22,6 +22,7 @@ Inconclusive."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from math import gcd as _igcd
 
 from .bipolys import BiPoly, resultant_x_mixed, separated, squarefree_part_x
@@ -308,12 +309,11 @@ def _geometrically_irreducible(F: BiPoly, Y1: RatMap, Y2: RatMap) -> bool:
       each of its points, so they are smooth, and each factor is a closed
       point of the smooth model.
     False means neither was found, not that the curve splits."""
-    values = []
-    if Y2.degree >= 2:
-        values += [c.rational_value() for c in critical_values(Y2)]
-    if Y1.degree >= 2:
-        values += [c.rational_value() for c in critical_values(Y1)]
-    values += [Y1(x0) for x0 in _TRIAL_POINTS] + [Y2(y0) for y0 in _TRIAL_POINTS]
+    values = chain(
+        (c.rational_value() for Y in (Y2, Y1) if Y.degree >= 2 for c in critical_values(Y)),
+        (Y1(x0) for x0 in _TRIAL_POINTS),
+        (Y2(y0) for y0 in _TRIAL_POINTS),
+    )
     seen = set()
     for v in values:
         if v is None or v in seen:
@@ -335,9 +335,12 @@ def _rational_branch_over(v, Y1: RatMap, Y2: RatMap) -> bool:
     Y1(x0) = Y2(y0) = v and gcd(e_Y1(x0), e_Y2(y0)) = 1."""
     xs = rational_points_in_fiber(Y1, v)
     ys = rational_points_in_fiber(Y2, v) if xs else []
-    a = {local_degree(Y1, Place.of_rational(x)) for x in xs}
     b = {local_degree(Y2, Place.of_rational(y)) for y in ys}
-    return any(_igcd(i, j) == 1 for i in a for j in b)
+    for x in xs if b else ():
+        a = local_degree(Y1, Place.of_rational(x))
+        if any(_igcd(a, j) == 1 for j in b):
+            return True
+    return False
 
 
 # ----------------------------------------------------------------------

@@ -205,9 +205,9 @@ def _split_quadratic(f):
     rational root, whose linear factor divides f exactly."""
     c, b, a = f
     disc = b * b - 4 * a * c
-    s = isqrt(disc) if disc > 0 else -1
-    if s * s != disc:
+    if disc < 0 or isqrt(disc) ** 2 != disc:
         return [list(f)]
+    s = isqrt(disc)
     # the root (s - b) / 2a: the linear factor 2a z + b - s, made primitive
     # with a positive leading coefficient
     g = _z_primitive([b - s, 2 * a] if a > 0 else [s - b, -2 * a])
