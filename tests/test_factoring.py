@@ -480,16 +480,27 @@ QUADRATICS = [
     [-2, 0, 1],  # 8, not a square
     [11, 3, -7],  # 317, not a square
     [-6, 1, 1],  # 25: (z + 3)(z - 2)
-    [2, -7, -15],  # 169: -(5z + 1)(3z - 2)
+    [2, -7, -15],  # 169: -(5z - 1)(3z + 2)
     _z_mul([1, 4], [1, 2**300]),  # 300 bits: (4z + 1)(2^300 z + 1)
     _z_mul([5, -2], [-(3**190), 7 * 5**130]),  # (5 - 2z)(7 5^130 z - 3^190)
     [1 + 2**301, 2**300 - 1, 2**299],  # 300-bit, not a square
 ]
 
 
+def agrees_with_the_full_split(f, facs):
+    """The integer factors reduce to the oracle's modular factors, and a
+    modular certificate of irreducibility leaves f whole."""
+    p, modular, possible = full_split_pick_modular(f)
+    if len(modular) == 1 or possible <= {0, len(f) - 1}:
+        return facs == [f]
+    reduced = sorted((_m_monic([v % p for v in g], p) for g in facs), key=lambda c: (len(c), c))
+    return len(facs) == 1 or reduced == modular
+
+
 @pytest.mark.parametrize("f", QUADRATICS, ids=range(len(QUADRATICS)))
 def test_quadratics_are_decided_by_the_discriminant(f):
     facs = _zassenhaus(f)
+    assert agrees_with_the_full_split(f, facs)
     roots = rational_roots(UniPoly(f))  # p-adic lifting, with no Zassenhaus
     if not roots:
         assert facs == [f]
@@ -509,7 +520,9 @@ def test_planted_quadratics_split_into_their_linear_factors(a1, b1, a2, b2):
     lin = [primitive_positive([b1, a1]), primitive_positive([b2, a2])]
     assume(lin[0] != lin[1])
     f = primitive_positive(_z_mul(lin[0], lin[1]))
-    assert sorted(primitive_positive(g) for g in _zassenhaus(f)) == sorted(lin)
+    facs = _zassenhaus(f)
+    assert sorted(primitive_positive(g) for g in facs) == sorted(lin)
+    assert agrees_with_the_full_split(f, facs)
 
 
 @settings(max_examples=80, deadline=None)
@@ -518,6 +531,7 @@ def test_wide_quadratics_match_their_rational_roots(a, b, c):
     assume(b * b != 4 * a * c)
     f = primitive_positive([c, b, a])
     facs = _zassenhaus(f)
+    assert agrees_with_the_full_split(f, facs)
     roots = rational_roots(UniPoly(f))
     assert len(facs) == (2 if roots else 1)
     assert same_up_to_sign(zz_product(facs), f)
