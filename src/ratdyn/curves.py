@@ -247,6 +247,7 @@ _TRIAL_POINTS = (INF, 0) + tuple(v for k in range(1, 12) for v in (k, -k))
 _TRIAL_FIBERS = (0,) + tuple(v for k in range(1, 8) for v in (k, -k))
 
 
+@memo
 def genus_separated(Y1: RatMap, Y2: RatMap) -> int:
     """Genus of the smooth model of Y1(x) = Y2(y), which must be
     irreducible; 2 - 2g = 2pq - sum over shared values of ab - gcd(a, b).

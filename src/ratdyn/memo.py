@@ -3,17 +3,20 @@
 ``memo`` keeps the last ``MEMO_SIZE`` outcomes of a function in a
 ``functools.lru_cache``, so memory stays bounded in a long-running
 process and concurrent callers share one thread-safe cache.  An outcome
-is a value or a library error: the error is stored as its type and
-message and raised afresh on every hit, so no traceback (and nothing it
-references) is kept alive.
+is a value or a library error.  The error is stored as its type, its
+``args`` and its instance attributes (``ParseError.position``,
+``ReducibleCurve.factors``, ``ChainError.level``) and raised afresh, with
+all three, on every hit, so no traceback (and nothing it references) is
+kept alive.
 
 It sits on the kernels that places, orbifolds and transporters repeat
 (`factor_univariate`, the place routines, `conjugacy_transporters`,
-`maximal_orbifold`) and on the entry points that a curve search repeats
+`maximal_orbifold`); on the entry points that a curve search repeats
 across bidegrees, caps and routes: `classify`, and private helpers under
-`all_left_factors`, `left_divide` and `implicitize`.  Those helpers
-return tuples, and the public functions hand each caller a fresh list,
-so no caller can change a stored answer.  ``cache_stats`` reads the
+`all_left_factors`, `left_divide` and `implicitize`; and on what a CLI
+session repeats across commands: `parse_map` and `genus_separated`.  The
+helpers return tuples, and the public functions hand each caller a fresh
+list, so no caller can change a stored answer.  ``cache_stats`` reads the
 hits, misses and sizes of every cache.
 """
 
@@ -36,18 +39,25 @@ def memo(fn):
         try:
             return True, fn(*args, **kwargs)
         except RatDynError as exc:
-            return False, (type(exc), str(exc))
+            return False, (type(exc), exc.args, tuple(vars(exc).items()))
 
     @functools.wraps(fn)
     def memoised(*args, **kwargs):
         ok, value = outcome(*args, **kwargs)
         if ok:
             return value
-        kind, message = value
-        raise kind(message)
+        raise _revive(*value)
 
     _caches.append((f"{fn.__module__}.{fn.__qualname__}", outcome))
     return memoised
+
+
+def _revive(kind, args, attrs):
+    """A fresh error of type kind with the given args and instance
+    attributes; its __init__ is not run, since its signature is its own."""
+    exc = kind.__new__(kind, *args)
+    exc.__dict__.update(attrs)
+    return exc
 
 
 def clear_caches() -> None:

@@ -16,6 +16,18 @@ first: over the product of their denominators, a sum of maps n_i / d_i
 has degree at most max(max_i(deg n_i + sum_{j != i} deg d_j), sum_j
 deg d_j), and a sum of curves the largest degree of its terms in each
 variable.
+
+A map parse keeps every polynomial subexpression (constants, z, T1 ..
+T12, sums, differences, products, non-negative powers and quotients by a
+nonzero constant) as a `UniPoly`, with no gcd.  It builds a reduced
+`RatMap` only at a quotient by a nonconstant polynomial, at a
+composition, an iterate or a negative power, and for the result.  The
+budget reads the same degrees as an all-`RatMap` parse would, since a
+polynomial's degree is exact and every `RatMap` is reduced; only the zero
+polynomial reads -1 where the zero map reads 0, which changes no verdict,
+as every value has degree at most MAX_DEGREE.  `parse_map`
+is memoised (`ratdyn.memo`): a repeated text, or a refused one, is
+answered from the cache, its `ParseError.position` included.
 """
 
 from __future__ import annotations
@@ -24,7 +36,9 @@ from fractions import Fraction
 
 from .bipolys import BiPoly
 from .errors import ParseError
-from .ratmaps import RatMap, chebyshev
+from .memo import memo
+from .polynomials import UniPoly
+from .ratmaps import RatMap, _chebyshev_poly
 
 # the largest degree a parsed map, or the Kronecker image of a parsed
 # curve, may have at any step of the parse
@@ -241,32 +255,54 @@ class _Parser:
 
 
 class _MapParser(_Parser):
+    """Maps in z.  A polynomial value stays a `UniPoly`; a reduced `RatMap`
+    is built only at a quotient by a nonconstant polynomial, at `o`, `^oN`
+    and a negative power, and for the result (`_as_map`)."""
+
     def degrees(self, value):
+        # a RatMap is reduced, so its degree is exact, as a polynomial's is
         return (value.degree,)
 
     def sum_degrees(self, terms):
         # over the product of the denominators, term i contributes
         # deg n_i + sum of deg d_j over j != i to the numerator
-        dens = sum(t.den.degree for t in terms)
-        return (max(dens + max(t.num.degree - t.den.degree for t in terms), dens),)
+        parts = [(t.degree, 0) if isinstance(t, UniPoly) else (t.num.degree, t.den.degree) for t in terms]
+        dens = sum(d for _, d in parts)
+        return (max(dens + max(n - d for n, d in parts), dens),)
 
     def constant(self, n):
-        return RatMap.constant(n)
+        return UniPoly.constant(n)
 
     def identifier(self, name, pos):
         if name == "z":
-            return RatMap.identity()
+            return UniPoly.x()
         if name.startswith("T") and name[1:].isdigit():
             k = int(name[1:])
             if 1 <= k <= 12:
-                return chebyshev(k)
+                return _chebyshev_poly(k)
         raise ParseError(f"unknown name {name!r}", position=pos)
 
     def compose(self, f, g):
-        return f.compose(g)
+        return _as_map(f).compose(_as_map(g))
 
     def iterate(self, f, k):
-        return f.iterate(k)
+        return _as_map(f).iterate(k)
+
+    def divide(self, a, b):
+        # a RatMap on either side divides as a map (RatMap coerces a UniPoly)
+        if isinstance(b, UniPoly):
+            if b.is_zero:
+                raise ParseError("division by zero")
+            if b.is_constant:
+                return a * (1 / b.lc)
+            if isinstance(a, UniPoly):
+                return RatMap(a, b)
+        return super().divide(a, b)
+
+
+def _as_map(value) -> RatMap:
+    """A parsed value, `UniPoly` or `RatMap`, as a map."""
+    return value if isinstance(value, RatMap) else RatMap.from_poly(value)
 
 
 class _CurveParser(_Parser):
@@ -302,14 +338,10 @@ class _CurveParser(_Parser):
         return a * (Fraction(1) / Fraction(b))
 
 
+@memo
 def parse_map(text: str) -> RatMap:
     """Exact rational map from an expression in z."""
-    value = _MapParser(text).parse()
-    if not isinstance(value, RatMap):
-        raise ParseError("expression did not produce a map")
-    if value.den.is_zero:
-        raise ParseError("denominator vanished")
-    return value
+    return _as_map(_MapParser(text).parse())
 
 
 def parse_curve(text: str) -> BiPoly:

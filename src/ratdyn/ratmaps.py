@@ -4,9 +4,10 @@ Canonical scaling: the denominator is monic when nonconstant; when the
 denominator is constant the numerator is made monic instead (so the
 polynomial 3z^2 is stored as z^2 over 1/3), on integer numerators.
 Equality of maps is equality of canonical forms.  The constructor divides
-by gcd(num, den); composition, sums, products and quotients, degree-one
-maps, their inverses and `inverted_source` make provably coprime pairs
-and skip it (`_coprime`).
+by gcd(num, den); constants, the identity, polynomials, negation,
+composition, sums, products and quotients, degree-one maps, their
+inverses and `inverted_source` make provably coprime pairs and skip it
+(`_coprime`).
 The point at infinity is handled by explicit case analysis, except in
 `mobius_through`, which works in integer homogeneous coordinates.
 """
@@ -62,7 +63,8 @@ class RatMap:
 
     @classmethod
     def _coprime(cls, num: UniPoly, den: UniPoly) -> "RatMap":
-        """num / den for num, den != 0 proved coprime, with no gcd."""
+        """num / den for den != 0 and num, den proved coprime (so num = 0
+        only over a constant den), with no gcd."""
         f = object.__new__(cls)
         f.num, f.den = _canonical(num, den)
         return f
@@ -71,15 +73,15 @@ class RatMap:
 
     @classmethod
     def identity(cls) -> "RatMap":
-        return cls(UniPoly.x())
+        return cls._coprime(UniPoly.x(), UniPoly.one())
 
     @classmethod
     def from_poly(cls, p: UniPoly) -> "RatMap":
-        return cls(p, UniPoly.one())
+        return cls._coprime(p, UniPoly.one())
 
     @classmethod
     def constant(cls, v) -> "RatMap":
-        return cls(UniPoly.constant(v), UniPoly.one())
+        return cls._coprime(UniPoly.constant(v), UniPoly.one())
 
     @property
     def degree(self) -> int:
@@ -168,7 +170,7 @@ class RatMap:
     __radd__ = __add__
 
     def __neg__(self):
-        return RatMap(-self.num, self.den)
+        return RatMap._coprime(-self.num, self.den)
 
     def __sub__(self, other):
         o = self._co(other)
@@ -366,15 +368,20 @@ def _canonical(num: UniPoly, den: UniPoly):
 
 def chebyshev(n: int) -> RatMap:
     """The degree-n Chebyshev polynomial as a map (T_1 = z, T_2 = 2z^2 - 1)."""
+    return RatMap.from_poly(_chebyshev_poly(n))
+
+
+def _chebyshev_poly(n: int) -> UniPoly:
+    """T_n as a polynomial, by T_(k+1) = 2z T_k - T_(k-1)."""
     if n < 0:
         raise PreconditionError("Chebyshev index must be nonnegative")
     a, b = UniPoly.one(), UniPoly.x()
     if n == 0:
-        return RatMap.from_poly(a)
+        return a
     two_x = UniPoly((0, 2))
     for _ in range(n - 1):
         a, b = b, two_x * b - a
-    return RatMap.from_poly(b)
+    return b
 
 
 def power_map(n: int) -> RatMap:

@@ -16,8 +16,9 @@ Q[z, w] and factoring, conjugacy transporters through one base orbit
 and conjugated reruns with no marked points, curve periods by iterating
 elimination images, membership of a parametrization by substituting it into the curve,
 wandering critical orbits by contraction balls around attracting
-rational periodic points, and maximal orbifolds by propagating and
-pulling back every candidate value up to a cap.
+rational periodic points, maximal orbifolds by propagating and
+pulling back every candidate value up to a cap, and parsed maps by the
+same grammar with every subexpression a reduced `RatMap`.
 """
 
 from __future__ import annotations
@@ -38,11 +39,12 @@ from ratdyn.factoring import (
 )
 from ratdyn.intpoly import _m_divmod, _m_gcd, _m_pow_mod, _m_sub
 from ratdyn.numberfields import NumberField
-from ratdyn.errors import Inconclusive, NotDefined, PreconditionError, TheoremViolation
+from ratdyn.errors import Inconclusive, NotDefined, ParseError, PreconditionError, TheoremViolation
 from ratdyn.orbifolds import Orbifold, pullback
+from ratdyn.parser import _Parser
 from ratdyn.places import critical_values, image_place, local_degree, preimage_places
 from ratdyn.polynomials import UniPoly, homogenize
-from ratdyn.ratmaps import INF, RatMap, mobius, mobius_through
+from ratdyn.ratmaps import INF, RatMap, chebyshev, mobius, mobius_through
 from ratdyn.series import pade_reconstruct
 
 
@@ -968,3 +970,43 @@ def scan_maximal_orbifold(A: RatMap, nu_cap: int = 60):
                 raise TheoremViolation("incomparable maximal orbifolds")
             best = Orbifold({p: big for p in pair})
     return best
+
+
+class _RatMapParser(_Parser):
+    """The map grammar with every constant, variable, sum, product and
+    power a reduced `RatMap`: one gcd at every step."""
+
+    def degrees(self, value):
+        return (value.degree,)
+
+    def sum_degrees(self, terms):
+        dens = sum(t.den.degree for t in terms)
+        return (max(dens + max(t.num.degree - t.den.degree for t in terms), dens),)
+
+    def constant(self, n):
+        return RatMap.constant(n)
+
+    def identifier(self, name, pos):
+        if name == "z":
+            return RatMap.identity()
+        if name.startswith("T") and name[1:].isdigit():
+            k = int(name[1:])
+            if 1 <= k <= 12:
+                return chebyshev(k)
+        raise ParseError(f"unknown name {name!r}", position=pos)
+
+    def compose(self, f, g):
+        return f.compose(g)
+
+    def iterate(self, f, k):
+        return f.iterate(k)
+
+
+def reference_parse_map(text: str) -> RatMap:
+    """`parse_map` by `RatMap` arithmetic at every node."""
+    value = _RatMapParser(text).parse()
+    if not isinstance(value, RatMap):
+        raise ParseError("expression did not produce a map")
+    if value.den.is_zero:
+        raise ParseError("denominator vanished")
+    return value

@@ -1,10 +1,11 @@
 import pytest
 
 from ratdyn.classify import classify, maximal_orbifold
-from ratdyn.curves import implicitize
+from ratdyn.curves import genus_separated, implicitize
 from ratdyn.decompose import all_left_factors, left_divide
-from ratdyn.errors import NotDefined, PreconditionError
+from ratdyn.errors import ChainError, NotDefined, ParseError, PreconditionError, ReducibleCurve
 from ratdyn.memo import MEMO_SIZE, cache_stats, clear_caches, memo
+from ratdyn.parser import parse_map
 from ratdyn.polynomials import UniPoly
 from ratdyn.ratmaps import RatMap, power_map
 from test_classify import LATTES
@@ -47,6 +48,57 @@ def test_memo_reraises_a_cached_error_without_recomputing():
     assert calls == [(-3, 0)]
 
 
+@pytest.mark.parametrize("error", [
+    ParseError("unexpected character '@'", position=2),
+    ReducibleCurve("the separated curve is reducible", factors=("x - y", "x + y")),
+    ChainError("rung fails to commute", level=3),
+    NotDefined("no orbifold", "second argument"),
+], ids=lambda e: type(e).__name__)
+def test_memo_keeps_an_errors_arguments_and_attributes(error):
+    calls = []
+
+    @memo
+    def refuse(x):
+        calls.append(x)
+        try:
+            raise ValueError("a cause that must not be kept")
+        except ValueError:
+            raise error
+
+    raised = []
+    for _ in range(3):
+        with pytest.raises(type(error)) as err:
+            refuse(1)
+        raised.append(err.value)
+    assert calls == [1]
+    for exc in raised:
+        assert type(exc) is type(error) and exc is not error
+        assert exc.args == error.args and str(exc) == str(error)
+        assert vars(exc) == vars(error)
+        assert exc.__context__ is None and exc.__cause__ is None
+    # each hit is a fresh instance: a change to one is seen by no other
+    assert raised[0] is not raised[1]
+    raised[0].extra = "changed"
+    with pytest.raises(type(error)) as err:
+        refuse(1)
+    assert not hasattr(err.value, "extra") and calls == [1]
+
+
+def test_memoised_library_errors_keep_their_attributes():
+    for _ in range(2):
+        with pytest.raises(ParseError) as err:
+            parse_map("z @ 2")
+        assert err.value.position == 2 and err.value.__context__ is None
+    for _ in range(2):
+        with pytest.raises(ReducibleCurve) as err:
+            genus_separated(power_map(2), power_map(2))
+        assert sorted(f.to_str() for f in err.value.factors) == ["x + y", "x - y"]
+        assert err.value.__context__ is None
+    stats = cache_stats()
+    assert stats["ratdyn.parser.parse_map"] == {"hits": 1, "misses": 1, "size": 1}
+    assert stats["ratdyn.curves.genus_separated"] == {"hits": 1, "misses": 1, "size": 1}
+
+
 def test_clear_caches_forces_recomputation():
     square, calls = counted()
     square(5)
@@ -73,6 +125,7 @@ def test_cache_stats_reads_hits_misses_and_size():
     stats = cache_stats()
     assert stats["test_memo.counted.<locals>.square"] == {"hits": 1, "misses": 2, "size": 2}
     assert "ratdyn.classify.maximal_orbifold" in stats
+    assert "ratdyn.parser.parse_map" in stats and "ratdyn.curves.genus_separated" in stats
     clear_caches()
     assert cache_stats()["test_memo.counted.<locals>.square"] == {"hits": 0, "misses": 0, "size": 0}
 

@@ -15,10 +15,11 @@ from hypothesis import given, settings, strategies as st
 
 from ratdyn import cli
 from ratdyn.bipolys import BiPoly
-from ratdyn.errors import ParseError
+from ratdyn.errors import ParseError, RatDynError
 from ratdyn.parser import MAX_DEGREE, parse_curve, parse_map
 from ratdyn.polynomials import UniPoly
 from ratdyn.ratmaps import RatMap, chebyshev, power_map
+from oracles import reference_parse_map
 
 
 def test_parse_basic_maps():
@@ -158,6 +159,60 @@ def test_parse_curves():
     assert parse_curve("x*y - 1").to_str() == "x*y - 1"
     with pytest.raises(ParseError):
         parse_curve("x / y")
+
+
+# the differential check of parse_map against the all-RatMap reference:
+# the same map, or the same error with the same message and position
+_leaves = st.one_of(
+    st.integers(0, 12).map(str),
+    st.tuples(st.integers(-9, 9), st.integers(1, 9)).map(lambda p: f"{p[0]}/{p[1]}"),
+    st.sampled_from(["z", "T1", "T2", "T3", "T4"]),
+    st.sampled_from(["(z-z)", "0", "(z+1-1-z)"]),
+)
+# monomials up to the budget: their sums, products and compositions stay
+# sparse, so drawn expressions reach the budget at little cost
+_sparse_leaves = st.sampled_from(["z", "2", "(z-z)", "z^64", "(z^512)^4", "(1/(z^512)^4)"])
+def _extend(children):
+    ops = st.sampled_from(["+", "-"])
+    return st.one_of(
+        st.tuples(children, st.lists(st.tuples(ops, children), min_size=1, max_size=3)).map(
+            lambda t: "(" + t[0] + "".join(f" {op} {c}" for op, c in t[1]) + ")"),
+        st.tuples(children, st.lists(st.tuples(st.sampled_from(["*", "/"]), children), min_size=1, max_size=3)).map(
+            lambda t: "(" + t[0] + "".join(f"{op}{c}" for op, c in t[1]) + ")"),
+        children.map(lambda c: f"(-{c})"),
+        st.tuples(children, st.integers(-3, 5)).map(lambda t: f"{t[0]}^{t[1]}"),
+        st.tuples(children, children).map(lambda t: f"({t[0]} o {t[1]})"),
+        children.map(lambda c: f"{c}^o2"),
+    )
+
+
+_map_texts = st.one_of(
+    st.recursive(_leaves, _extend, max_leaves=8),
+    st.recursive(_sparse_leaves, _extend, max_leaves=6),
+)
+
+
+def _parse_outcome(parse, text):
+    try:
+        return "map", parse(text)
+    except RatDynError as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_map_texts)
+def test_parse_map_matches_the_ratmap_reference(text):
+    assert _parse_outcome(parse_map, text) == _parse_outcome(reference_parse_map, text), text
+
+
+@pytest.mark.parametrize("text", [
+    "(z-z)", "(z-z)^-1", "1/(z-z)", "(z-z)^0", "0^-2", "(z-z) o z", "z o (z-z)", "1/z o 0",
+    "(1/2)/(z-z+3)", "T4/T3*T3", "(z^2-1)/(z-1) + z", "-(z+1)/(z+1)", "(z^2)^-3 o T2^o2",
+    "z^2048 * z^2049", "1/z^2048 + 1/z^2049", "(z^64 o z^65)", "z^2^o13", "(z^2 + 1/z)^o3",
+    "1/(z-1) + 1/(z-2) - 3/(z-1)", "z^5/z^5 + (z-z)/z",
+])
+def test_parse_map_matches_the_ratmap_reference_on_edge_cases(text):
+    assert _parse_outcome(parse_map, text) == _parse_outcome(reference_parse_map, text)
 
 
 def run_cli(*args):
