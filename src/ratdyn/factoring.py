@@ -9,9 +9,10 @@ compared by their distinct-degree factorizations alone, which give the
 number and degrees of the modular factors, and only the prime kept is split
 by equal-degree factorization (Cantor and Zassenhaus, Math. Comp. 1981);
 then Hensel lifting past twice the Mignotte bound and recombination by
-subset search.  Rational roots need no factoring: the roots mod one good
-prime are Newton-lifted p-adically and certified by exact integer
-evaluation.
+subset search, where a subset whose constant term cannot divide the
+polynomial's is rejected before any trial division.  Rational roots need
+no factoring: the roots mod one good prime are Newton-lifted p-adically
+and certified by exact integer evaluation.
 
 Bivariate: content/primitive split in x, squarefree reduction over Q(y),
 then specialization at the smallest good integer y0, lifting the
@@ -242,6 +243,17 @@ def _zassenhaus(f):
         nonlocal current
         if sum(len(lifted[i]) - 1 for i in combo) not in possible:
             return False
+        if current[0]:
+            # below the bound the centred product of a true factor g is
+            # exactly (lc current / lc g) * g, so its constant term is a
+            # nonzero divisor of lc(current) * current[0]
+            c = current[-1]
+            for i in combo:
+                c = c * lifted[i][0] % target
+            if c > target // 2:
+                c -= target
+            if c == 0 or current[-1] * current[0] % c:
+                return False
         g = [current[-1] % target]
         for i in combo:
             g = _m_mul(g, lifted[i], target)
@@ -364,22 +376,29 @@ def rational_roots(p: UniPoly):
 
 def factor_bivariate(F: BiPoly):
     """Complete factorization over Q: (unit, [(canonical irreducible BiPoly,
-    multiplicity)]) with F = unit * prod f**m."""
+    multiplicity)]) with F = unit * prod f**m.  Memoised; each caller gets
+    a fresh list."""
+    unit, factors = _factor_bivariate(F)
+    return unit, list(factors)
+
+
+@memo
+def _factor_bivariate(F: BiPoly):
     if F.is_zero:
         raise PreconditionError("cannot factor the zero polynomial")
     if F.deg_x <= 0 and F.deg_y <= 0:
-        return F.terms.get((0, 0), Fraction(0)), []
+        return F.terms.get((0, 0), Fraction(0)), ()
     factors = []
     if F.deg_x == 0:
         _, facs = factor_univariate(F.coeffs_in_x()[0])
         factors = [(BiPoly.from_unipoly(g, "y").canonical(), m) for g, m in facs]
         factors.sort(key=_bi_sort_key)
-        return _unit_for(F, factors), factors
+        return _unit_for(F, factors), tuple(factors)
     if F.deg_y == 0:
         _, facs = factor_univariate(F.eval_y(0))
         factors = [(BiPoly.from_unipoly(g, "x").canonical(), m) for g, m in facs]
         factors.sort(key=_bi_sort_key)
-        return _unit_for(F, factors), factors
+        return _unit_for(F, factors), tuple(factors)
     cont = F.content_x()
     prim = F.primitive_part_x()
     if cont.degree >= 1:
@@ -404,7 +423,7 @@ def factor_bivariate(F: BiPoly):
                 raise PreconditionError("squarefree factor does not divide the input")
             factors.append((irr, mult))
     factors.sort(key=_bi_sort_key)
-    return _unit_for(F, factors), factors
+    return _unit_for(F, factors), tuple(factors)
 
 
 def _bi_sort_key(fm):

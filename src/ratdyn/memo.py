@@ -11,13 +11,17 @@ kept alive.
 
 It sits on the kernels that places, orbifolds and transporters repeat
 (`factor_univariate`, the place routines, `conjugacy_transporters`,
-`maximal_orbifold`); on the entry points that a curve search repeats
-across bidegrees, caps and routes: `classify`, and private helpers under
-`all_left_factors`, `left_divide` and `implicitize`; and on what a CLI
-session repeats across commands: `parse_map` and `genus_separated`.  The
-helpers return tuples, and the public functions hand each caller a fresh
-list, so no caller can change a stored answer.  ``cache_stats`` reads the
-hits, misses and sizes of every cache.
+`maximal_orbifold`); on the exact kernels that a search's checks repeat,
+through private helpers under `RatMap.compose` and `factor_bivariate`;
+on the entry points that a curve search repeats across bidegrees, caps
+and routes: `classify`, and private helpers under `all_left_factors`,
+`left_divide` and `implicitize`; and on what a CLI session repeats across
+commands: `parse_map` and `genus_separated`.  Every check runs per call,
+and the compositions and factorizations it compares come from the memo:
+no check's outcome is stored.  The list-valued helpers return tuples,
+and the public functions hand each caller a fresh list, so no caller can
+change a stored answer.  ``cache_stats`` reads the hits, misses and sizes
+of every cache.
 """
 
 from __future__ import annotations

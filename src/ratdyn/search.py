@@ -11,11 +11,13 @@ curve must divide its pullback under the product map.  Reports label
 their completeness honestly: the formal iterate bound is astronomically
 large, so the default is completeness up to the user-chosen cap.
 
-Left factors, left quotients, implicitizations and classifications are
-memoised (`ratdyn.memo`), so the questions a user asks of one pair, for
-several bidegrees and caps and by both routes, compute each of them once
-while it stays in the bounded memo.  The checks stay per call: the transported identity, the
-invariance of every emitted curve and the commuting route's compositions.
+Left factors, left quotients, implicitizations, classifications, map
+compositions and bivariate factorizations are memoised (`ratdyn.memo`), so
+the questions a user asks of one pair, for several bidegrees and caps and
+by both routes, compute each of them once while it stays in the bounded
+memo.  Every check runs per call: the transported identity, the
+invariance of every emitted curve and the commuting route's identities;
+the compositions and factorizations a check compares come from the memo.
 """
 
 from __future__ import annotations

@@ -296,7 +296,7 @@ def test_multiplicity_loop_makes_at_most_one_failed_division(monkeypatch):
 
     def counted(self, other):
         q = exact_div(self, other)
-        if q is None and sys._getframe(1).f_code.co_name == "factor_bivariate":
+        if q is None and sys._getframe(1).f_code.co_name == "_factor_bivariate":
             failed.append(other)
         return q
 
@@ -308,9 +308,24 @@ def test_multiplicity_loop_makes_at_most_one_failed_division(monkeypatch):
     assert len(failed) <= 1
     # a repeated factor: in either order the degrees alone stop each loop
     del failed[:]
+    clear_caches()
     _, facs = factor_bivariate((X - Y) ** 2 * (X - Y**2))
     assert sorted((f.to_str(), m) for f, m in facs) == [("x - y", 2), ("x - y^2", 1)]
     assert failed == []
+
+
+def test_each_caller_of_factor_bivariate_owns_its_list():
+    from ratdyn.memo import cache_stats, clear_caches
+
+    clear_caches()
+    F = (X - Y) ** 2 * (X - Y**2)
+    first, second = factor_bivariate(F), factor_bivariate(F)
+    assert first == second and first[1] is not second[1]
+    kept = list(first[1])
+    first[1].clear()
+    second[1].append((X, 1))
+    assert factor_bivariate(F) == (first[0], kept)
+    assert cache_stats()["ratdyn.factoring._factor_bivariate"] == {"hits": 2, "misses": 1, "size": 1}
 
 # a monic x-polynomial with coefficients in Q[tau]: its lower x-coefficients
 monic_parts = st.lists(st.lists(small, min_size=1, max_size=3), min_size=1, max_size=2)
@@ -442,6 +457,30 @@ def test_gf_ddf_gives_the_degrees_of_the_full_split(p, low):
             if len(c) - 1 == d:
                 want = _m_mul(want, c, p)
         assert g == want
+
+
+def test_constant_terms_skip_trial_divisions(monkeypatch):
+    # (x^4+1)(x^4-10x^2+1)(x^3+x+3) splits into six factors modulo its
+    # prime, so ten subsets pass the degree test; a subset whose constant
+    # term cannot divide lc * f(0) reaches no trial division
+    f = zz_product([[1, 0, 0, 0, 1], [1, 0, -10, 0, 1], [3, 1, 0, 1]])
+    _, modular, possible = _pick_modular(f)
+    passed, divisions = [], []
+    recombine, exact_div = factoring._recombine, factoring._z_exact_div
+
+    def counted_recombine(count, split, message):
+        def counted_split(combo):
+            if sum(len(modular[i]) - 1 for i in combo) in possible:
+                passed.append(combo)
+            return split(combo)
+
+        return recombine(count, counted_split, message)
+
+    monkeypatch.setattr(factoring, "_recombine", counted_recombine)
+    monkeypatch.setattr(factoring, "_z_exact_div", lambda a, b: divisions.append(b) or exact_div(a, b))
+    facs = _zassenhaus(f)
+    assert sorted(facs) == sorted([[1, 0, 0, 0, 1], [1, 0, -10, 0, 1], [3, 1, 0, 1]])
+    assert len(divisions) < len(passed)
 
 
 def test_equal_degree_splitting_runs_on_the_kept_prime_only(monkeypatch):

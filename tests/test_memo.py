@@ -130,6 +130,16 @@ def test_cache_stats_reads_hits_misses_and_size():
     assert cache_stats()["test_memo.counted.<locals>.square"] == {"hits": 0, "misses": 0, "size": 0}
 
 
+def test_compose_cache_stays_bounded():
+    clear_caches()
+    identity = RatMap.identity()
+    for k in range(MEMO_SIZE + 2):
+        RatMap(UniPoly.of(k, 1)).compose(identity)
+    stats = cache_stats()
+    assert stats["ratdyn.ratmaps._compose"] == {"hits": 0, "misses": MEMO_SIZE + 2, "size": MEMO_SIZE}
+    assert "ratdyn.factoring._factor_bivariate" in stats
+
+
 # the entry points that a curve search repeats: each call, its helper's
 # cache, and one refusal with its parent's type and message
 A_SHIFT = RatMap(UniPoly.of(1, 2, 1))  # (z+1)^2

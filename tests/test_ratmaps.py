@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ratdyn.errors import PreconditionError
+from ratdyn.memo import cache_stats, clear_caches
 from ratdyn.parser import parse_map
 from ratdyn.polynomials import UniPoly
 from ratdyn.ratmaps import INF, RatMap, chebyshev, mobius, mobius_through, power_map
@@ -251,6 +252,34 @@ def test_compose_matches_the_gcd_route(f, g, t):
     inner = frac_ratio(g.num.c, g.den.c, t)
     if inner is not None and frac_ratio(f.num.c, f.den.c, inner) is not None:
         assert h(t) == f(inner)
+
+
+@settings(max_examples=100, deadline=None)
+@given(outer_maps, st.one_of(inner_maps, points.map(RatMap.constant)))
+def test_memoised_compose_matches_the_gcd_route_on_a_miss_and_a_hit(f, g):
+    clear_caches()
+    if g.is_constant and f(g(0)) is INF:
+        for _ in range(2):
+            with pytest.raises(PreconditionError, match="composition degenerates to infinity"):
+                f.compose(g)
+    else:
+        want = compose_by_gcd(f, g)
+        assert f.compose(g) == want  # miss
+        assert f.compose(g) == want  # hit
+    assert cache_stats()["ratdyn.ratmaps._compose"] == {"hits": 1, "misses": 1, "size": 1}
+
+
+def test_compose_answers_and_refusals_are_the_same_on_a_hit():
+    clear_caches()
+    zero, square = RatMap.constant(0), power_map(2)
+    for _ in range(2):
+        # the zero map is a constant of degree 0, so it composes like any other
+        assert zero.compose(square) == zero and square.compose(zero) == zero
+        with pytest.raises(PreconditionError) as err:
+            power_map(-1).compose(zero)
+        assert type(err.value) is PreconditionError
+        assert str(err.value) == "composition degenerates to infinity"
+    assert cache_stats()["ratdyn.ratmaps._compose"] == {"hits": 3, "misses": 3, "size": 3}
 
 
 @settings(max_examples=150, deadline=None)

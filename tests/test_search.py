@@ -345,5 +345,6 @@ def test_repeated_search_adds_hits_and_no_misses():
         after = cache_stats()
         assert all(after[name]["misses"] == before[name]["misses"] for name in after)
         for name in ("ratdyn.decompose._all_left_factors", "ratdyn.decompose._left_divide",
-                     "ratdyn.curves._implicitize", "ratdyn.classify.classify"):
+                     "ratdyn.curves._implicitize", "ratdyn.classify.classify",
+                     "ratdyn.ratmaps._compose", "ratdyn.factoring._factor_bivariate"):
             assert after[name]["hits"] > before[name]["hits"]
