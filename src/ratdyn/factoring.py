@@ -9,7 +9,7 @@ compared by their distinct-degree factorizations alone, which give the
 number and degrees of the modular factors, and only the prime kept is split
 by equal-degree factorization (Cantor and Zassenhaus, Math. Comp. 1981);
 then Hensel lifting past twice the Mignotte bound and recombination by
-subset search, where a subset whose constant term cannot divide the
+subset search, where a subset whose values at 0 and 1 cannot divide the
 polynomial's is rejected before any trial division.  Rational roots need
 no factoring: the roots mod one good prime are Newton-lifted p-adically
 and certified by exact integer evaluation.
@@ -238,23 +238,28 @@ def _zassenhaus(f):
     lifted = _hensel_lift(p, _m_mod(f, target), modular, l)
     result = []
     current = list(f)
+    at_zero = [h[0] for h in lifted]
+    at_one = [sum(h) % target for h in lifted]
 
     def split(combo):
         nonlocal current
         if sum(len(lifted[i]) - 1 for i in combo) not in possible:
             return False
-        if current[0]:
-            # below the bound the centred product of a true factor g is
-            # exactly (lc current / lc g) * g, so its constant term is a
-            # nonzero divisor of lc(current) * current[0]
-            c = current[-1]
-            for i in combo:
-                c = c * lifted[i][0] % target
-            if c > target // 2:
-                c -= target
-            if c == 0 or current[-1] * current[0] % c:
-                return False
-        g = [current[-1] % target]
+        # below the bound the centred product of a true factor g is exactly
+        # (lc current / lc g) * g, and the bound covers its 1-norm, so its
+        # values at 0 and 1 are nonzero divisors of lc(current) times
+        # current's values there, wherever those are nonzero
+        lc = current[-1]
+        for values, value in ((at_zero, current[0]), (at_one, sum(current))):
+            if value:
+                c = lc
+                for i in combo:
+                    c = c * values[i] % target
+                if c > target // 2:
+                    c -= target
+                if c == 0 or lc * value % c:
+                    return False
+        g = [lc % target]
         for i in combo:
             g = _m_mul(g, lifted[i], target)
         g = _z_primitive(_centered(g, target))

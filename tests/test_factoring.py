@@ -327,6 +327,7 @@ def test_each_caller_of_factor_bivariate_owns_its_list():
     assert factor_bivariate(F) == (first[0], kept)
     assert cache_stats()["ratdyn.factoring._factor_bivariate"] == {"hits": 2, "misses": 1, "size": 1}
 
+
 # a monic x-polynomial with coefficients in Q[tau]: its lower x-coefficients
 monic_parts = st.lists(st.lists(small, min_size=1, max_size=3), min_size=1, max_size=2)
 
@@ -459,11 +460,10 @@ def test_gf_ddf_gives_the_degrees_of_the_full_split(p, low):
         assert g == want
 
 
-def test_constant_terms_skip_trial_divisions(monkeypatch):
-    # (x^4+1)(x^4-10x^2+1)(x^3+x+3) splits into six factors modulo its
-    # prime, so ten subsets pass the degree test; a subset whose constant
-    # term cannot divide lc * f(0) reaches no trial division
-    f = zz_product([[1, 0, 0, 0, 1], [1, 0, -10, 0, 1], [3, 1, 0, 1]])
+def count_trial_divisions(monkeypatch, f):
+    """(factors, subsets past the degree test, trial divisions) of
+    _zassenhaus(f): without the value tests every subset past the degree
+    test reaches a trial division."""
     _, modular, possible = _pick_modular(f)
     passed, divisions = [], []
     recombine, exact_div = factoring._recombine, factoring._z_exact_div
@@ -478,9 +478,20 @@ def test_constant_terms_skip_trial_divisions(monkeypatch):
 
     monkeypatch.setattr(factoring, "_recombine", counted_recombine)
     monkeypatch.setattr(factoring, "_z_exact_div", lambda a, b: divisions.append(b) or exact_div(a, b))
-    facs = _zassenhaus(f)
-    assert sorted(facs) == sorted([[1, 0, 0, 0, 1], [1, 0, -10, 0, 1], [3, 1, 0, 1]])
-    assert len(divisions) < len(passed)
+    return _zassenhaus(f), passed, divisions
+
+
+def test_values_at_zero_and_one_skip_trial_divisions(monkeypatch):
+    # six modular factors: ten subsets pass the degree test, and only the
+    # two that are true factors reach a trial division
+    parts = [[1, 0, 0, 0, 1], [1, 0, -10, 0, 1], [3, 1, 0, 1]]
+    facs, passed, divisions = count_trial_divisions(monkeypatch, zz_product(parts))
+    assert sorted(facs) == sorted(parts)
+    assert len(passed) == 10 and len(divisions) == 2
+    # x^8 + 1 is two quartics modulo 3 whose constant terms multiply to 1,
+    # so only the values at 1 rule both out
+    facs, passed, divisions = count_trial_divisions(monkeypatch, FIXED["x^8+1"])
+    assert facs == [FIXED["x^8+1"]] and len(passed) == 2 and divisions == []
 
 
 def test_equal_degree_splitting_runs_on_the_kept_prime_only(monkeypatch):
