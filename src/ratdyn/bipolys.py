@@ -262,9 +262,6 @@ class BiPoly:
         """Substitute x = a; result is a UniPoly in y."""
         return self.swap().eval_y(a)
 
-    def eval_point(self, a, b) -> Fraction:
-        return self.eval_x(a)(b)
-
     def derivative_x(self) -> "BiPoly":
         return BiPoly._of([[v * i for v in row] for i, row in enumerate(self.rows)][1:], self.denom)
 

@@ -63,9 +63,6 @@ class SpecialClass:
     orbifold: Orbifold | None = None
     extension_needed: bool = False
 
-    def is_special(self) -> bool:
-        return self.kind in ("power", "chebyshev", "lattes")
-
 
 # ----------------------------------------------------------------------
 # power and Chebyshev detection

@@ -127,21 +127,17 @@ def _image(r: BiPoly, F: BiPoly, A1: RatMap, A2: RatMap, failure: str) -> BiCurv
     return BiCurve(keep[0], normalize=False)
 
 
+@memo
 def implicitize(par) -> BiCurve:
     """Closure of the image of t -> (X1(t), X2(t)), the image of the
     diagonal x = y under (X1, X2): eliminate t between the two pencils."""
     if not isinstance(par, ParamCurve):
         par = ParamCurve(*par)
-    return _implicitize(par.X1, par.X2)
-
-
-@memo
-def _implicitize(X1: RatMap, X2: RatMap) -> BiCurve:
-    r = resultant_x_mixed(_pencil(X1), _pencil(X2))
+    r = resultant_x_mixed(_pencil(par.X1), _pencil(par.X2))
     if r.is_zero:
         raise TheoremViolation("elimination degenerated for a parametrization")
     diagonal = BiPoly.var_x() - BiPoly.var_y()
-    return _image(r, diagonal, X1, X2, "image of an irreducible curve was not irreducible")
+    return _image(r, diagonal, par.X1, par.X2, "image of an irreducible curve was not irreducible")
 
 
 def _check_image_data(F: BiPoly, A1: RatMap, A2: RatMap) -> None:

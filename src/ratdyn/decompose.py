@@ -62,16 +62,12 @@ def right_factor_rep(w: RatMap) -> RatMap:
 # division
 
 
+@memo
 def left_divide(F: RatMap, X: RatMap):
     """All R with X o R = F; the empty list is a valid no-root answer."""
-    return list(_left_divide(F, X))
-
-
-@memo
-def _left_divide(F: RatMap, X: RatMap):
     if X.degree == 1:
-        return (X.mobius_inverse().compose(F),)
-    return tuple(ratmap_roots_over_function_field(X, F))
+        return [X.mobius_inverse().compose(F)]
+    return ratmap_roots_over_function_field(X, F)
 
 
 def right_divide(F: RatMap, W: RatMap):
@@ -134,22 +130,18 @@ def max_common_right_factor(f: RatMap, g: RatMap):
 # left factors of a map, up to precomposition
 
 
+@memo
 def all_left_factors(F: RatMap, n: int):
     """Representatives of the precomposition classes of degree-n left
     factors of F: every X with X o R = F for some R arises as X o mu."""
-    return list(_all_left_factors(F, n))
-
-
-@memo
-def _all_left_factors(F: RatMap, n: int):
     if F.degree < 1:
         raise PreconditionError("left factors need a nonconstant map")
     if n < 1 or F.degree % n != 0:
-        return ()
+        return []
     if n == 1:
-        return (RatMap.identity(),)
+        return [RatMap.identity()]
     if n == F.degree:
-        return (F,)
+        return [F]
     k = F.degree // n
     NF = graph_numerator(F)
     _, facs = factor_bivariate(NF)
@@ -180,7 +172,7 @@ def _all_left_factors(F: RatMap, n: int):
     for X in sorted(out, key=lambda r: r.sort_key()):
         if not any(mu_right_transports(Y, X) for Y in deduped):
             deduped.append(X)
-    return tuple(deduped)
+    return deduped
 
 
 def _try_generator(prod: BiPoly, k: int):

@@ -379,31 +379,25 @@ def rational_roots(p: UniPoly):
 # bivariate factorization
 
 
+@memo
 def factor_bivariate(F: BiPoly):
     """Complete factorization over Q: (unit, [(canonical irreducible BiPoly,
-    multiplicity)]) with F = unit * prod f**m.  Memoised; each caller gets
-    a fresh list."""
-    unit, factors = _factor_bivariate(F)
-    return unit, list(factors)
-
-
-@memo
-def _factor_bivariate(F: BiPoly):
+    multiplicity)]) with F = unit * prod f**m."""
     if F.is_zero:
         raise PreconditionError("cannot factor the zero polynomial")
     if F.deg_x <= 0 and F.deg_y <= 0:
-        return F.terms.get((0, 0), Fraction(0)), ()
+        return F.terms.get((0, 0), Fraction(0)), []
     factors = []
     if F.deg_x == 0:
         _, facs = factor_univariate(F.coeffs_in_x()[0])
         factors = [(BiPoly.from_unipoly(g, "y").canonical(), m) for g, m in facs]
         factors.sort(key=_bi_sort_key)
-        return _unit_for(F, factors), tuple(factors)
+        return _unit_for(F, factors), factors
     if F.deg_y == 0:
         _, facs = factor_univariate(F.eval_y(0))
         factors = [(BiPoly.from_unipoly(g, "x").canonical(), m) for g, m in facs]
         factors.sort(key=_bi_sort_key)
-        return _unit_for(F, factors), tuple(factors)
+        return _unit_for(F, factors), factors
     cont = F.content_x()
     prim = F.primitive_part_x()
     if cont.degree >= 1:
@@ -428,7 +422,7 @@ def _factor_bivariate(F: BiPoly):
                 raise PreconditionError("squarefree factor does not divide the input")
             factors.append((irr, mult))
     factors.sort(key=_bi_sort_key)
-    return _unit_for(F, factors), tuple(factors)
+    return _unit_for(F, factors), factors
 
 
 def _bi_sort_key(fm):

@@ -9,19 +9,21 @@ is a value or a library error.  The error is stored as its type, its
 all three, on every hit, so no traceback (and nothing it references) is
 kept alive.
 
+No caller can change a stored answer: a list answer, and each list
+inside a tuple answer such as ``(unit, factors)``, is stored as a tuple,
+and every caller, on a miss or a hit, gets its own list.  How an answer
+is handed out is decided once, when it is stored.
+
 It sits on the kernels that places, orbifolds and transporters repeat
 (`factor_univariate`, the place routines, `conjugacy_transporters`,
-`maximal_orbifold`); on the exact kernels that a search's checks repeat,
-through private helpers under `RatMap.compose` and `factor_bivariate`;
-on the entry points that a curve search repeats across bidegrees, caps
-and routes: `classify`, and private helpers under `all_left_factors`,
-`left_divide` and `implicitize`; and on what a CLI session repeats across
-commands: `parse_map` and `genus_separated`.  Every check runs per call,
-and the compositions and factorizations it compares come from the memo:
-no check's outcome is stored.  The list-valued helpers return tuples,
-and the public functions hand each caller a fresh list, so no caller can
-change a stored answer.  ``cache_stats`` reads the hits, misses and sizes
-of every cache.
+`maximal_orbifold`); on the exact kernels that a search's checks repeat
+(`RatMap.compose`, `factor_bivariate`); on the entry points that a curve
+search repeats across bidegrees, caps and routes (`classify`,
+`all_left_factors`, `left_divide`, `implicitize`); and on what a CLI
+session repeats across commands (`parse_map`, `genus_separated`).  Every
+check runs per call, and the compositions and factorizations it compares
+come from the memo: no check's outcome is stored.  ``cache_stats`` reads
+the hits, misses and sizes of every cache.
 """
 
 from __future__ import annotations
@@ -41,27 +43,44 @@ def memo(fn):
     @functools.lru_cache(maxsize=MEMO_SIZE)
     def outcome(*args, **kwargs):
         try:
-            return True, fn(*args, **kwargs)
+            return _stored(fn(*args, **kwargs))
         except RatDynError as exc:
-            return False, (type(exc), exc.args, tuple(vars(exc).items()))
+            return _raise, (type(exc), exc.args, tuple(vars(exc).items()))
 
     @functools.wraps(fn)
     def memoised(*args, **kwargs):
-        ok, value = outcome(*args, **kwargs)
-        if ok:
-            return value
-        raise _revive(*value)
+        hand_out, value = outcome(*args, **kwargs)
+        return value if hand_out is None else hand_out(value)
 
     _caches.append((f"{fn.__module__}.{fn.__qualname__}", outcome))
     return memoised
 
 
-def _revive(kind, args, attrs):
-    """A fresh error of type kind with the given args and instance
-    attributes; its __init__ is not run, since its signature is its own."""
+def _stored(value):
+    """(hand_out, frozen): value with its lists made tuples, and what gives
+    a caller its own copy of them (None when value holds no list)."""
+    if type(value) is list:
+        return list, tuple(value)
+    if type(value) is tuple:
+        lists = tuple(type(v) is list for v in value)
+        if any(lists):
+            return functools.partial(_thaw, lists), tuple(
+                tuple(v) if is_list else v for v, is_list in zip(value, lists))
+    return None, value
+
+
+def _thaw(lists, frozen):
+    return tuple(list(v) if is_list else v for v, is_list in zip(frozen, lists))
+
+
+def _raise(stored):
+    """Raise a fresh error of the stored type with the stored args and
+    instance attributes; its __init__ is not run, since its signature is
+    its own."""
+    kind, args, attrs = stored
     exc = kind.__new__(kind, *args)
     exc.__dict__.update(attrs)
-    return exc
+    raise exc
 
 
 def clear_caches() -> None:

@@ -225,12 +225,21 @@ class RatMap:
     # ------------------------------------------------------------------
     # composition
 
+    @memo
     def compose(self, inner: "RatMap") -> "RatMap":
         """self after inner, s^m N(r/s) / s^m D(r/s) for self = N/D of degree
         m and inner = r/s, with no gcd: a common root z0 would make the point
         [r(z0) : s(z0)] a common zero of the coprime degree-m forms
-        Y^m N(X/Y) and Y^m D(X/Y).  Memoised (`ratdyn.memo`)."""
-        return _compose(self, self._co(inner))
+        Y^m N(X/Y) and Y^m D(X/Y)."""
+        inner = self._co(inner)
+        if inner.is_constant:
+            v = inner(Fraction(0)) if inner.den(0) != 0 else inner.value_at_infinity()
+            w = self(v)
+            if w is INF:
+                raise PreconditionError("composition degenerates to infinity")
+            return RatMap.constant(w)
+        num, den = homogenize((self.num, self.den), inner.num, inner.den, self.degree)
+        return RatMap._coprime(num, den)
 
     def iterate(self, k: int) -> "RatMap":
         if k < 1:
@@ -294,21 +303,6 @@ class RatMap:
         cn, pn = self.num.content_and_primitive()
         cd, pd = self.den.content_and_primitive()
         return pn, pd, cn / cd
-
-
-@memo
-def _compose(outer: RatMap, inner: RatMap) -> RatMap:
-    m = outer.degree
-    if m < 0:
-        raise PreconditionError("composition with the zero map")
-    if inner.is_constant:
-        v = inner(Fraction(0)) if inner.den(0) != 0 else inner.value_at_infinity()
-        w = outer(v)
-        if w is INF:
-            raise PreconditionError("composition degenerates to infinity")
-        return RatMap.constant(w)
-    num, den = homogenize((outer.num, outer.den), inner.num, inner.den, m)
-    return RatMap._coprime(num, den)
 
 
 def mobius(a, b, c, d) -> RatMap:

@@ -10,14 +10,6 @@ parametrization and return map and is re-verified independently: the
 curve must divide its pullback under the product map.  Reports label
 their completeness honestly: the formal iterate bound is astronomically
 large, so the default is completeness up to the user-chosen cap.
-
-Left factors, left quotients, implicitizations, classifications, map
-compositions and bivariate factorizations are memoised (`ratdyn.memo`), so
-the questions a user asks of one pair, for several bidegrees and caps and
-by both routes, compute each of them once while it stays in the bounded
-memo.  Every check runs per call: the transported identity, the
-invariance of every emitted curve and the commuting route's identities;
-the compositions and factorizations a check compares come from the memo.
 """
 
 from __future__ import annotations
@@ -129,20 +121,10 @@ def find_invariant_curves(A1: RatMap, A2: RatMap, cfg: SearchConfig) -> SearchRe
     X1s = all_left_factors(F1, d2)
     X2s = all_left_factors(F2, d1)
     found: dict = {}
-    # return maps of each pair (A, X), computed once per call at first use;
-    # with A1 = A2 a left factor on one side may recur on the other
-    candidates: dict = {}
-
-    def pair_candidates(A, X):
-        key = (A, X)
-        if key not in candidates:
-            candidates[key] = _pair_candidates(A, X)
-        return candidates[key]
-
     for X2 in X2s:
-        S2 = pair_candidates(A2, X2)
+        S2 = _pair_candidates(A2, X2)
         for X1 in X1s:
-            for b1 in pair_candidates(A1, X1):
+            for b1 in _pair_candidates(A1, X1):
                 for b2 in S2:
                     for mu in conjugacy_transporters(b2, b1):
                         X1m = X1.compose(mu)
@@ -221,24 +203,6 @@ def find_preperiodic_components(A1: RatMap, A2: RatMap, Y1: RatMap, Y2: RatMap,
     curve = separated_curve(Y1, Y2)
     components = []
     for comp, _ in curve.factor():
-        if comp.poly.deg_x < 1 or comp.poly.deg_y < 1:
-            uni = comp.poly.eval_y(0) if comp.poly.deg_y < 1 else comp.poly.eval_x(0)
-            axis = "x" if comp.poly.deg_y < 1 else "y"
-            if uni.degree == 1:
-                val = -uni.coeff(0) / uni.lc
-                f = A1 if axis == "x" else A2
-                orbit = [val]
-                behaviour = None
-                for _ in range(tail_cap + period_cap):
-                    nxt = f(orbit[-1])
-                    if nxt in orbit:
-                        behaviour = (orbit.index(nxt), len(orbit) - orbit.index(nxt))
-                        break
-                    orbit.append(nxt)
-                components.append((comp, behaviour))
-            else:
-                components.append((comp, None))
-            continue
         components.append((comp, preperiodicity(comp, A1, A2, tail_cap, period_cap)))
     return {
         "witness_power": n,

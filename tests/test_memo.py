@@ -4,8 +4,11 @@ from ratdyn.classify import classify, maximal_orbifold
 from ratdyn.curves import genus_separated, implicitize
 from ratdyn.decompose import all_left_factors, left_divide
 from ratdyn.errors import ChainError, NotDefined, ParseError, PreconditionError, ReducibleCurve
+from ratdyn.factoring import factor_univariate
 from ratdyn.memo import MEMO_SIZE, cache_stats, clear_caches, memo
+from ratdyn.mobius import conjugacy_transporters
 from ratdyn.parser import parse_map
+from ratdyn.places import Place, critical_values, preimage_places
 from ratdyn.polynomials import UniPoly
 from ratdyn.ratmaps import RatMap, power_map
 from test_classify import LATTES
@@ -136,24 +139,38 @@ def test_compose_cache_stays_bounded():
     for k in range(MEMO_SIZE + 2):
         RatMap(UniPoly.of(k, 1)).compose(identity)
     stats = cache_stats()
-    assert stats["ratdyn.ratmaps._compose"] == {"hits": 0, "misses": MEMO_SIZE + 2, "size": MEMO_SIZE}
-    assert "ratdyn.factoring._factor_bivariate" in stats
+    assert stats["ratdyn.ratmaps.RatMap.compose"] == {"hits": 0, "misses": MEMO_SIZE + 2, "size": MEMO_SIZE}
+    assert "ratdyn.factoring.factor_bivariate" in stats
 
 
-# the entry points that a curve search repeats: each call, its helper's
-# cache, and one refusal with its parent's type and message
+# the entry points that a curve search repeats, and the list-valued
+# kernels under places and transporters: each call, its cache, and one
+# refusal with its type and message
 A_SHIFT = RatMap(UniPoly.of(1, 2, 1))  # (z+1)^2
 CONSTANT = RatMap.constant(2)
 ENTRY_POINTS = [
-    (all_left_factors, (A_SHIFT.iterate(2), 2), "ratdyn.decompose._all_left_factors",
+    (factor_univariate, (UniPoly.of(-1, 0, 1),), "ratdyn.factoring.factor_univariate",
+     (UniPoly.zero(),), PreconditionError, "cannot factor the zero polynomial"),
+    (preimage_places, (A_SHIFT, Place.of_rational(1)), "ratdyn.places.preimage_places",
+     (CONSTANT, Place.of_rational(1)), PreconditionError, "preimages need a nonconstant map"),
+    (critical_values, (A_SHIFT,), "ratdyn.places.critical_values",
+     (RatMap.identity(),), PreconditionError, "critical values need degree at least two"),
+    (conjugacy_transporters, (A_SHIFT, A_SHIFT), "ratdyn.mobius.conjugacy_transporters",
+     (RatMap.identity(), RatMap.identity()), PreconditionError, "transporters need degree at least two"),
+    (all_left_factors, (A_SHIFT.iterate(2), 2), "ratdyn.decompose.all_left_factors",
      (CONSTANT, 2), PreconditionError, "left factors need a nonconstant map"),
-    (left_divide, (A_SHIFT.iterate(2), A_SHIFT), "ratdyn.decompose._left_divide",
+    (left_divide, (A_SHIFT.iterate(2), A_SHIFT), "ratdyn.decompose.left_divide",
      (A_SHIFT, CONSTANT), PreconditionError, "functional division needs nonconstant maps"),
-    (implicitize, ((A_SHIFT, power_map(2)),), "ratdyn.curves._implicitize",
+    (implicitize, ((A_SHIFT, power_map(2)),), "ratdyn.curves.implicitize",
      ((A_SHIFT, CONSTANT),), PreconditionError, "parametrizations need nonconstant coordinates"),
     (classify, (LATTES,), "ratdyn.classify.classify",
      (RatMap.identity(),), PreconditionError, "classification needs degree at least two"),
 ]
+
+
+def owned_lists(answer):
+    """The lists of an answer: the answer itself, or those in a tuple."""
+    return [answer] if isinstance(answer, list) else [p for p in answer if isinstance(p, list)]
 
 
 @pytest.mark.parametrize("fn, args, cache, bad, kind, message", ENTRY_POINTS,
@@ -162,13 +179,15 @@ def test_entry_points_answer_from_their_cache(fn, args, cache, bad, kind, messag
     first = fn(*args)
     second = fn(*args)
     assert first and first == second
-    if fn in (all_left_factors, left_divide):
-        # each caller owns its list: changing one changes no later answer
-        assert isinstance(first, list) and first is not second
-        kept = list(first)
-        first.clear()
-        second.append(CONSTANT)
-        assert fn(*args) == kept
+    if fn not in (implicitize, classify):
+        # each caller owns its lists: changing one changes no later answer
+        mine, theirs = owned_lists(first), owned_lists(second)
+        assert mine and all(m is not t for m, t in zip(mine, theirs))
+        kept = [list(m) for m in mine]
+        for m, t in zip(mine, theirs):
+            m.clear()
+            t.append(CONSTANT)
+        assert owned_lists(fn(*args)) == kept
     stats = cache_stats()[cache]
     assert stats["misses"] == 1 and stats["hits"] >= 1
     for _ in range(2):

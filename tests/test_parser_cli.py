@@ -27,6 +27,7 @@ def test_parse_basic_maps():
     assert parse_map("1/z") == power_map(-1)
     assert parse_map("(z+1)^2") == RatMap(UniPoly.of(1, 2, 1))
     assert parse_map("3/2 * z") == RatMap(UniPoly([0, "3/2"]))
+    assert parse_map("+z^2 - 1") == RatMap(UniPoly.of(-1, 0, 1))
 
 
 def test_parse_lattes_example():
@@ -40,11 +41,13 @@ def test_parse_lattes_example():
 def test_parse_aliases_and_composition():
     assert parse_map("T3") == chebyshev(3)
     assert parse_map("T2 o T3") == chebyshev(6)
+    assert parse_map("T2 ∘ T3") == chebyshev(6)
     assert parse_map("z^2 o (z+1)") == RatMap(UniPoly.of(1, 2, 1))
 
 
 def test_parse_iteration_suffix():
     assert parse_map("z^2^o3") == power_map(8)
+    assert parse_map("z^2^o 3") == power_map(8)
     assert parse_map("(z^2-1)^o2") == RatMap(UniPoly.of(-1, 0, 1)).iterate(2)
 
 
@@ -60,6 +63,9 @@ def test_parse_errors_carry_position():
     assert err.value.position is not None
     with pytest.raises(ParseError):
         parse_map("w^2")
+    with pytest.raises(ParseError, match="trailing input 'z'") as err:
+        parse_map("z z")
+    assert err.value.position == 2
 
 
 def test_parse_rejects_degenerate_input():
@@ -157,6 +163,7 @@ def test_parse_rejects_numbers_over_the_digit_limit():
 def test_parse_curves():
     assert parse_curve("x^2 - y^2").to_str() == "x^2 - y^2"
     assert parse_curve("x*y - 1").to_str() == "x*y - 1"
+    assert parse_curve("(x+y)/2").to_str() == "1/2*x + 1/2*y"
     with pytest.raises(ParseError):
         parse_curve("x / y")
 

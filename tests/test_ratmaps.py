@@ -266,7 +266,7 @@ def test_memoised_compose_matches_the_gcd_route_on_a_miss_and_a_hit(f, g):
         want = compose_by_gcd(f, g)
         assert f.compose(g) == want  # miss
         assert f.compose(g) == want  # hit
-    assert cache_stats()["ratdyn.ratmaps._compose"] == {"hits": 1, "misses": 1, "size": 1}
+    assert cache_stats()["ratdyn.ratmaps.RatMap.compose"] == {"hits": 1, "misses": 1, "size": 1}
 
 
 def test_compose_answers_and_refusals_are_the_same_on_a_hit():
@@ -279,7 +279,7 @@ def test_compose_answers_and_refusals_are_the_same_on_a_hit():
             power_map(-1).compose(zero)
         assert type(err.value) is PreconditionError
         assert str(err.value) == "composition degenerates to infinity"
-    assert cache_stats()["ratdyn.ratmaps._compose"] == {"hits": 3, "misses": 3, "size": 3}
+    assert cache_stats()["ratdyn.ratmaps.RatMap.compose"] == {"hits": 3, "misses": 3, "size": 3}
 
 
 @settings(max_examples=150, deadline=None)
