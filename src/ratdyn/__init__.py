@@ -1,68 +1,75 @@
-"""Exact arithmetic for dynamics of rational self-maps of the sphere."""
+"""Exact arithmetic for dynamics of rational self-maps of the sphere.
 
-from .polynomials import UniPoly, qq
-from .ratmaps import INF, RatMap, chebyshev, mobius, mobius_through, power_map
-from .bipolys import BiPoly
-from .places import PLACE_INF, Place
-from .orbifolds import Orbifold, chi, o1_of, o2_of, pullback
-from .classify import SpecialClass, classify, is_lattes, maximal_orbifold, theta
-from .curves import BiCurve, ParamCurve, genus_separated, implicitize, is_invariant
-from .decompose import (
-    Decomposition,
-    Diagram,
-    all_left_factors,
-    complete_semiconjugacy,
-    left_divide,
-    max_common_right_factor,
-    right_divide,
-    verify_semiconjugacy,
-)
-from .parser import parse_curve, parse_map
-from .search import SearchConfig, SearchReport, commuting_route, find_invariant_curves
+The namespace is lazy (PEP 562): ``import ratdyn`` loads the classification
+stack, and each other public name loads the module that defines it on first
+use, so a session that only classifies maps never compiles the
+decomposition, curve and search modules.
+"""
 
-# importing the submodule `ratdyn.mobius` (above, through `classify`) binds
-# the package attribute to the module; the public name is the constructor
+# The submodules `classify` and `mobius` share their names with public
+# functions.  Only a submodule's first import binds the package attribute to
+# the module, so both are imported here, before the names are bound to the
+# functions; no later import rebinds them.
+from . import classify, mobius  # noqa: F401
+from .classify import classify  # noqa: F811
 from .ratmaps import mobius  # noqa: F811
 
-__all__ = [
-    "UniPoly",
-    "qq",
-    "INF",
-    "RatMap",
-    "chebyshev",
-    "mobius",
-    "mobius_through",
-    "power_map",
-    "BiPoly",
-    "Place",
-    "PLACE_INF",
-    "Orbifold",
-    "chi",
-    "o1_of",
-    "o2_of",
-    "pullback",
-    "SpecialClass",
-    "classify",
-    "is_lattes",
-    "maximal_orbifold",
-    "theta",
-    "BiCurve",
-    "ParamCurve",
-    "genus_separated",
-    "implicitize",
-    "is_invariant",
-    "Decomposition",
-    "Diagram",
-    "all_left_factors",
-    "complete_semiconjugacy",
-    "left_divide",
-    "max_common_right_factor",
-    "right_divide",
-    "verify_semiconjugacy",
-    "parse_curve",
-    "parse_map",
-    "SearchConfig",
-    "SearchReport",
-    "commuting_route",
-    "find_invariant_curves",
-]
+# public name -> the submodule that defines it
+_EXPORTS = {
+    "UniPoly": "polynomials",
+    "qq": "polynomials",
+    "INF": "ratmaps",
+    "RatMap": "ratmaps",
+    "chebyshev": "ratmaps",
+    "mobius": "ratmaps",
+    "mobius_through": "ratmaps",
+    "power_map": "ratmaps",
+    "BiPoly": "bipolys",
+    "Place": "places",
+    "PLACE_INF": "places",
+    "Orbifold": "orbifolds",
+    "chi": "orbifolds",
+    "o1_of": "orbifolds",
+    "o2_of": "orbifolds",
+    "pullback": "orbifolds",
+    "SpecialClass": "classify",
+    "classify": "classify",
+    "is_lattes": "classify",
+    "maximal_orbifold": "classify",
+    "theta": "classify",
+    "BiCurve": "curves",
+    "ParamCurve": "curves",
+    "genus_separated": "curves",
+    "implicitize": "curves",
+    "is_invariant": "curves",
+    "Decomposition": "decompose",
+    "Diagram": "decompose",
+    "all_left_factors": "decompose",
+    "complete_semiconjugacy": "decompose",
+    "left_divide": "decompose",
+    "max_common_right_factor": "decompose",
+    "right_divide": "decompose",
+    "verify_semiconjugacy": "decompose",
+    "parse_curve": "parser",
+    "parse_map": "parser",
+    "SearchConfig": "search",
+    "SearchReport": "search",
+    "commuting_route": "search",
+    "find_invariant_curves": "search",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # __import__ rather than importlib.import_module: -X importtime times
+    # only the former
+    value = getattr(__import__(f"{__name__}.{_EXPORTS[name]}", fromlist=[name]), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -461,11 +461,6 @@ def resultant_x(f: BiPoly, g: BiPoly) -> UniPoly:
     return UniPoly.interpolate([(y0, fy.resultant(gy)) for y0, (fy, gy) in points])
 
 
-def resultant_y(f: BiPoly, g: BiPoly) -> UniPoly:
-    """Res_y; the result is a UniPoly in x."""
-    return resultant_x(f.swap(), g.swap())
-
-
 def resultant_x_mixed(f: BiPoly, g: BiPoly) -> BiPoly:
     """Res_x of f in variables (x, s) and g in variables (x, t); the result
     lives in (s, t) packed as a BiPoly with s as first variable."""

@@ -26,7 +26,7 @@ the verdict Inconclusive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import comb as _comb
 from math import gcd as _igcd
@@ -54,14 +54,13 @@ from .ratmaps import INF, RatMap, chebyshev, mobius, mobius_through, power_map
 PLACE_CAP = 64
 
 
-@dataclass(frozen=True)
-class SpecialClass:
-    kind: str  # power | chebyshev | lattes | generalized_lattes | non_special_non_gl
-    n: int | None = None
-    sign: int | None = None
-    witness: RatMap | None = None
-    orbifold: Orbifold | None = None
-    extension_needed: bool = False
+# kind: power | chebyshev | lattes | generalized_lattes | non_special_non_gl;
+# n, sign, witness (a RatMap) and orbifold (an Orbifold) default to None
+SpecialClass = namedtuple(
+    "SpecialClass",
+    ("kind", "n", "sign", "witness", "orbifold", "extension_needed"),
+    defaults=(None, None, None, None, False),
+)
 
 
 # ----------------------------------------------------------------------

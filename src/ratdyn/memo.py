@@ -11,8 +11,9 @@ kept alive.
 
 No caller can change a stored answer: a list answer, and each list
 inside a tuple answer such as ``(unit, factors)``, is stored as a tuple,
-and every caller, on a miss or a hit, gets its own list.  How an answer
-is handed out is decided once, when it is stored.
+and a dict answer behind a read-only view; every caller, on a miss or a
+hit, gets its own list or dict.  How an answer is handed out is decided
+once, when it is stored.
 
 It sits on the kernels that places, orbifolds and transporters repeat
 (`factor_univariate`, the place routines, `conjugacy_transporters`,
@@ -29,6 +30,7 @@ the hits, misses and sizes of every cache.
 from __future__ import annotations
 
 import functools
+from types import MappingProxyType
 
 from .errors import RatDynError
 
@@ -57,10 +59,13 @@ def memo(fn):
 
 
 def _stored(value):
-    """(hand_out, frozen): value with its lists made tuples, and what gives
-    a caller its own copy of them (None when value holds no list)."""
+    """(hand_out, frozen): value with its lists made tuples and a dict made
+    a read-only view, and what gives a caller its own copy of them (None
+    when value holds neither)."""
     if type(value) is list:
         return list, tuple(value)
+    if type(value) is dict:
+        return dict, MappingProxyType(value)
     if type(value) is tuple:
         lists = tuple(type(v) is list for v in value)
         if any(lists):

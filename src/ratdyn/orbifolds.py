@@ -2,10 +2,10 @@
 orbifolds of a map, pullbacks, and the covering / minimal-holomorphic
 predicates.
 
-An orbifold stores its ramification as a finite map from places to values
-at least 2; off the support the value is 1.  Places are Galois orbits, so
-one stored pair may carry several geometric points; signatures expand each
-place into its geometric points.  Pointwise conditions are checked on the
+An orbifold stores its ramification as a finite, read-only map from places
+to values at least 2; off the support the value is 1.  Places are Galois
+orbits, so one stored pair may carry several geometric points; signatures
+expand each place into its geometric points.  Pointwise conditions are checked on the
 finite set support(o1) + preimages(support(o2)) + critical places, which
 is enough because both sides are 1 elsewhere.
 """
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as _igcd, lcm as _ilcm
+from types import MappingProxyType
 
 from .errors import PreconditionError
 from .places import (
@@ -42,7 +43,7 @@ class Orbifold:
                     raise PreconditionError("ramification values must be positive")
                 if v > 1:
                     clean[p] = v
-        self.ram = clean
+        self.ram = MappingProxyType(clean)
 
     @classmethod
     def trivial(cls) -> "Orbifold":

@@ -363,12 +363,6 @@ class UniPoly:
             acc[0] += v * ek
         return UniPoly._of(acc, ek * self.denom)
 
-    def shift_up(self, k: int) -> "UniPoly":
-        """Multiply by z**k."""
-        if self.is_zero:
-            return self
-        return UniPoly._of([0] * k + list(self.nums), self.denom)
-
     def reversed_to(self, n: int) -> "UniPoly":
         """z**n * p(1/z); n must be at least the degree."""
         if n < self.degree:

@@ -5,7 +5,9 @@ library code under test: uni- and bivariate ring arithmetic, evaluation
 (of polynomials, ratios and bivariate terms one power at a time),
 composition, interpolation, division and gcds by schoolbook `Fraction`
 arithmetic on coefficient lists and dicts and Euclid's algorithm over Q,
-resultants by Sylvester determinants with plain Gaussian elimination,
+resultants by Sylvester determinants with plain Gaussian elimination
+(Res_y through them and interpolation), shifts z^k p by rebuilding the
+coefficient list,
 the Zassenhaus prime by splitting every prime tried completely,
 genus counts by the raw pairing formula, commuting maps by coordinate
 series at a superattracting fixed point, invariant graphs by the same
@@ -130,6 +132,11 @@ def frac_ratio(num, den, t):
     """num(t) / den(t) for coefficient lists, or None where den(t) = 0."""
     d = frac_eval(den, t)
     return None if d == 0 else frac_eval(num, t) / d
+
+
+def shift_up(p: UniPoly, k: int) -> UniPoly:
+    """p * z**k, rebuilt from the shifted Fraction coefficients."""
+    return UniPoly((Fraction(0),) * k + tuple(p.c))
 
 
 def compose_by_gcd(f: RatMap, g: RatMap) -> RatMap:
@@ -380,6 +387,20 @@ def sylvester_resultant(f: UniPoly, g: UniPoly) -> Fraction:
                 for c in range(col, size):
                     rows[r][c] -= factor * rows[col][c]
     return det
+
+
+def resultant_y(f: BiPoly, g: BiPoly) -> UniPoly:
+    """Res_y as a polynomial in x: Sylvester determinants of f(x0, y) and
+    g(x0, y) at integer x0 that keep both degrees in y, interpolated through
+    one more point than the degree bound deg_x f deg_y g + deg_y f deg_x g."""
+    points = []
+    x0 = 0
+    while len(points) <= f.deg_x * g.deg_y + f.deg_y * g.deg_x:
+        fy, gy = f.eval_x(Fraction(x0)), g.eval_x(Fraction(x0))
+        if fy.degree == f.deg_y and gy.degree == g.deg_y:
+            points.append((Fraction(x0), sylvester_resultant(fy, gy)))
+        x0 += 1
+    return UniPoly(frac_interpolate(points))
 
 
 def bottcher_series(A: RatMap, k: int):
@@ -782,7 +803,7 @@ def _contraction_data(M: RatMap, c: Fraction):
     num_s = M.num.taylor_shift(c)
     den_s = M.den.taylor_shift(c)
     # P(h) = num(c+h) - (c + lam h) den(c+h) has order >= 2 at h = 0
-    P = num_s - den_s * UniPoly((c,)) - (den_s * lam).shift_up(1)
+    P = num_s - den_s * UniPoly((c,)) - shift_up(den_s * lam, 1)
     assert P.coeff(0) == 0 and P.coeff(1) == 0
     q0 = abs(den_s.coeff(0))
     r0 = Fraction(1, 2)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ratdyn.bipolys import BiPoly, gcd_x, resultant_x, resultant_x_mixed, resultant_y, separated
+from ratdyn.bipolys import BiPoly, gcd_x, resultant_x, resultant_x_mixed, separated
 from ratdyn.decompose import graph_numerator
 from ratdyn.polynomials import UniPoly
 from ratdyn.ratmaps import RatMap
@@ -20,6 +20,7 @@ from oracles import (
     bi_value,
     frac_eval,
     prs_gcd_x,
+    resultant_y,
     sylvester_resultant,
 )
 

@@ -6,7 +6,7 @@ from ratdyn.decompose import all_left_factors, left_divide
 from ratdyn.errors import ChainError, NotDefined, ParseError, PreconditionError, ReducibleCurve
 from ratdyn.factoring import factor_univariate
 from ratdyn.memo import MEMO_SIZE, cache_stats, clear_caches, memo
-from ratdyn.mobius import conjugacy_transporters
+from ratdyn.mobius import _marked_points, conjugacy_transporters
 from ratdyn.parser import parse_map
 from ratdyn.places import Place, critical_values, preimage_places
 from ratdyn.polynomials import UniPoly
@@ -49,6 +49,16 @@ def test_memo_reraises_a_cached_error_without_recomputing():
         assert str(err.value) == "no square for -3"
         assert err.value.__context__ is None
     assert calls == [(-3, 0)]
+
+
+def test_memo_raises_an_error_with_no_chained_exception_on_a_miss_or_a_hit():
+    square, calls = counted()
+    for _ in range(2):
+        with pytest.raises(NotDefined) as err:
+            square(-2)
+        exc = err.value
+        assert (exc.__cause__, exc.__context__, exc.__suppress_context__) == (None, None, False)
+    assert calls == [(-2, 0)]
 
 
 @pytest.mark.parametrize("error", [
@@ -196,3 +206,23 @@ def test_entry_points_answer_from_their_cache(fn, args, cache, bad, kind, messag
         assert type(err.value) is kind and str(err.value) == message
     # a refusal is computed at most once
     assert cache_stats()[cache]["misses"] <= 2
+
+
+def test_a_caller_cannot_change_a_stored_orbifold_or_label_dict():
+    kept = maximal_orbifold(LATTES).items()
+    ram = maximal_orbifold(LATTES).ram
+    with pytest.raises(AttributeError):
+        ram.clear()
+    with pytest.raises(TypeError):
+        ram[Place.of_rational(5)] = 3
+    assert maximal_orbifold(LATTES).items() == kept and len(kept) == 4
+    labels = _marked_points(LATTES)
+    want = dict(labels)
+    labels.clear()
+    again = _marked_points(LATTES)
+    assert again == want and again is not labels
+    again[Place.of_rational(5)] = None
+    assert _marked_points(LATTES) == want
+    stats = cache_stats()
+    assert stats["ratdyn.classify.maximal_orbifold"]["misses"] == 1
+    assert stats["ratdyn.mobius._marked_points"]["misses"] == 1

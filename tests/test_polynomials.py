@@ -17,6 +17,7 @@ from oracles import (
     frac_mul,
     fraction_divmod,
     schoolbook_mul,
+    shift_up,
     sylvester_resultant,
 )
 
@@ -315,7 +316,7 @@ def test_equality_and_hash_follow_the_coefficients(p, q):
     for a, b in ((p, UniPoly(p.c)), ((p + q) - q, p), (p * q, q * p), (p.monic() * p.lc, p)):
         assert_normal_form(a)
         assert a == b and hash(a) == hash(b)
-    for r in (p.derivative(), p.monic(), p.reversed_to(max(p.degree, 0) + 2), p.shift_up(2)):
+    for r in (p.derivative(), p.monic(), p.reversed_to(max(p.degree, 0) + 2), shift_up(p, 2)):
         assert_normal_form(r)
     c, prim = p.content_and_primitive()
     assert_normal_form(prim)
