@@ -21,7 +21,7 @@ Inconclusive."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import chain
 from math import gcd as _igcd
 
@@ -79,14 +79,19 @@ class BiCurve:
         return len(facs) == 1 and facs[0][1] == 1
 
 
-@dataclass(frozen=True)
-class ParamCurve:
-    X1: RatMap
-    X2: RatMap
+class ParamCurve(namedtuple("ParamCurve", ("X1", "X2"))):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.X1.degree < 1 or self.X2.degree < 1:
+    def __new__(cls, *args, **kwargs):
+        par = super().__new__(cls, *args, **kwargs)
+        if par.X1.degree < 1 or par.X2.degree < 1:
             raise PreconditionError("parametrizations need nonconstant coordinates")
+        return par
+
+    @classmethod
+    def _make(cls, fields):
+        # `_replace` builds through `_make`, so it meets the same check
+        return cls(*fields)
 
 
 def separated_curve(Y1: RatMap, Y2: RatMap) -> BiCurve:
@@ -165,13 +170,11 @@ def image_curve(C: BiCurve, A1: RatMap, A2: RatMap) -> BiCurve:
     return _image(r2, F, A1, A2, "image curve certificate did not isolate one factor")
 
 
-@dataclass(frozen=True)
-class Line:
-    """A vertical (x = value) or horizontal (y = value) line; the value may
-    be INF, which the affine curve model cannot carry."""
+class Line(namedtuple("Line", ("axis", "value"))):
+    """A vertical (axis 'x': x = value) or horizontal (axis 'y') line; the
+    value may be INF, which the affine curve model cannot carry."""
 
-    axis: str  # 'x' or 'y'
-    value: object
+    __slots__ = ()
 
     def __repr__(self):
         return f"Line({self.axis} = {self.value})"
@@ -344,12 +347,11 @@ def _rational_branch_over(v, Y1: RatMap, Y2: RatMap) -> bool:
 # certificate report for the periodic-curve characterization
 
 
-@dataclass
-class IdentityReport:
-    ok: bool
-    checks: list = field(default_factory=list)  # (name, passed)
-    curve: BiCurve | None = None
-    conjugator: RatMap | None = None
+class IdentityReport(namedtuple("IdentityReport", ("ok", "checks", "curve", "conjugator"),
+                                  defaults=((), None, None))):
+    """checks: (name, passed) pairs in the order they ran."""
+
+    __slots__ = ()
 
     def failures(self):
         return [name for name, passed in self.checks if not passed]
@@ -370,18 +372,12 @@ def periodic_curve_certificate(X1, X2, Y1, Y2, A1, A2, n: int) -> IdentityReport
     B2 = Y2.compose(X2)
     e3 = B1 == B2
     checks.append(("shared conjugated return map", e3))
-    ok = e1 and e2 and e3
-    report = IdentityReport(ok=ok, checks=checks)
-    if not ok:
-        return report
+    if not (e1 and e2 and e3):
+        return IdentityReport(False, tuple(checks))
     B = B1
     e4 = X1.compose(B) == A1.iterate(n).compose(X1) and X2.compose(B) == A2.iterate(n).compose(X2)
     checks.append(("commuting square through the parametrization", e4))
-    report.ok = ok and e4
-    report.conjugator = B
     C = implicitize(ParamCurve(X1, X2))
-    report.curve = C
     member = C.poly.divides(separated_curve(Y1, Y2).poly)
     checks.append(("parametrized curve is a component of the separated curve", member))
-    report.ok = report.ok and member
-    return report
+    return IdentityReport(e4 and member, tuple(checks), C, B)

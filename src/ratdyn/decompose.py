@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .bipolys import BiPoly, gcd_x, separated
@@ -193,10 +193,8 @@ def _try_generator(prod: BiPoly, k: int):
 # elementary transformations
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    outer: RatMap
-    inner: RatMap
+class Decomposition(namedtuple("Decomposition", ("outer", "inner"))):
+    __slots__ = ()
 
     def composite(self) -> RatMap:
         return self.outer.compose(self.inner)
@@ -223,10 +221,8 @@ def proper_splittings(A: RatMap):
     return out
 
 
-@dataclass
-class EquivalenceWalk:
-    representatives: list
-    edges: list = field(default_factory=list)  # (source index, Decomposition, target index)
+# edges: (source index, Decomposition, target index) triples
+EquivalenceWalk = namedtuple("EquivalenceWalk", ("representatives", "edges"), defaults=((),))
 
 
 def equivalence_walk(A: RatMap, depth: int) -> EquivalenceWalk:
@@ -234,28 +230,28 @@ def equivalence_walk(A: RatMap, depth: int) -> EquivalenceWalk:
     conjugate representatives."""
     if A.degree < 2:
         raise PreconditionError("walks need degree at least two")
-    walk = EquivalenceWalk(representatives=[A])
+    reps, edges = [A], []
     frontier = [0]
     for _ in range(depth):
         new_frontier = []
         for idx in frontier:
-            B = walk.representatives[idx]
+            B = reps[idx]
             for split in proper_splittings(B):
                 C = elementary_transform(B, split)
                 target = None
-                for j, rep in enumerate(walk.representatives):
+                for j, rep in enumerate(reps):
                     if are_conjugate(rep, C):
                         target = j
                         break
                 if target is None:
-                    walk.representatives.append(C)
-                    target = len(walk.representatives) - 1
+                    reps.append(C)
+                    target = len(reps) - 1
                     new_frontier.append(target)
-                walk.edges.append((idx, split, target))
+                edges.append((idx, split, target))
         frontier = new_frontier
         if not frontier:
             break
-    return walk
+    return EquivalenceWalk(tuple(reps), tuple(edges))
 
 
 def lemma1_assemble(chain):
@@ -371,11 +367,10 @@ def is_good_solution(f: RatMap, p: RatMap, g: RatMap, q: RatMap) -> bool:
     return good
 
 
-@dataclass
-class Diagram:
-    base: RatMap
-    columns: list  # W_0 .. W_N
-    rungs: list  # h_1 .. h_N
+class Diagram(namedtuple("Diagram", ("base", "columns", "rungs"))):
+    """columns: W_0 .. W_N; rungs: h_1 .. h_N."""
+
+    __slots__ = ()
 
     @property
     def length(self) -> int:
@@ -425,14 +420,14 @@ def good_diagram_chain(A: RatMap, W0: RatMap, N: int, seed=None) -> Diagram:
             H = w
             if columns[-2].compose(hi) != A.compose(Wi):
                 raise ChainError("rung fails to commute", level=i)
-        return Diagram(A, columns, rungs)
+        return Diagram(A, tuple(columns), tuple(rungs))
     candidates = left_divide(A.compose(W0), W0)
     for h in candidates:
         if W0.compose(h) != A.compose(W0):
             continue
         if max_common_right_factor(W0, h)[0].degree > 1:
             continue
-        return Diagram(A, [W0] * (N + 1), [h] * N)
+        return Diagram(A, (W0,) * (N + 1), (h,) * N)
     raise ChainError("no extension at the first level", level=1)
 
 

@@ -54,11 +54,6 @@ def _maps_through(base, target_triples, verify):
     return sorted(found, key=lambda m: m.sort_key())
 
 
-def mu_equivalent(f: RatMap, g: RatMap) -> bool:
-    """Whether g = f o mu for some degree-one mu."""
-    return bool(mu_right_transports(f, g))
-
-
 # ----------------------------------------------------------------------
 # conjugacy transporters
 
@@ -186,50 +181,15 @@ def are_conjugate(a: RatMap, b: RatMap) -> bool:
 # symmetry groups
 
 
-class MobiusGroup:
-    """A finite set of degree-one maps closed under composition and inverse."""
-
-    def __init__(self, elements):
-        elems = set(elements)
-        if not elems:
-            raise PreconditionError("a group needs at least the identity")
-        self.elements = tuple(sorted(elems, key=lambda m: m.sort_key()))
-
-    def __len__(self):
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __contains__(self, mu):
-        return mu in set(self.elements)
-
-    def verify_group(self) -> bool:
-        elems = set(self.elements)
-        if RatMap.identity() not in elems:
-            return False
-        for m in elems:
-            if m.mobius_inverse() not in elems:
-                return False
-            for n in elems:
-                if m.compose(n) not in elems:
-                    return False
-        return True
-
-    def __repr__(self):
-        inner = ", ".join(m.to_str() for m in self.elements)
-        return f"MobiusGroup({inner})"
-
-
-def mobius_left_stabilizer(B: RatMap) -> MobiusGroup:
-    """All mu with B o mu = B."""
+def mobius_left_stabilizer(B: RatMap):
+    """All mu with B o mu = B, in canonical order."""
     if B.degree < 1:
         raise PreconditionError("stabilizers need a nonconstant map")
-    return MobiusGroup(mu_right_transports(B, B))
+    return tuple(mu_right_transports(B, B))
 
 
-def mobius_commutant(B: RatMap) -> MobiusGroup:
-    """All mu with mu o B = B o mu."""
+def mobius_commutant(B: RatMap):
+    """All mu with mu o B = B o mu, in canonical order."""
     if B.degree < 2:
         raise PreconditionError("the commutant needs degree at least two")
-    return MobiusGroup(conjugacy_transporters(B, B))
+    return tuple(conjugacy_transporters(B, B))

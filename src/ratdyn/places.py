@@ -103,13 +103,6 @@ def local_degree(f: RatMap, p: Place) -> int:
     return _local_degree_finite(f, p)
 
 
-def local_degree_profile(f: RatMap, p: Place):
-    """(multiplicity, number of geometric points): the local degree is
-    constant across the Galois orbit, and the orbit size is the place
-    degree."""
-    return local_degree(f, p), p.degree
-
-
 def _local_degree_finite(f: RatMap, p: Place) -> int:
     m = p.minpoly
     w = f.wronskian()

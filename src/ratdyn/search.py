@@ -14,11 +14,10 @@ large, so the default is completeness up to the user-chosen cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .classify import classify, maximal_orbifold, theta
 from .curves import (
-    BiCurve,
     Line,
     ParamCurve,
     implicitize,
@@ -41,35 +40,33 @@ from .places import rational_fixed_points
 from .ratmaps import RatMap
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    bidegree: tuple
-    iterate_cap: int = 2
-    include_lines: bool = False
+class SearchConfig(namedtuple("SearchConfig", ("bidegree", "iterate_cap", "include_lines"),
+                              defaults=(2, False))):
+    __slots__ = ()
 
-    def __post_init__(self):
-        d1, d2 = self.bidegree
-        if d1 < 1 or d2 < 1 or self.iterate_cap < 1:
+    def __new__(cls, *args, **kwargs):
+        cfg = super().__new__(cls, *args, **kwargs)
+        d1, d2 = cfg.bidegree
+        if d1 < 1 or d2 < 1 or cfg.iterate_cap < 1:
             raise PreconditionError("bidegree entries and the cap must be positive")
+        return cfg
+
+    @classmethod
+    def _make(cls, fields):
+        # `_replace` builds through `_make`, so it meets the same check
+        return cls(*fields)
 
 
-@dataclass(frozen=True)
-class CurveCertificate:
-    curve: BiCurve
-    X1: RatMap
-    X2: RatMap
-    B: RatMap
-    Y1: RatMap | None = None
-    Y2: RatMap | None = None
-    period: int = 1
+CurveCertificate = namedtuple(
+    "CurveCertificate", ("curve", "X1", "X2", "B", "Y1", "Y2", "period"), defaults=(None, None, 1)
+)
 
 
-@dataclass
-class SearchReport:
-    curves: list = field(default_factory=list)  # CurveCertificate, sorted
-    lines: list = field(default_factory=list)
-    completeness: str = "complete_up_to_cap"
-    cap: int = 0
+class SearchReport(namedtuple("SearchReport", ("curves", "lines", "completeness", "cap"),
+                              defaults=((), (), "complete_up_to_cap", 0))):
+    """curves: CurveCertificates in canonical order; lines: invariant Lines."""
+
+    __slots__ = ()
 
     def curve_set(self):
         return {c.curve for c in self.curves}
@@ -98,22 +95,17 @@ def find_invariant_curves(A1: RatMap, A2: RatMap, cfg: SearchConfig) -> SearchRe
     theorems exclude such maps from the completeness claim)."""
     if A1.degree < 2 or A2.degree < 2:
         raise PreconditionError("the search needs degrees at least two")
-    report = SearchReport(cap=cfg.iterate_cap)
-    special = False
     try:
         special = classify(A1).kind != "non_special_non_gl" or classify(A2).kind != "non_special_non_gl"
     except Inconclusive:
         special = True
-    if special:
-        report.completeness = "enumeration_only_for_special_maps"
+    completeness = "enumeration_only_for_special_maps" if special else "complete_up_to_cap"
+    lines = ()
     if cfg.include_lines:
-        report.lines = [
-            ln for ln in _fixed_point_lines(A1, A2) if line_is_invariant(ln, A1, A2)
-        ]
+        lines = tuple(ln for ln in _fixed_point_lines(A1, A2) if line_is_invariant(ln, A1, A2))
     if A1.degree != A2.degree:
         # unequal degrees admit only line solutions
-        report.completeness = "complete"
-        return report
+        return SearchReport((), lines, "complete", cfg.iterate_cap)
     d1, d2 = cfg.bidegree
     n_cap = cfg.iterate_cap
     F1 = A1.iterate(n_cap)
@@ -136,8 +128,8 @@ def find_invariant_curves(A1: RatMap, A2: RatMap, cfg: SearchConfig) -> SearchRe
                         if not is_invariant(C, A1, A2):
                             raise TheoremViolation("emitted curve failed invariance")
                         found[C] = CurveCertificate(curve=C, X1=X1m, X2=X2, B=b2)
-    report.curves = sorted(found.values(), key=lambda c: c.curve.sort_key())
-    return report
+    curves = tuple(sorted(found.values(), key=lambda c: c.curve.sort_key()))
+    return SearchReport(curves, lines, completeness, cfg.iterate_cap)
 
 
 def find_periodic_curves(A1: RatMap, A2: RatMap, cfg: SearchConfig, period_cap: int) -> SearchReport:
@@ -145,11 +137,11 @@ def find_periodic_curves(A1: RatMap, A2: RatMap, cfg: SearchConfig, period_cap: 
     runs the invariant-curve search on the iterated pair for each period."""
     if period_cap < 1:
         raise PreconditionError("the period cap must be positive")
-    out = SearchReport(cap=cfg.iterate_cap)
     seen = {}
     for n in range(1, period_cap + 1):
         rep = find_invariant_curves(A1.iterate(n), A2.iterate(n), cfg)
-        out.completeness = rep.completeness
+        if n == 1:
+            lines = rep.lines
         for cert in rep.curves:
             if cert.curve in seen:
                 continue
@@ -166,10 +158,8 @@ def find_periodic_curves(A1: RatMap, A2: RatMap, cfg: SearchConfig, period_cap: 
                 Y2=pair[1] if pair else None,
                 period=period,
             )
-        if cfg.include_lines and n == 1:
-            out.lines = rep.lines
-    out.curves = sorted(seen.values(), key=lambda c: (c.period, c.curve.sort_key()))
-    return out
+    curves = tuple(sorted(seen.values(), key=lambda c: (c.period, c.curve.sort_key())))
+    return SearchReport(curves, lines, rep.completeness, cfg.iterate_cap)
 
 
 def _separated_witnesses(A1, A2, cert, power):
@@ -245,10 +235,8 @@ def commuting_route(A: RatMap, cfg: SearchConfig) -> SearchReport:
     commuting with A that split a common iterate both ways."""
     if A.degree < 2:
         raise PreconditionError("the commuting route needs degree at least two")
-    report = SearchReport(cap=cfg.iterate_cap)
-    cls = classify(A)
-    if cls.kind != "non_special_non_gl":
-        report.completeness = "enumeration_only_for_special_maps"
+    special = classify(A).kind != "non_special_non_gl"
+    completeness = "enumeration_only_for_special_maps" if special else "complete_up_to_cap"
     d1, d2 = cfg.bidegree
     found = {}
     for n in range(1, cfg.iterate_cap + 1):
@@ -270,8 +258,8 @@ def commuting_route(A: RatMap, cfg: SearchConfig) -> SearchReport:
                 if not is_invariant(C, A, A):
                     raise TheoremViolation("commuting-route curve failed invariance")
                 found[C] = CurveCertificate(curve=C, X1=U1, X2=U2, B=A, Y1=v1s[0], Y2=v2s[0])
-    report.curves = sorted(found.values(), key=lambda c: c.curve.sort_key())
-    return report
+    curves = tuple(sorted(found.values(), key=lambda c: c.curve.sort_key()))
+    return SearchReport(curves, (), completeness, cfg.iterate_cap)
 
 
 def _commuting_factors(A: RatMap, F: RatMap, k: int):

@@ -33,7 +33,7 @@ from ratdyn.decompose import (
 )
 from ratdyn.errors import ChainError, PreconditionError
 from ratdyn.factoring import factor_bivariate
-from ratdyn.mobius import are_conjugate, mu_equivalent
+from ratdyn.mobius import are_conjugate, mu_right_transports
 from ratdyn.polynomials import UniPoly
 from ratdyn.ratmaps import RatMap, chebyshev, mobius, power_map
 
@@ -144,20 +144,20 @@ def test_right_divide():
 def test_all_left_factors_power():
     classes = all_left_factors(power_map(6), 2)
     assert len(classes) == 1
-    assert mu_equivalent(classes[0], power_map(2))
+    assert mu_right_transports(classes[0], power_map(2))
 
 
 def test_all_left_factors_chebyshev():
     classes = all_left_factors(chebyshev(6), 3)
     assert len(classes) == 1
-    assert mu_equivalent(classes[0], chebyshev(3))
+    assert mu_right_transports(classes[0], chebyshev(3))
 
 
 def test_all_left_factors_shifted_square():
     F = RatMap(UniPoly.of(0, 0, 2, 0, 1))  # z^4 + 2 z^2
     classes = all_left_factors(F, 2)
     assert len(classes) == 1
-    assert mu_equivalent(classes[0], RatMap(UniPoly.of(0, 2, 1)))
+    assert mu_right_transports(classes[0], RatMap(UniPoly.of(0, 2, 1)))
 
 
 def test_all_left_factors_classes_pairwise_inequivalent():
@@ -166,7 +166,7 @@ def test_all_left_factors_classes_pairwise_inequivalent():
         classes = all_left_factors(F, n)
         for i, a in enumerate(classes):
             for b in classes[i + 1 :]:
-                assert not mu_equivalent(a, b)
+                assert not mu_right_transports(a, b)
 
 
 def test_all_left_factors_every_class_divides():
@@ -188,7 +188,7 @@ def test_all_left_factors_contains_planted_outer():
             continue
         F = g.compose(h)
         classes = all_left_factors(F, dg)
-        assert any(mu_equivalent(X, g) for X in classes), (g.to_str(), h.to_str())
+        assert any(mu_right_transports(X, g) for X in classes), (g.to_str(), h.to_str())
         built += 1
 
 
@@ -484,8 +484,6 @@ def test_detect_periodicity_brute_agreement():
     D = good_diagram_chain(chebyshev(2), chebyshev(3), 5)
     n0, r, _ = detect_periodicity(D)
     # brute scan: all pairs must be equivalent with period 1 from the start
-    from ratdyn.mobius import mu_right_transports
-
     for i in range(len(D.columns)):
         for j in range(i + 1, len(D.columns)):
             assert mu_right_transports(D.columns[i], D.columns[j])

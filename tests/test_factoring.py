@@ -304,7 +304,7 @@ def test_multiplicity_loop_makes_at_most_one_failed_division(monkeypatch):
     clear_caches()
     A = RatMap(UniPoly.of(1, -3, 0, 1))
     report = find_invariant_curves(A, A, SearchConfig((3, 3), 4))
-    assert report.curves == [] and report.completeness == "complete_up_to_cap"
+    assert report.curves == () and report.completeness == "complete_up_to_cap"
     assert len(failed) <= 1
     # a repeated factor: in either order the degrees alone stop each loop
     del failed[:]

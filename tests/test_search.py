@@ -47,7 +47,7 @@ def test_invariant_search_graph():
 
 def test_invariant_search_no_22_curves():
     rep = find_invariant_curves(A_SHIFT, A_SHIFT, SearchConfig(bidegree=(2, 2), iterate_cap=2))
-    assert rep.curves == []
+    assert rep.curves == ()
 
 
 def test_invariant_search_no_22_curves_at_cap_4():
@@ -57,7 +57,7 @@ def test_invariant_search_no_22_curves_at_cap_4():
     start = time.perf_counter()
     rep = find_invariant_curves(A_SHIFT, A_SHIFT, SearchConfig(bidegree=(2, 2), iterate_cap=4))
     elapsed = time.perf_counter() - start
-    assert rep.curves == []
+    assert rep.curves == ()
     assert rep.completeness == "complete_up_to_cap"
     assert elapsed < 3.0
 
@@ -69,7 +69,7 @@ def test_invariant_search_cubic_at_cap_3():
     start = time.perf_counter()
     rep = find_invariant_curves(A, A, SearchConfig(bidegree=(3, 3), iterate_cap=3))
     elapsed = time.perf_counter() - start
-    assert rep.curves == []
+    assert rep.curves == ()
     assert rep.completeness == "complete_up_to_cap"
     assert elapsed < 3.0
 
@@ -114,7 +114,7 @@ def test_unequal_degrees_only_lines():
     rep = find_invariant_curves(
         power_map(2), power_map(3), SearchConfig(bidegree=(1, 1), iterate_cap=2, include_lines=True)
     )
-    assert rep.curves == []
+    assert rep.curves == ()
     assert rep.completeness == "complete"
     assert rep.lines
 
@@ -126,6 +126,18 @@ def test_periodic_search_labels_periods():
     for cert in rep.curves:
         if cert.Y1 is not None:
             assert cert.Y1.compose(cert.X1) == cert.Y2.compose(cert.X2)
+
+
+def test_periodic_search_reports_the_invariant_lines_of_the_maps():
+    # z^2 - 1 fixes only INF and has the rational 2-cycle 0 -> -1 -> 0, so
+    # the lines of its second iterate are not its own
+    A = RatMap(UniPoly.of(-1, 0, 1))
+    cfg = SearchConfig(bidegree=(1, 1), iterate_cap=1, include_lines=True)
+    rep = find_periodic_curves(A, A, cfg, period_cap=2)
+    assert rep.lines == find_invariant_curves(A, A, cfg).lines
+    assert [(ln.axis, ln.value) for ln in rep.lines] == [("x", INF), ("y", INF)]
+    assert len(find_invariant_curves(A.iterate(2), A.iterate(2), cfg).lines) == 6
+    assert find_periodic_curves(A, A, cfg._replace(include_lines=False), period_cap=2).lines == ()
 
 
 def test_preperiodic_components_fixture():
